@@ -155,7 +155,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
     z = accepted(ls, ars, args.depth, (args.source,))
     lassos = ()
-    if ls.base.memoryless:
+    if ls.base.memoryless and not z.finite_part:
+        # lassos only tell "indeterminate" from "fails" when nothing finite applies
         lassos = tuple(lassos_of_memoryless(ls.base, ars, (args.source,)))
     result = AbstractStrategy(ars, z.finite_part, frozenset(lassos)).apply(args.source)
     if result.status is ApplicationStatus.APPLIES:

@@ -479,25 +479,6 @@ def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
     return ars.sorted_steps(chosen)
 
 
-def _lassos_in(sub: Ars, sources: Iterable[str], into: Ars | None = None) -> list[Lasso]:
-    """Lassos of sub, optionally rebuilt over the parent system `into`."""
-    cycles = simple_cycles(sub)
-    out: list[Lasso] = []
-    for src in sorted(set(sources), key=sub.object_index):
-        for cycle in cycles:
-            on_cycle = set(cycle.targets)
-            stem = shortest_path_to(sub, src, on_cycle)
-            if stem is None:
-                continue
-            loop = rotate_cycle(cycle, stem.target)
-            if into is not None:
-                stem = Derivation(into, stem.source, stem.labels)
-                loop = Derivation(into, loop.source, loop.labels)
-            out.append(Lasso(stem, loop))
-    out.sort(key=Lasso.sort_key)
-    return out
-
-
 def lassos_of_memoryless(
     xi: Strategy, ars: Ars, sources: Iterable[str] | None = None
 ) -> list[Lasso]:
@@ -509,7 +490,19 @@ def lassos_of_memoryless(
     available.
     """
     sub = ars.restrict(induced_steps(xi, ars))
-    return _lassos_in(sub, ars.objects if sources is None else sources, into=ars)
+    cycles = simple_cycles(sub)
+    out: list[Lasso] = []
+    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
+        for cycle in cycles:
+            stem = shortest_path_to(sub, src, set(cycle.targets))
+            if stem is None:
+                continue
+            loop = rotate_cycle(cycle, stem.target)
+            out.append(
+                Lasso(Derivation(ars, src, stem.labels), Derivation(ars, loop.source, loop.labels))
+            )
+    out.sort(key=Lasso.sort_key)
+    return out
 
 
 # -- rebuilding strategies from derivation sets ---------------------------------

@@ -1,13 +1,13 @@
 """Strategies described by logic: step predicates and accepting conditions.
 
 A characteristic predicate decides, per trace and candidate label, whether a
-step is permitted; lifting one gives an intensional strategy. An accepting
-condition selects which completed traces count, so a logical strategy (base
-strategy plus condition) generates a derivation set that need not be
-prefix-closed. nonclosed_witness searches, up to a horizon, for a lasso whose
-finite truncations always remain extendable to accepted derivations without
-ever being accepted themselves: a finitely presented limit point outside the
-accepted set.
+step is permitted; it is itself the intensional strategy it describes. An
+accepting condition selects which completed traces count, so a logical
+strategy (base strategy plus condition) generates a derivation set that need
+not be prefix-closed. nonclosed_witness searches, up to a horizon, for a
+lasso whose finite truncations always remain extendable to accepted
+derivations without ever being accepted themselves: a finitely presented
+limit point outside the accepted set.
 """
 
 from __future__ import annotations
@@ -24,34 +24,36 @@ from .intensional import (
     AcceptFiltered,
     EvalResult,
     LabelOrder,
+    MaxLen,
     Strategy,
-    _lassos_in,
+    Universal,
     finite_support,
-    induced_steps,
+    lassos_of_memoryless,
 )
 
 # -- characteristic predicates ---------------------------------------------------
 
 
-class Predicate(abc.ABC):
-    """Decides whether a candidate label is permitted after a trace."""
+class Predicate(Strategy):
+    """A characteristic predicate, read as the strategy it describes.
+
+    holds decides whether a candidate label is permitted after a trace; eval
+    keeps the head's out-steps whose labels it permits, and is defined
+    everywhere.
+    """
 
     @abc.abstractmethod
     def holds(self, ars: Ars, trace: Trace, label: str) -> bool: ...
 
-    @property
-    @abc.abstractmethod
-    def memoryless(self) -> bool: ...
+    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
+        keep = tuple(s for s in ars.out_steps(trace.head) if self.holds(ars, trace, s.label))
+        return EvalResult(True, keep)
 
 
-@dataclass(frozen=True)
-class TruePredicate(Predicate):
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
-        return True
-
-    @property
-    def memoryless(self) -> bool:
-        return True
+# Permitting every label is Universal; permitting extension while the history
+# is shorter than bound - 1 is MaxLen(bound).
+TruePredicate = Universal
+LenLess = MaxLen
 
 
 @dataclass(frozen=True)
@@ -78,24 +80,6 @@ class GreatmostPredicate(Predicate):
     @property
     def memoryless(self) -> bool:
         return True
-
-
-@dataclass(frozen=True)
-class LenLess(Predicate):
-    """Permits extension while the history is shorter than bound - 1.
-
-    Matches MaxLen(bound) step for step, so lifting it and the built-in
-    generate the same derivations.
-    """
-
-    bound: int
-
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
-        return len(trace) < self.bound - 1
-
-    @property
-    def memoryless(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -133,25 +117,9 @@ class CustomPredicate(Predicate):
         return self.trace_free
 
 
-@dataclass(frozen=True)
-class Predicated(Strategy):
-    """The intensional strategy a predicate describes (defined everywhere)."""
-
-    pred: Predicate
-
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        keep = tuple(
-            s for s in ars.out_steps(trace.head) if self.pred.holds(ars, trace, s.label)
-        )
-        return EvalResult(True, keep)
-
-    @property
-    def memoryless(self) -> bool:
-        return self.pred.memoryless
-
-
-def strategy_from_predicate(pred: Predicate) -> Strategy:
-    return Predicated(pred)
+def strategy_from_predicate(pred: Strategy) -> Strategy:
+    """The strategy a predicate describes: the predicate itself."""
+    return pred
 
 
 # -- accepting conditions ----------------------------------------------------------
@@ -296,10 +264,9 @@ def nonclosed_witness(
         raise ValueError("horizon must be at least 2")
     if not ls.base.memoryless:
         raise MemoryRequired("witness search needs a memoryless base strategy")
-    sub = ars.restrict(induced_steps(ls.base, ars))
     candidates = [
         l
-        for l in _lassos_in(sub, ars.objects if sources is None else sources, into=ars)
+        for l in lassos_of_memoryless(ls.base, ars, sources)
         if len(l.stem) + len(l.cycle) <= horizon
     ]
     member_cache: dict[tuple[int, str], tuple[Derivation, ...]] = {}

@@ -10,7 +10,7 @@ symbol occurrences), and matching is whole-word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import StratError
@@ -107,7 +107,54 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
+_POSTFIX = {"*": Star, "+": Plus, "?": Opt}
+
+
+class Grammar:
+    """Recursive descent over a token cursor, shared by every expression reader.
+
+    A token is a tuple whose first two fields are its kind and its text;
+    identifiers have kind "ident". A subclass supplies the cursor hooks:
+    peek() and take() read and consume the current token, at_punct(p) tells
+    whether it is the punctuation p, expect_punct(p) consumes p or raises,
+    fail(tok, expected) builds the exception for a syntax error at tok, and
+    label(tok) checks an identifier used as a label.
+    """
+
+    def parse_alt(self):
+        parts = [self.parse_cat()]
+        while self.at_punct("|"):
+            self.take()
+            parts.append(self.parse_cat())
+        return alternation(parts)
+
+    def parse_cat(self):
+        parts = [self.parse_post()]
+        while self.peek()[0] == "ident" or self.at_punct("("):
+            parts.append(self.parse_post())
+        return concat(parts)
+
+    def parse_post(self):
+        node = self.parse_atom()
+        while any(self.at_punct(mark) for mark in _POSTFIX):
+            node = _POSTFIX[self.take()[1]](node)
+        return node
+
+    def parse_atom(self):
+        tok = self.peek()
+        if tok[0] == "ident":
+            self.take()
+            self.label(tok)
+            return Sym(tok[1])
+        if self.at_punct("("):
+            self.take()
+            inner = self.parse_alt()
+            self.expect_punct(")")
+            return inner
+        raise self.fail(tok, "a label or '('")
+
+
+class _Parser(Grammar):
     def __init__(self, tokens: list[tuple[str, str, int]], alphabet: frozenset[str] | None):
         self.tokens = tokens
         self.pos = 0
@@ -121,52 +168,32 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_alt(self):
-        parts = [self.parse_cat()]
-        while self.peek()[0] == "|":
-            self.take()
-            parts.append(self.parse_cat())
-        return alternation(parts)
+    def at_punct(self, p: str) -> bool:
+        return self.peek()[0] == p
 
-    def parse_cat(self):
-        parts = [self.parse_post()]
-        while self.peek()[0] in ("ident", "("):
-            parts.append(self.parse_post())
-        return concat(parts)
+    def expect_punct(self, p: str) -> tuple[str, str, int]:
+        if not self.at_punct(p):
+            raise self.fail(self.peek(), f"'{p}'")
+        return self.take()
 
-    def parse_post(self):
-        node = self.parse_atom()
-        while self.peek()[0] in ("*", "+", "?"):
-            kind, _, _ = self.take()
-            node = {"*": Star, "+": Plus, "?": Opt}[kind](node)
-        return node
+    def fail(self, tok: tuple[str, str, int], expected: str) -> ParseError:
+        return ParseError(tok[2], expected)
 
-    def parse_atom(self):
-        kind, text, offset = self.peek()
-        if kind == "ident":
-            self.take()
-            if self.alphabet is not None and text not in self.alphabet:
-                raise UnknownLabel(text, offset)
-            return Sym(text)
-        if kind == "(":
-            self.take()
-            inner = self.parse_alt()
-            kind2, _, offset2 = self.peek()
-            if kind2 != ")":
-                raise ParseError(offset2, "')'")
-            self.take()
-            return inner
-        raise ParseError(offset, "a label or '('")
+    def label(self, tok: tuple[str, str, int]) -> None:
+        if self.alphabet is not None and tok[1] not in self.alphabet:
+            raise UnknownLabel(tok[1], tok[2])
 
 
 def parse(text: str, alphabet: Iterable[str] | None = None) -> object:
     """Parse a rational expression; labels outside the alphabet are rejected."""
     alpha = frozenset(alphabet) if alphabet is not None else None
     parser = _Parser(_tokenize(text), alpha)
-    node = parser.parse_alt()
-    kind, _, offset = parser.peek()
-    if kind != "end":
-        raise ParseError(offset, "end of expression")
+    try:
+        node = parser.parse_alt()
+    except RecursionError:
+        raise parser.fail(parser.peek(), "fewer nested groups") from None
+    if parser.peek()[0] != "end":
+        raise parser.fail(parser.peek(), "end of expression")
     return node
 
 
@@ -206,6 +233,11 @@ class Nfa:
         for src, label, dst in self.transitions:
             table.setdefault((src, label), set()).add(dst)
         return {k: frozenset(v) for k, v in table.items()}
+
+    @cached_property
+    def table(self) -> dict[tuple[int, str], frozenset[int]]:
+        """step_map, built once per automaton."""
+        return self.step_map()
 
 
 @lru_cache(maxsize=512)
@@ -269,7 +301,7 @@ def compile_expr(node) -> Nfa:
 def matches(node, word: Sequence[str]) -> bool:
     """Whole-word membership of a label word in the expression's language."""
     nfa = compile_expr(node)
-    table = nfa.step_map()
+    table = nfa.table
     states: frozenset[int] = frozenset([0])
     for label in word:
         nxt: set[int] = set()

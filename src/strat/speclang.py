@@ -326,7 +326,7 @@ def _lex(text: str) -> list[Token]:
 # -- parsing ---------------------------------------------------------------------
 
 
-class _DocParser:
+class _DocParser(rational.Grammar):
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -407,6 +407,8 @@ class _DocParser:
             self.diag(tok, f"label {tok.text!r} used before the ars section")
         elif tok.text not in self._label_set:
             self.diag(tok, f"unknown label {tok.text!r}")
+
+    label = check_label  # the rational grammar's hook; word(...) labels are checked here
 
     def check_object(self, tok: Token) -> None:
         if not self.ars_seen:
@@ -727,7 +729,7 @@ class _DocParser:
         if t == "word":
             self.take()
             self.expect_punct("(")
-            expr = self._rexp_alt()
+            expr = self.parse_alt()
             self.expect_punct(")")
             return AWord(expr)
         if t == "len":
@@ -767,41 +769,6 @@ class _DocParser:
             self.check_ref(tok, self.accepts, "accepting condition")
             return ARef(tok.text)
         raise self.fail(tok, "an accepting condition")
-
-    # rational expressions, over document tokens
-
-    def _rexp_alt(self) -> object:
-        parts = [self._rexp_cat()]
-        while self.at_punct("|"):
-            self.take()
-            parts.append(self._rexp_cat())
-        return rational.alternation(parts)
-
-    def _rexp_cat(self) -> object:
-        parts = [self._rexp_post()]
-        while self.peek().kind == "ident" or self.at_punct("("):
-            parts.append(self._rexp_post())
-        return rational.concat(parts)
-
-    def _rexp_post(self) -> object:
-        node = self._rexp_atom()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "+", "?"):
-            mark = self.take().text
-            node = {"*": rational.Star, "+": rational.Plus, "?": rational.Opt}[mark](node)
-        return node
-
-    def _rexp_atom(self) -> object:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.take()
-            self.check_label(tok)
-            return rational.Sym(tok.text)
-        if self.at_punct("("):
-            self.take()
-            inner = self._rexp_alt()
-            self.expect_punct(")")
-            return inner
-        raise self.fail(tok, "a label or '('")
 
 
 def parse(text: str) -> SpecDocument:

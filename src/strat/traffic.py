@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rational
+from . import rational, speclang
 from .ars import Ars, Derivation, Lasso, shortest_path_to
 from .errors import NoWitnessUpToHorizon
 from .intensional import FromTable, Strategy, TableEntry, Universal, induced_steps
@@ -156,18 +156,22 @@ def safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
 def traffic_document(queue_bound: int) -> str:
     """A .ars document for the intersection: system, fairness, queries."""
     ars = build_traffic_ars(queue_bound)
-    lines = ["ars {"]
-    lines.append(f"  objects: {', '.join(ars.objects)};")
-    lines.append(f"  labels: {', '.join(ars.labels)};")
-    lines.append("  steps:")
-    for i, step in enumerate(ars.steps):
-        mark = ";" if i == len(ars.steps) - 1 else ","
-        lines.append(f"    ({step.source}, {step.label}, {step.target}){mark}")
-    lines.append("}")
-    fair1 = rational.render(_eventually_released("car1", "cross1"))
-    fair2 = rational.render(_eventually_released("car2", "cross2"))
-    lines.append(f"accept fair = and(word({fair1}), word({fair2}));")
-    lines.append("strategy all = universal;")
-    lines.append("strategy fair_runs = accept(universal, fair);")
-    lines.append("query witness fair_runs horizon 6;")
-    return "\n".join(lines) + "\n"
+    fair = speclang.AAnd(
+        (
+            speclang.AWord(_eventually_released("car1", "cross1")),
+            speclang.AWord(_eventually_released("car2", "cross2")),
+        )
+    )
+    doc = speclang.SpecDocument(
+        objects=ars.objects,
+        labels=ars.labels,
+        steps=tuple((s.source, s.label, s.target) for s in ars.steps),
+        orders=(),
+        accepts=(("fair", fair),),
+        strategies=(
+            ("all", speclang.SUniversal()),
+            ("fair_runs", speclang.SAccept(speclang.SUniversal(), speclang.ARef("fair"))),
+        ),
+        queries=(speclang.QWitness("fair_runs", 6),),
+    )
+    return speclang.serialize(doc)

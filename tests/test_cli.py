@@ -79,6 +79,21 @@ class TestApply:
         assert code == 0
         assert out == '{"kind": "apply", "verdict": "applies", "witness": "{a}", "count": 1}\n'
 
+    def test_long_ring_applies(self, run, tmp_path):
+        n = 1200
+        objects = ", ".join(f"o{i}" for i in range(n))
+        steps = ", ".join(f"(o{i}, next, o{(i + 1) % n})" for i in range(n))
+        ring = tmp_path / "ring.ars"
+        ring.write_text(
+            f"ars {{ objects: {objects}; labels: next; steps: {steps}; }}\n"
+            "strategy all = universal;\n"
+        )
+        code, out, err = run(
+            "--machine", "apply", "-f", str(ring), "-s", "all", "--from", "o0", "--depth", "2"
+        )
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "apply", "verdict": "applies", "witness": "{o1, o2}", "count": 2}\n'
+
 
 class TestCheck:
     def test_failing_property_exits_three(self, run, samples_dir):

@@ -58,6 +58,11 @@ class TestParsing:
             parse("x & y")
         assert err.value.position == 2
 
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("(" * 2000 + "x" + ")" * 2000)
+        assert "nested" in str(err.value)
+
     def test_alphabet_check(self):
         assert parse("w1 w2", None) == Concat((Sym("w1"), Sym("w2")))
         with pytest.raises(UnknownLabel) as err:
@@ -127,6 +132,15 @@ class TestMatching:
 
     def test_dead_states_cut_early(self):
         assert not matches(parse("x"), ("y", "x"))
+
+    def test_step_table_built_once_per_expression(self, monkeypatch):
+        builds = []
+        build = Nfa.step_map
+        monkeypatch.setattr(Nfa, "step_map", lambda nfa: builds.append(nfa) or build(nfa))
+        node = parse("once_x (once_y | once_x)*")
+        for word in helpers.all_words(("once_x", "once_y"), 3):
+            matches(node, word)
+        assert len(builds) == 1
 
 
 def _trees():

@@ -234,6 +234,18 @@ class TestDiagnostics:
         assert diags[0].message == "unknown label 'u1'"
         assert "expected" in diags[-1].message
 
+    @pytest.mark.parametrize(
+        "expr, rendered, expected",
+        [
+            ("l1 zz", "1:90: error: unknown label 'zz'", ()),
+            ("l1 |", "1:91: error: expected a label or '(', found ')'", ()),
+            ("(l1", "1:91: error: expected ')', found ';'", (")",)),
+        ],
+    )
+    def test_word_expression_diagnostics(self, expr, rendered, expected):
+        (diag,) = _diags(MINI + f" accept w = word({expr});")
+        assert (diag.render(), diag.expected) == (rendered, expected)
+
     def test_deep_nesting_is_reported_not_crashed(self):
         bomb = MINI + " accept w = word(" + "(" * 8000 + "l1" + ")" * 8000 + ");"
         with pytest.raises(SpecLangError) as err:

@@ -12,7 +12,14 @@ from strat import (
     Universal,
     nonclosed_witness,
 )
-from strat.speclang import QWitness, build_accept, build_ars, build_strategy, parse
+from strat.speclang import (
+    QWitness,
+    build_accept,
+    build_ars,
+    build_strategy,
+    parse,
+    serialize,
+)
 from strat.traffic import (
     LABELS,
     STARVATION_START,
@@ -156,3 +163,8 @@ class TestDocument:
         witness = nonclosed_witness(ls, ars, 6, sources=(STARVATION_START,))
         assert witness.render() == "s_1_0_1_1 ( -cross2-> s_1_0_0_1 -car2-> s_1_0_1_1 )^w"
         assert strategy.eval(ars, ars.empty_derivation(STARVATION_START).trace()).defined
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_document_is_canonical(self, bound):
+        text = traffic_document(bound)
+        assert serialize(parse(text)) == text
