@@ -443,26 +443,30 @@ def simple_cycles(ars: Ars) -> list[Derivation]:
     """All vertex-simple cycles, as derivations with source == target.
 
     Each cycle appears once, rooted at its minimum-index object. Parallel
-    steps count as distinct cycles (two self-loops give two cycles).
+    steps count as distinct cycles (two self-loops give two cycles). The
+    search keeps an explicit stack, so a cycle may be longer than the
+    recursion limit.
     """
     found: list[Derivation] = []
-
-    def search(root: str, current: str, labels: list[str], on_path: set[str]) -> None:
-        for step in ars.out_steps(current):
-            if step.target == root:
-                found.append(Derivation(ars, root, tuple(labels) + (step.label,)))
-            elif (
-                ars.object_index(step.target) > ars.object_index(root)
-                and step.target not in on_path
-            ):
-                on_path.add(step.target)
-                labels.append(step.label)
-                search(root, step.target, labels, on_path)
-                labels.pop()
-                on_path.remove(step.target)
-
     for root in ars.objects:
-        search(root, root, [], {root})
+        floor = ars.object_index(root)
+        labels: list[str] = []  # labels of the path from root, one fewer than `path`
+        path = [root]
+        on_path = {root}
+        stack = [iter(ars.out_steps(root))]  # the out-steps still to try at each object of path
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                on_path.remove(path.pop())
+                del labels[-1:]
+            elif step.target == root:
+                found.append(Derivation(ars, root, (*labels, step.label)))
+            elif ars.object_index(step.target) > floor and step.target not in on_path:
+                on_path.add(step.target)
+                path.append(step.target)
+                labels.append(step.label)
+                stack.append(iter(ars.out_steps(step.target)))
     found.sort(key=Derivation.sort_key)
     return found
 

@@ -23,7 +23,7 @@ from .extensional import AbstractStrategy
 from .intensional import (
     AcceptFiltered,
     EvalResult,
-    LabelOrder,
+    Greatmost,
     MaxLen,
     Strategy,
     Universal,
@@ -51,31 +51,17 @@ class Predicate(Strategy):
 
 
 # Permitting every label is Universal; permitting extension while the history
-# is shorter than bound - 1 is MaxLen(bound).
+# is shorter than bound - 1 is MaxLen(bound); permitting the labels that no
+# out-label of the head is above is Greatmost(order).
 TruePredicate = Universal
 LenLess = MaxLen
+GreatmostPredicate = Greatmost
 
 
 @dataclass(frozen=True)
 class FalsePredicate(Predicate):
     def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
         return False
-
-    @property
-    def memoryless(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class GreatmostPredicate(Predicate):
-    """No out-label of the head is strictly above the candidate."""
-
-    order: LabelOrder
-
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
-        return not any(
-            self.order.less(label, s.label) for s in ars.out_steps(trace.head)
-        )
 
     @property
     def memoryless(self) -> bool:

@@ -9,9 +9,10 @@ symbol occurrences), and matching is whole-word.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StratError
 
@@ -80,46 +81,70 @@ def alternation(parts: Sequence) -> object:
 
 # -- parsing --------------------------------------------------------------------
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | set("0123456789_")
+
+class Token(NamedTuple):
+    kind: str  # a group name of the lexer's pattern, or "eof"
+    text: str
+    offset: int
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def lex(text: str, pattern: re.Pattern) -> list[Token]:
+    """Tokens of one finditer pass of pattern, whose named groups cover every character.
+
+    "skip" and "comment" matches are dropped. The first "error" match ends
+    the list; otherwise it ends with an "eof" token, placed at the start of a
+    comment that runs to the end of the text.
+    """
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < len(text) and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-        elif ch in "|*+?()":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(i, "a label, an operator or a parenthesis")
-    tokens.append(("end", "", len(text)))
+    end = len(text)
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
+            if m.end() == len(text):
+                end = m.start()
+        elif kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+            if kind == "error":
+                return tokens
+    tokens.append(Token("eof", "", end))
     return tokens
 
 
+_PATTERN = re.compile(
+    r"(?P<skip>\s+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[|*+?()])|(?P<error>.)", re.S
+)
 _POSTFIX = {"*": Star, "+": Plus, "?": Opt}
 
 
 class Grammar:
     """Recursive descent over a token cursor, shared by every expression reader.
 
-    A token is a tuple whose first two fields are its kind and its text;
-    identifiers have kind "ident". A subclass supplies the cursor hooks:
-    peek() and take() read and consume the current token, at_punct(p) tells
-    whether it is the punctuation p, expect_punct(p) consumes p or raises,
-    fail(tok, expected) builds the exception for a syntax error at tok, and
-    label(tok) checks an identifier used as a label.
+    A subclass supplies two hooks: fail(tok, desc, expected) builds the
+    exception for a syntax error at tok, and label(tok) checks an identifier
+    used as a label.
     """
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def at_punct(self, p: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.text == p
+
+    def expect_punct(self, p: str) -> Token:
+        if not self.at_punct(p):
+            raise self.fail(self.peek(), f"'{p}'", (p,))
+        return self.take()
 
     def parse_alt(self):
         parts = [self.parse_cat()]
@@ -130,22 +155,22 @@ class Grammar:
 
     def parse_cat(self):
         parts = [self.parse_post()]
-        while self.peek()[0] == "ident" or self.at_punct("("):
+        while self.peek().kind == "ident" or self.at_punct("("):
             parts.append(self.parse_post())
         return concat(parts)
 
     def parse_post(self):
         node = self.parse_atom()
         while any(self.at_punct(mark) for mark in _POSTFIX):
-            node = _POSTFIX[self.take()[1]](node)
+            node = _POSTFIX[self.take().text](node)
         return node
 
     def parse_atom(self):
         tok = self.peek()
-        if tok[0] == "ident":
+        if tok.kind == "ident":
             self.take()
             self.label(tok)
-            return Sym(tok[1])
+            return Sym(tok.text)
         if self.at_punct("("):
             self.take()
             inner = self.parse_alt()
@@ -155,44 +180,30 @@ class Grammar:
 
 
 class _Parser(Grammar):
-    def __init__(self, tokens: list[tuple[str, str, int]], alphabet: frozenset[str] | None):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, tokens: list[Token], alphabet: frozenset[str] | None):
+        super().__init__(tokens)
         self.alphabet = alphabet
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def fail(self, tok: Token, desc: str, expected: tuple[str, ...] = ()) -> ParseError:
+        return ParseError(tok.offset, desc)
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_punct(self, p: str) -> bool:
-        return self.peek()[0] == p
-
-    def expect_punct(self, p: str) -> tuple[str, str, int]:
-        if not self.at_punct(p):
-            raise self.fail(self.peek(), f"'{p}'")
-        return self.take()
-
-    def fail(self, tok: tuple[str, str, int], expected: str) -> ParseError:
-        return ParseError(tok[2], expected)
-
-    def label(self, tok: tuple[str, str, int]) -> None:
-        if self.alphabet is not None and tok[1] not in self.alphabet:
-            raise UnknownLabel(tok[1], tok[2])
+    def label(self, tok: Token) -> None:
+        if self.alphabet is not None and tok.text not in self.alphabet:
+            raise UnknownLabel(tok.text, tok.offset)
 
 
 def parse(text: str, alphabet: Iterable[str] | None = None) -> object:
     """Parse a rational expression; labels outside the alphabet are rejected."""
     alpha = frozenset(alphabet) if alphabet is not None else None
-    parser = _Parser(_tokenize(text), alpha)
+    tokens = lex(text, _PATTERN)
+    if tokens[-1].kind == "error":
+        raise ParseError(tokens[-1].offset, "a label, an operator or a parenthesis")
+    parser = _Parser(tokens, alpha)
     try:
         node = parser.parse_alt()
     except RecursionError:
         raise parser.fail(parser.peek(), "fewer nested groups") from None
-    if parser.peek()[0] != "end":
+    if parser.peek().kind != "eof":
         raise parser.fail(parser.peek(), "end of expression")
     return node
 

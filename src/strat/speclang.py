@@ -31,8 +31,9 @@ Diagnostic with a 1-based line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import rational
 from .ars import Ars
@@ -62,6 +63,7 @@ from .logic import (
     Not,
     Or,
 )
+from .rational import Token
 
 KEYWORDS = frozenset(
     """
@@ -82,10 +84,9 @@ class Diagnostic:
     col: int
     message: str
     expected: tuple[str, ...] = ()
-    severity: str = "error"
 
     def render(self) -> str:
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 class SpecLangError(StratError):
@@ -262,64 +263,23 @@ class SpecDocument:
 # -- lexing ---------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+_PATTERN = re.compile(
+    r"(?P<skip>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)|(?P<punct><=|>=|[{}(),;:=<>|*+?])|(?P<error>.)",
+    re.S,
+)
 
 
-_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _LETTERS | set("0123456789_")
-_DIGITS = set("0123456789")
-_PUNCT_SINGLE = set("{}(),;:=<>|*+?")
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _LETTERS:
-            start, scol = i, col
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-                col += 1
-            tokens.append(Token("ident", text[start:i], line, scol))
-            continue
-        if ch in _DIGITS:
-            start, scol = i, col
-            while i < n and text[i] in _DIGITS:
-                i += 1
-                col += 1
-            tokens.append(Token("int", text[start:i], line, scol))
-            continue
-        if text[i : i + 2] in ("<=", ">="):
-            tokens.append(Token("punct", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_SINGLE:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise _SyntaxFail(Diagnostic(line, col, f"unexpected character {ch!r}"))
-    tokens.append(Token("eof", "", line, col))
+    tokens = rational.lex(text, _PATTERN)
+    bad = tokens[-1]
+    if bad.kind == "error":
+        line, col = _line_col(text, bad.offset)
+        raise _SyntaxFail(Diagnostic(line, col, f"unexpected character {bad.text!r}"))
     return tokens
 
 
@@ -327,9 +287,9 @@ def _lex(text: str) -> list[Token]:
 
 
 class _DocParser(rational.Grammar):
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        super().__init__(_lex(text))
+        self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
         self.objects: list[str] = []
@@ -345,28 +305,17 @@ class _DocParser(rational.Grammar):
 
     # token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def where(self, tok: Token) -> tuple[int, int]:
+        return _line_col(self.text, tok.offset)
 
     def _found(self, tok: Token) -> str:
         return "end of input" if tok.kind == "eof" else repr(tok.text)
 
     def fail(self, tok: Token, desc: str, expected: tuple[str, ...] = ()) -> _SyntaxFail:
+        line, col = self.where(tok)
         return _SyntaxFail(
-            Diagnostic(tok.line, tok.col, f"expected {desc}, found {self._found(tok)}", expected)
+            Diagnostic(line, col, f"expected {desc}, found {self._found(tok)}", expected)
         )
-
-    def expect_punct(self, p: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != p:
-            raise self.fail(tok, f"'{p}'", (p,))
-        return self.take()
 
     def expect_keyword(self, k: str) -> Token:
         tok = self.peek()
@@ -387,12 +336,17 @@ class _DocParser(rational.Grammar):
         self.take()
         return int(tok.text), tok
 
-    def at_punct(self, p: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == p
-
     def diag(self, tok: Token, message: str) -> None:
-        self.diags.append(Diagnostic(tok.line, tok.col, message))
+        line, col = self.where(tok)
+        self.diags.append(Diagnostic(line, col, message))
+
+    def nested(self, head: Token, parse: Callable[[], object]) -> object:
+        """parse(), with nesting too deep to parse or compile reported at head."""
+        try:
+            return parse()
+        except RecursionError:
+            line, col = self.where(head)
+            raise _SyntaxFail(Diagnostic(line, col, "expression nesting too deep")) from None
 
     # name handling
 
@@ -479,7 +433,7 @@ class _DocParser(rational.Grammar):
         self.expect_punct("}")
         if not was_seen:
             self.steps = steps
-            self.positions[("ars",)] = (head.line, head.col)
+            self.positions[("ars",)] = self.where(head)
 
     def _id_list(self, into: list[str], desc: str, clashes: set[str]) -> None:
         seen: set[str] = set()
@@ -545,7 +499,7 @@ class _DocParser(rational.Grammar):
         except StratError as exc:
             self.diag(head, f"order {name.text!r} is not a strict order: {exc}")
         self.orders.append((name.text, pairs))
-        self.positions[("order", name.text)] = (head.line, head.col)
+        self.positions[("order", name.text)] = self.where(head)
 
     def parse_strategy(self) -> None:
         head = self.take()
@@ -553,10 +507,10 @@ class _DocParser(rational.Grammar):
         if any(n == name.text for n, _ in self.strategies):
             self.diag(name, f"duplicate strategy {name.text!r}")
         self.expect_punct("=")
-        node = self.parse_sexpr()
+        node = self.nested(head, self.parse_sexpr)
         self.expect_punct(";")
         self.strategies.append((name.text, node))
-        self.positions[("strategy", name.text)] = (head.line, head.col)
+        self.positions[("strategy", name.text)] = self.where(head)
 
     def parse_accept(self) -> None:
         head = self.take()
@@ -564,10 +518,10 @@ class _DocParser(rational.Grammar):
         if any(n == name.text for n, _ in self.accepts):
             self.diag(name, f"duplicate accepting condition {name.text!r}")
         self.expect_punct("=")
-        node = self.parse_aexpr()
+        node = self.nested(head, self.parse_aexpr)
         self.expect_punct(";")
         self.accepts.append((name.text, node))
-        self.positions[("accept", name.text)] = (head.line, head.col)
+        self.positions[("accept", name.text)] = self.where(head)
 
     def parse_query(self) -> None:
         head = self.take()
@@ -583,7 +537,7 @@ class _DocParser(rational.Grammar):
         else:
             raise self.fail(tok, "a query form ('enumerate', 'apply', 'check' or 'witness')")
         self.expect_punct(";")
-        self.positions[("query", len(self.queries))] = (head.line, head.col)
+        self.positions[("query", len(self.queries))] = self.where(head)
         self.queries.append(q)
 
     def _strategy_ref(self) -> Token:
@@ -731,6 +685,7 @@ class _DocParser(rational.Grammar):
             self.expect_punct("(")
             expr = self.parse_alt()
             self.expect_punct(")")
+            rational.compile_expr(expr)  # deep nesting fails here, not at the first match
             return AWord(expr)
         if t == "len":
             self.take()
@@ -773,30 +728,21 @@ class _DocParser(rational.Grammar):
 
 def parse(text: str) -> SpecDocument:
     """Parse and validate a document; raises SpecLangError with diagnostics."""
-    diags: list[Diagnostic] = []
     parser: _DocParser | None = None
     try:
-        parser = _DocParser(_lex(text))
+        parser = _DocParser(text)
         parser.parse_document()
     except _SyntaxFail as fail:
-        if parser is not None:
-            diags.extend(parser.diags)
-        diags.append(fail.diag)
-        raise SpecLangError(tuple(diags)) from None
-    except RecursionError:
-        if parser is not None:
-            diags.extend(parser.diags)
-        diags.append(Diagnostic(1, 1, "expression nesting too deep"))
-        raise SpecLangError(tuple(diags)) from None
-    diags.extend(parser.diags)
-    if diags:
-        raise SpecLangError(tuple(diags))
+        diags = parser.diags if parser is not None else []
+        raise SpecLangError((*diags, fail.diag)) from None
+    if parser.diags:
+        raise SpecLangError(tuple(parser.diags))
     return _canonical(parser)
 
 
 def _canonical(p: _DocParser) -> SpecDocument:
-    ars = Ars(p.objects, p.labels, p.steps)
-    li = ars.label_index
+    oi = {name: i for i, name in enumerate(p.objects)}
+    li = {name: i for i, name in enumerate(p.labels)}.__getitem__
 
     def canon_sexpr(node: object) -> object:
         if isinstance(node, SAlternate):
@@ -826,9 +772,9 @@ def _canonical(p: _DocParser) -> SpecDocument:
         sorted(((name, canon_sexpr(node)) for name, node in p.strategies), key=lambda kv: kv[0])
     )
     return SpecDocument(
-        objects=ars.objects,
-        labels=ars.labels,
-        steps=tuple((s.source, s.label, s.target) for s in ars.steps),
+        objects=tuple(p.objects),
+        labels=tuple(p.labels),
+        steps=tuple(sorted(set(p.steps), key=lambda s: (oi[s[0]], li(s[1])))),
         orders=orders,
         accepts=tuple(p.accepts),
         strategies=strategies,

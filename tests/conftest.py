@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+# A checkout runs its tests without installing: src/ comes first on sys.path
+# here and on PYTHONPATH for the CLI tests that start a subprocess.
+SRC = str(Path(__file__).parent.parent / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 sys.path.insert(0, str(Path(__file__).parent))
 
 import helpers  # noqa: E402

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from strat.cli import main
 
@@ -135,6 +137,19 @@ class TestWitness:
         )
         assert (code, out) == (0, "NO_WITNESS_UP_TO_HORIZON\n")
 
+    def test_witness_on_a_ring_longer_than_the_recursion_limit(self, run, tmp_path):
+        n = sys.getrecursionlimit() + 200
+        objects = ", ".join(f"o{i}" for i in range(n))
+        steps = ", ".join(f"(o{i}, next, o{(i + 1) % n})" for i in range(n))
+        ring = tmp_path / "ring.ars"
+        ring.write_text(
+            f"ars {{ objects: {objects}; labels: next; steps: {steps}; }}\n"
+            "strategy all = universal;\n"
+        )
+        code, out, err = run("--machine", "witness", "-f", str(ring), "-s", "all", "--horizon", "4")
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "witness", "verdict": "none", "witness": null, "count": 0}\n'
+
 
 class TestScenario:
     def test_fairness_witness(self, run):
@@ -209,6 +224,71 @@ class TestErrors:
         code, out, err = run("enumerate", "-f", str(bad), "--depth", "2")
         assert (code, out) == (2, "")
         assert err == f"{bad}:1:41: error: unknown label 'zz'\n"
+
+    def test_deep_nesting_is_reported_at_its_section(self, run, tmp_path):
+        deep = tmp_path / "deep.ars"
+        deep.write_text(
+            "ars { objects: a; labels: l; steps: (a, l, a); }\n"
+            "strategy s = accept(universal, word(" + "(" * 3000 + "l" + ")" * 3000 + "));\n"
+        )
+        code, out, err = run("--machine", "enumerate", "-f", str(deep), "-s", "s", "--depth", "2")
+        assert (code, out) == (2, "")
+        assert err == f"{deep}:2:1: error: expression nesting too deep\n"
+
+    def test_deeply_repeated_word_is_reported_at_its_section(self, run, tmp_path):
+        stars = tmp_path / "stars.ars"
+        stars.write_text(
+            "ars { objects: a; labels: l; steps: (a, l, a); }\n"
+            "\n"
+            "  accept w = word(l" + "*" * 3000 + ");\n"
+            "strategy s = accept(universal, w);\n"
+        )
+        code, out, err = run("--machine", "enumerate", "-f", str(stars), "-s", "s", "--depth", "2")
+        assert (code, out) == (2, "")
+        assert err == f"{stars}:3:3: error: expression nesting too deep\n"
+
+
+class TestExitCodeContract:
+    SAMPLE_STRATEGIES = [
+        ("a_c.ars", "gm"),
+        ("a_lc.ars", "eventually_c"),
+        ("a_loop.ars", "all"),
+        ("eventual.ars", "eventually_exit"),
+        ("union_pair.ars", "both_c"),
+    ]
+    COMMANDS = [
+        ("enumerate", "--depth", "3"),
+        ("check", "--prop", "prefix", "--depth", "3"),
+        ("witness", "--horizon", "3"),
+    ]
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.sampled_from(SAMPLE_STRATEGIES),
+        st.sampled_from(COMMANDS),
+        st.integers(min_value=0),
+        st.sampled_from([None, *"ab(),;:=<>{}|*+?#\t\n 1_é"]),
+    )
+    def test_one_character_edits_of_samples(
+        self, run, samples_dir, tmp_path, sample_strategy, command, where, insert
+    ):
+        name, strategy = sample_strategy
+        text = (samples_dir / name).read_text()
+        if insert is None:
+            where %= len(text)
+            edited = text[:where] + text[where + 1 :]
+        else:
+            where %= len(text) + 1
+            edited = text[:where] + insert + text[where:]
+        doc = tmp_path / name
+        doc.write_text(edited, encoding="utf-8")
+        verb, *options = command
+        code, _, _ = run(verb, "-f", str(doc), "-s", strategy, *options)
+        assert code in (0, 2, 3)
 
 
 class TestSubprocess:

@@ -377,3 +377,44 @@ class TestTokenFuzz:
                 assert diag.col in set(cols) | {eof_col}, (i, tokens[i], diag)
         # every deletion except the optional enumerate strategy name must break parsing
         assert errors == len(tokens) - 1
+
+
+class TestFrontEnd:
+    """Positions and canonical steps that the lexer and the canonical form must keep."""
+
+    def test_tab_counts_as_one_column(self):
+        (diag,) = _diags("ars {\tobjects: a;\tlabels: l;\tsteps: (a, zz, a); }")
+        assert diag.render() == "1:41: error: unknown label 'zz'"
+
+    def test_crlf_line_ends(self):
+        text = "ars {\r\n  objects: a;\r\n  labels: l;\r\n  steps: (a, zz, a);\r\n}\r\n"
+        (diag,) = _diags(text)
+        assert diag.render() == "4:14: error: unknown label 'zz'"
+
+    def test_error_on_the_line_after_a_comment(self):
+        (diag,) = _diags("ars { # objects follow\n  objects a; labels: l; steps: ; }\n")
+        assert (diag.render(), diag.expected) == ("2:11: error: expected ':', found 'a'", (":",))
+
+    def test_end_of_input_inside_a_trailing_comment(self):
+        text = "ars {\n  objects: a;\n  labels: l;\n  steps: ;   # no closing brace"
+        (diag,) = _diags(text)
+        assert (diag.render(), diag.expected) == (
+            "4:14: error: expected '}', found end of input",
+            ("}",),
+        )
+
+    def test_non_ascii_letter(self):
+        (diag,) = _diags("ars {\n  objects: a, été;\n  labels: l;\n  steps: ;\n}\n")
+        assert diag.render() == "2:15: error: unexpected character 'é'"
+
+    def test_repeated_step_kept_once(self):
+        doc = parse("ars { objects: a; labels: l; steps: (a, l, a), (a, l, a); }")
+        assert doc.steps == (("a", "l", "a"),)
+
+    def test_parse_builds_no_ars(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse built an Ars")
+
+        monkeypatch.setattr(speclang, "Ars", refuse)
+        doc = parse(CANONICAL)
+        assert doc.steps == (("a", "l1", "b"), ("b", "l2", "a"))
