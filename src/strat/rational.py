@@ -142,9 +142,11 @@ class Grammar:
         return tok.kind == "punct" and tok.text == p
 
     def expect_punct(self, p: str) -> Token:
-        if not self.at_punct(p):
-            raise self.fail(self.peek(), f"'{p}'", (p,))
-        return self.take()
+        tok = self.tokens[self.pos]
+        if tok.kind != "punct" or tok.text != p:
+            raise self.fail(tok, f"'{p}'", (p,))
+        self.pos += 1
+        return tok
 
     def parse_alt(self):
         parts = [self.parse_cat()]
@@ -201,10 +203,11 @@ def parse(text: str, alphabet: Iterable[str] | None = None) -> object:
     parser = _Parser(tokens, alpha)
     try:
         node = parser.parse_alt()
+        if parser.peek().kind != "eof":
+            raise parser.fail(parser.peek(), "end of expression")
+        compile_expr(node)  # so every tree returned can be matched and rendered
     except RecursionError:
         raise parser.fail(parser.peek(), "fewer nested groups") from None
-    if parser.peek().kind != "eof":
-        raise parser.fail(parser.peek(), "end of expression")
     return node
 
 

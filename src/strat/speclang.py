@@ -18,7 +18,8 @@ named accepting conditions, named strategies and a query list:
 Comments run from '#' to end of line. Identifiers are an ASCII letter
 followed by letters, digits or underscores; keywords are reserved and cannot
 name symbols. Names must be declared before use and there is exactly one ars
-section per document.
+section per document. A strategy or accept section nests at most MAX_NESTING
+strategy and condition levels, counting the levels of the accepts it names.
 
 serialize emits the canonical form: LF line endings, two-space indentation,
 steps and order pairs sorted by symbol index, orders and strategies sorted
@@ -27,13 +28,21 @@ may reference earlier accepts), label sets sorted and deduplicated. On valid
 documents parse(serialize(doc)) equals doc structurally and serialization is
 idempotent. Every parse failure raises SpecLangError carrying at least one
 Diagnostic with a 1-based line and column.
+
+Each strategy, condition and query kind is defined once, by one node class:
+the `_node` decorator gives the class its keyword, its syntax template
+(words and punctuation as strings, one argument kind per field, and optional
+groups of one argument) and its builder, and registers it in `_STRATEGIES`,
+`_CONDITIONS` or `_QUERIES`. Reading (which sorts label sets as it goes),
+writing and building all walk that template: adding a kind is adding a class.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from operator import methodcaller
+from typing import Callable, NamedTuple
 
 from . import rational
 from .ars import Ars
@@ -65,15 +74,7 @@ from .logic import (
 )
 from .rational import Token
 
-KEYWORDS = frozenset(
-    """
-    ars objects labels steps order strategy accept query
-    universal fail greatmost maxlen alternate restrict intersect unionP unionC
-    word len at and or not
-    enumerate apply check witness depth from horizon
-    prefix factor composition closed
-    """.split()
-)
+MAX_NESTING = 100  # strategy and condition levels of one section, named accepts included
 
 
 @dataclass(frozen=True)
@@ -100,164 +101,6 @@ class SpecLangError(StratError):
 class _SyntaxFail(Exception):
     def __init__(self, diag: Diagnostic):
         self.diag = diag
-
-
-# -- surface syntax trees ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SUniversal:
-    pass
-
-
-@dataclass(frozen=True)
-class SFail:
-    pass
-
-
-@dataclass(frozen=True)
-class SGreatmost:
-    order: str
-
-
-@dataclass(frozen=True)
-class SMaxLen:
-    bound: int
-
-
-@dataclass(frozen=True)
-class SAlternate:
-    first: tuple[str, ...]
-    second: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SRestrict:
-    labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SIntersect:
-    children: tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class SUnionP:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SUnionC:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SAccept:
-    child: object
-    condition: object
-
-
-@dataclass(frozen=True)
-class AWord:
-    expr: object
-
-
-@dataclass(frozen=True)
-class ALen:
-    op: str
-    bound: int
-
-
-@dataclass(frozen=True)
-class AAt:
-    obj: str
-
-
-@dataclass(frozen=True)
-class AAnd:
-    parts: tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class AOr:
-    parts: tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class ANot:
-    part: object
-
-
-@dataclass(frozen=True)
-class ARef:
-    name: str
-
-
-@dataclass(frozen=True)
-class QEnumerate:
-    strategy: str | None
-    depth: int
-    source: str | None
-
-
-@dataclass(frozen=True)
-class QApply:
-    strategy: str
-    source: str
-    depth: int
-
-
-@dataclass(frozen=True)
-class QCheck:
-    prop: str
-    strategy: str
-    depth: int
-
-
-@dataclass(frozen=True)
-class QWitness:
-    strategy: str
-    horizon: int
-
-
-CHECK_PROPS = ("prefix", "factor", "composition", "closed")
-
-
-@dataclass(frozen=True)
-class SpecDocument:
-    """A parsed, validated document in canonical shape."""
-
-    objects: tuple[str, ...]
-    labels: tuple[str, ...]
-    steps: tuple[tuple[str, str, str], ...]
-    orders: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    accepts: tuple[tuple[str, object], ...]
-    strategies: tuple[tuple[str, object], ...]
-    queries: tuple[object, ...]
-    positions: dict = field(compare=False, repr=False, default_factory=dict)
-
-    def get_order(self, name: str) -> tuple[tuple[str, str], ...]:
-        for n, pairs in self.orders:
-            if n == name:
-                return pairs
-        raise UnknownSymbol(name)
-
-    def get_accept(self, name: str) -> object:
-        for n, node in self.accepts:
-            if n == name:
-                return node
-        raise UnknownSymbol(name)
-
-    def get_strategy(self, name: str) -> object:
-        for n, node in self.strategies:
-            if n == name:
-                return node
-        raise UnknownSymbol(name)
-
-    def has_strategy(self, name: str) -> bool:
-        return any(n == name for n, _ in self.strategies)
 
 
 # -- lexing ---------------------------------------------------------------------
@@ -301,52 +144,55 @@ class _DocParser(rational.Grammar):
         self.queries: list[object] = []
         self.positions: dict = {}
         self._object_set: set[str] = set()
-        self._label_set: set[str] = set()
+        self._label_index: dict[str, int] = {}
+        self.head: Token | None = None  # keyword of the section being read
+        self.level = 0  # strategy and condition nodes open in that section
+        self.deepest = 0
+        self.accept_levels: dict[str, int] = {}
 
     # token plumbing
 
     def where(self, tok: Token) -> tuple[int, int]:
         return _line_col(self.text, tok.offset)
 
-    def _found(self, tok: Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
-
     def fail(self, tok: Token, desc: str, expected: tuple[str, ...] = ()) -> _SyntaxFail:
         line, col = self.where(tok)
-        return _SyntaxFail(
-            Diagnostic(line, col, f"expected {desc}, found {self._found(tok)}", expected)
-        )
+        found = "end of input" if tok.kind == "eof" else repr(tok.text)
+        return _SyntaxFail(Diagnostic(line, col, f"expected {desc}, found {found}", expected))
 
     def expect_keyword(self, k: str) -> Token:
         tok = self.peek()
         if tok.kind != "ident" or tok.text != k:
             raise self.fail(tok, f"'{k}'", (k,))
-        return self.take()
+        self.pos += 1
+        return tok
 
     def expect_ident(self, desc: str) -> Token:
         tok = self.peek()
         if tok.kind != "ident":
             raise self.fail(tok, desc)
-        return self.take()
+        self.pos += 1
+        return tok
 
-    def expect_int(self, desc: str = "an integer") -> tuple[int, Token]:
+    def expect_int(self) -> Token:
         tok = self.peek()
         if tok.kind != "int":
-            raise self.fail(tok, desc)
-        self.take()
-        return int(tok.text), tok
+            raise self.fail(tok, "an integer")
+        self.pos += 1
+        return tok
 
     def diag(self, tok: Token, message: str) -> None:
         line, col = self.where(tok)
         self.diags.append(Diagnostic(line, col, message))
 
-    def nested(self, head: Token, parse: Callable[[], object]) -> object:
-        """parse(), with nesting too deep to parse or compile reported at head."""
-        try:
-            return parse()
-        except RecursionError:
-            line, col = self.where(head)
-            raise _SyntaxFail(Diagnostic(line, col, "expression nesting too deep")) from None
+    def too_deep(self) -> _SyntaxFail:
+        line, col = self.where(self.head)
+        return _SyntaxFail(Diagnostic(line, col, "expression nesting too deep"))
+
+    def reach(self, level: int) -> None:
+        if level > MAX_NESTING:
+            raise self.too_deep()
+        self.deepest = max(self.deepest, level)
 
     # name handling
 
@@ -359,7 +205,7 @@ class _DocParser(rational.Grammar):
     def check_label(self, tok: Token) -> None:
         if not self.ars_seen:
             self.diag(tok, f"label {tok.text!r} used before the ars section")
-        elif tok.text not in self._label_set:
+        elif tok.text not in self._label_index:
             self.diag(tok, f"unknown label {tok.text!r}")
 
     label = check_label  # the rational grammar's hook; word(...) labels are checked here
@@ -370,31 +216,15 @@ class _DocParser(rational.Grammar):
         elif tok.text not in self._object_set:
             self.diag(tok, f"unknown object {tok.text!r}")
 
-    def check_ref(self, tok: Token, pool: list, kind: str) -> None:
-        if not any(n == tok.text for n, _ in pool):
-            self.diag(tok, f"unknown {kind} {tok.text!r}")
-
     # document structure
 
     def parse_document(self) -> None:
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind != "ident":
-                raise self.fail(tok, "a section ('ars', 'order', 'accept', 'strategy' or 'query')")
-            if tok.text == "ars":
-                self.parse_ars()
-            elif tok.text == "order":
-                self.parse_order()
-            elif tok.text == "strategy":
-                self.parse_strategy()
-            elif tok.text == "accept":
-                self.parse_accept()
-            elif tok.text == "query":
-                self.parse_query()
-            else:
-                raise self.fail(
-                    tok, "a section ('ars', 'order', 'accept', 'strategy' or 'query')"
-                )
+            section = _SECTIONS.get(tok.text)
+            if section is None:
+                raise self.fail(tok, _SECTION_DESC)
+            section(self)
         if not self.ars_seen:
             self.diags.append(Diagnostic(1, 1, "document declares no ars section"))
 
@@ -402,59 +232,49 @@ class _DocParser(rational.Grammar):
         head = self.take()
         if self.ars_seen:
             self.diag(head, "document declares more than one ars section")
-        objects: list[str] = []
-        labels: list[str] = []
         self.expect_punct("{")
-        self.expect_keyword("objects")
-        self.expect_punct(":")
-        self._id_list(objects, "an object name", set())
-        self.expect_punct(";")
-        self.expect_keyword("labels")
-        self.expect_punct(":")
-        self._id_list(labels, "a label name", set(objects))
-        self.expect_punct(";")
+        objects = self._id_list("objects", "an object name", set())
+        labels = self._id_list("labels", "a label name", set(objects))
         was_seen = self.ars_seen
         if not was_seen:
-            self.objects = objects
-            self.labels = labels
-            self._object_set = set(objects)
-            self._label_set = set(labels)
+            self.objects, self._object_set = objects, set(objects)
+            self.labels, self._label_index = labels, {name: i for i, name in enumerate(labels)}
             self.ars_seen = True
         self.expect_keyword("steps")
         self.expect_punct(":")
-        functional: dict[tuple[str, str], tuple[str, Token]] = {}
+        targets: dict[tuple[str, str], str] = {}
         steps: list[tuple[str, str, str]] = []
         if self.at_punct("("):
-            self._step(steps, functional)
+            self._step(steps, targets)
             while self.at_punct(","):
                 self.take()
-                self._step(steps, functional)
+                self._step(steps, targets)
         self.expect_punct(";")
         self.expect_punct("}")
         if not was_seen:
             self.steps = steps
             self.positions[("ars",)] = self.where(head)
 
-    def _id_list(self, into: list[str], desc: str, clashes: set[str]) -> None:
-        seen: set[str] = set()
+    def _id_list(self, keyword: str, desc: str, clashes: set[str]) -> list[str]:
+        """`keyword: name, ...;` with each name declared once."""
+        self.expect_keyword(keyword)
+        self.expect_punct(":")
+        names: dict[str, None] = {}  # in declaration order
         while True:
             tok = self.declared_name(desc)
-            if tok.text in seen:
+            if tok.text in names:
                 self.diag(tok, f"duplicate symbol {tok.text!r}")
             elif tok.text in clashes:
                 self.diag(tok, f"{tok.text!r} is declared both as an object and as a label")
             else:
-                seen.add(tok.text)
-                into.append(tok.text)
+                names[tok.text] = None
             if not self.at_punct(","):
-                return
+                break
             self.take()
+        self.expect_punct(";")
+        return list(names)
 
-    def _step(
-        self,
-        into: list[tuple[str, str, str]],
-        functional: dict[tuple[str, str], tuple[str, Token]],
-    ) -> None:
+    def _step(self, into: list[tuple[str, str, str]], targets: dict[tuple[str, str], str]) -> None:
         open_tok = self.expect_punct("(")
         src = self.expect_ident("an object name")
         self.check_object(src)
@@ -465,16 +285,13 @@ class _DocParser(rational.Grammar):
         tgt = self.expect_ident("an object name")
         self.check_object(tgt)
         self.expect_punct(")")
-        prior = functional.get((src.text, lab.text))
-        if prior is not None and prior[0] != tgt.text:
-            self.diag(
-                open_tok,
-                f"two steps from {src.text!r} with label {lab.text!r} "
-                f"reach {prior[0]!r} and {tgt.text!r}",
-            )
-            return
-        functional[(src.text, lab.text)] = (tgt.text, open_tok)
-        into.append((src.text, lab.text, tgt.text))
+        src, lab, tgt = src.text, lab.text, tgt.text
+        prior = targets.setdefault((src, lab), tgt)
+        if prior != tgt:
+            clash = f"two steps from {src!r} with label {lab!r} reach {prior!r} and {tgt!r}"
+            self.diag(open_tok, clash)
+        else:
+            into.append((src, lab, tgt))
 
     def parse_order(self) -> None:
         head = self.take()
@@ -484,13 +301,11 @@ class _DocParser(rational.Grammar):
         self.expect_punct("{")
         pairs: list[tuple[str, str]] = []
         while True:
-            a = self.expect_ident("a label name")
-            self.check_label(a)
+            a = self.label_name()
             self.expect_punct("<")
-            b = self.expect_ident("a label name")
-            self.check_label(b)
+            b = self.label_name()
             self.expect_punct(";")
-            pairs.append((a.text, b.text))
+            pairs.append((a, b))
             if self.at_punct("}"):
                 break
         self.expect_punct("}")
@@ -502,228 +317,451 @@ class _DocParser(rational.Grammar):
         self.positions[("order", name.text)] = self.where(head)
 
     def parse_strategy(self) -> None:
-        head = self.take()
-        name = self.declared_name("a strategy name")
-        if any(n == name.text for n, _ in self.strategies):
-            self.diag(name, f"duplicate strategy {name.text!r}")
-        self.expect_punct("=")
-        node = self.nested(head, self.parse_sexpr)
-        self.expect_punct(";")
-        self.strategies.append((name.text, node))
-        self.positions[("strategy", name.text)] = self.where(head)
+        self.definition(self.strategies, "a strategy name", "strategy", STRATEGY)
 
     def parse_accept(self) -> None:
-        head = self.take()
-        name = self.declared_name("an accepting-condition name")
-        if any(n == name.text for n, _ in self.accepts):
-            self.diag(name, f"duplicate accepting condition {name.text!r}")
+        desc = "an accepting-condition name"
+        name = self.definition(self.accepts, desc, "accepting condition", CONDITION)
+        self.accept_levels[name] = self.deepest
+
+    def definition(self, pool: list, name_desc: str, what: str, kind: _Kind) -> str:
+        """One `strategy` or `accept` section, whose expression is of kind; returns its name."""
+        self.head = head = self.take()
+        name = self.declared_name(name_desc)
+        if any(n == name.text for n, _ in pool):
+            self.diag(name, f"duplicate {what} {name.text!r}")
         self.expect_punct("=")
-        node = self.nested(head, self.parse_aexpr)
+        self.level = self.deepest = 0
+        try:
+            node = kind.read(self)
+        except RecursionError:  # a word(...) too deep to parse or compile
+            raise self.too_deep() from None
         self.expect_punct(";")
-        self.accepts.append((name.text, node))
-        self.positions[("accept", name.text)] = self.where(head)
+        pool.append((name.text, node))
+        self.positions[(head.text, name.text)] = self.where(head)
+        return name.text
 
     def parse_query(self) -> None:
         head = self.take()
-        tok = self.expect_ident("a query form ('enumerate', 'apply', 'check' or 'witness')")
-        if tok.text == "enumerate":
-            q = self._query_enumerate()
-        elif tok.text == "apply":
-            q = self._query_apply()
-        elif tok.text == "check":
-            q = self._query_check()
-        elif tok.text == "witness":
-            q = self._query_witness()
-        else:
-            raise self.fail(tok, "a query form ('enumerate', 'apply', 'check' or 'witness')")
+        q = self.node(_QUERIES, _QUERY_DESC)
         self.expect_punct(";")
         self.positions[("query", len(self.queries))] = self.where(head)
         self.queries.append(q)
 
-    def _strategy_ref(self) -> Token:
-        tok = self.expect_ident("a strategy name")
-        self.check_ref(tok, self.strategies, "strategy")
-        return tok
+    # nodes: a keyword of a table, then the values its template reads
 
-    def _depth(self, minimum: int, what: str) -> int:
-        value, tok = self.expect_int()
-        if value < minimum:
-            self.diag(tok, f"{what} must be at least {minimum}")
-        return value
-
-    def _query_enumerate(self) -> QEnumerate:
-        name: str | None = None
+    def node(self, table: dict, desc: str) -> object:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text != "depth":
-            name = self._strategy_ref().text
-        self.expect_keyword("depth")
-        depth = self._depth(1, "depth")
-        source: str | None = None
-        if self.peek().kind == "ident" and self.peek().text == "from":
-            self.take()
-            src = self.expect_ident("an object name")
-            self.check_object(src)
-            source = src.text
-        return QEnumerate(name, depth, source)
+        cls = table.get(tok.text)
+        if cls is None:
+            if table is not _CONDITIONS or tok.kind != "ident" or tok.text in KEYWORDS:
+                raise self.fail(tok, desc)
+            name = self.reference(desc, "accepts", "accepting condition")
+            self.reach(self.level + self.accept_levels.get(name, 1))
+            return ARef(name)
+        self.take()
+        self.level += 1
+        if self.level > self.deepest:
+            self.reach(self.level)
+        node = cls(*self.values(cls.reads))
+        self.level -= 1
+        return node
 
-    def _query_apply(self) -> QApply:
-        name = self._strategy_ref()
-        self.expect_keyword("from")
-        src = self.expect_ident("an object name")
-        self.check_object(src)
-        self.expect_keyword("depth")
-        depth = self._depth(1, "depth")
-        return QApply(name.text, src.text, depth)
+    def values(self, reads: tuple) -> list:
+        """The values of a template's arguments; its words and punctuation are checked here."""
+        values = []
+        for read, kind, text in reads:
+            if read is not None:
+                values.append(read(self))
+                continue
+            tok = self.tokens[self.pos]
+            if tok.kind != kind or tok.text != text:
+                raise self.fail(tok, f"'{text}'", (text,))
+            self.pos += 1
+        return values
 
-    def _query_check(self) -> QCheck:
-        tok = self.expect_ident("a property ('prefix', 'factor', 'composition' or 'closed')")
-        if tok.text not in CHECK_PROPS:
-            raise self.fail(tok, "a property ('prefix', 'factor', 'composition' or 'closed')")
-        name = self._strategy_ref()
-        self.expect_keyword("depth")
-        depth = self._depth(1, "depth")
-        return QCheck(tok.text, name.text, depth)
-
-    def _query_witness(self) -> QWitness:
-        name = self._strategy_ref()
-        self.expect_keyword("horizon")
-        horizon = self._depth(2, "horizon")
-        return QWitness(name.text, horizon)
-
-    # strategy expressions
-
-    def parse_sexpr(self) -> object:
+    def optional(self, opens: str | None, stop: str | None, reads: tuple) -> object:
+        """The value of an optional group, or None if the next word does not open it."""
         tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(tok, "a strategy expression")
-        t = tok.text
-        if t == "universal":
-            self.take()
-            return SUniversal()
-        if t == "fail":
-            self.take()
-            return SFail()
-        if t == "greatmost":
-            self.take()
-            self.expect_punct("(")
-            name = self.expect_ident("an order name")
-            self.check_ref(name, self.orders, "order")
-            self.expect_punct(")")
-            return SGreatmost(name.text)
-        if t == "maxlen":
-            self.take()
-            self.expect_punct("(")
-            bound, _ = self.expect_int()
-            self.expect_punct(")")
-            return SMaxLen(bound)
-        if t == "alternate":
-            self.take()
-            self.expect_punct("(")
-            first = self._label_set_lit()
-            self.expect_punct(";")
-            second = self._label_set_lit()
-            self.expect_punct(")")
-            return SAlternate(first, second)
-        if t == "restrict":
-            self.take()
-            self.expect_punct("(")
-            labels = self._label_set_lit()
-            self.expect_punct(")")
-            return SRestrict(labels)
-        if t == "intersect":
-            self.take()
-            self.expect_punct("(")
-            parts = [self.parse_sexpr()]
-            self.expect_punct(",")
-            parts.append(self.parse_sexpr())
-            while self.at_punct(","):
-                self.take()
-                parts.append(self.parse_sexpr())
-            self.expect_punct(")")
-            return SIntersect(tuple(parts))
-        if t in ("unionP", "unionC"):
-            self.take()
-            self.expect_punct("(")
-            left = self.parse_sexpr()
-            self.expect_punct(",")
-            right = self.parse_sexpr()
-            self.expect_punct(")")
-            return SUnionP(left, right) if t == "unionP" else SUnionC(left, right)
-        if t == "accept":
-            self.take()
-            self.expect_punct("(")
-            child = self.parse_sexpr()
-            self.expect_punct(",")
-            cond = self.parse_aexpr()
-            self.expect_punct(")")
-            return SAccept(child, cond)
-        raise self.fail(tok, "a strategy expression")
+        if tok.kind != "ident" or tok.text == stop or opens not in (None, tok.text):
+            return None
+        return self.values(reads)[0]
 
-    def _label_set_lit(self) -> tuple[str, ...]:
+    # template arguments
+
+    def several(self, table: dict, desc: str) -> tuple:
+        parts = [self.node(table, desc)]
+        while len(parts) < 2 or self.at_punct(","):
+            self.expect_punct(",")
+            parts.append(self.node(table, desc))
+        return tuple(parts)
+
+    def label_name(self) -> str:
+        tok = self.expect_ident("a label name")
+        self.check_label(tok)
+        return tok.text
+
+    def object_name(self) -> str:
+        tok = self.expect_ident("an object name")
+        self.check_object(tok)
+        return tok.text
+
+    def label_set(self) -> tuple[str, ...]:
+        """`{label, ...}`, in canonical form: sorted by label index, each label once."""
         self.expect_punct("{")
-        names: list[str] = []
+        names: set[str] = set()
         if not self.at_punct("}"):
-            while True:
-                tok = self.expect_ident("a label name")
-                self.check_label(tok)
-                names.append(tok.text)
-                if not self.at_punct(","):
-                    break
-                self.take()
-        self.expect_punct("}")
-        return tuple(names)
-
-    # accepting-condition expressions
-
-    def parse_aexpr(self) -> object:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(tok, "an accepting condition")
-        t = tok.text
-        if t == "word":
-            self.take()
-            self.expect_punct("(")
-            expr = self.parse_alt()
-            self.expect_punct(")")
-            rational.compile_expr(expr)  # deep nesting fails here, not at the first match
-            return AWord(expr)
-        if t == "len":
-            self.take()
-            op = self.peek()
-            if op.kind != "punct" or op.text not in ("<", "<=", "=", ">=", ">"):
-                raise self.fail(op, "a comparison ('<', '<=', '=', '>=' or '>')")
-            self.take()
-            bound, _ = self.expect_int()
-            return ALen(op.text, bound)
-        if t == "at":
-            self.take()
-            self.expect_punct("(")
-            obj = self.expect_ident("an object name")
-            self.check_object(obj)
-            self.expect_punct(")")
-            return AAt(obj.text)
-        if t in ("and", "or"):
-            self.take()
-            self.expect_punct("(")
-            parts = [self.parse_aexpr()]
-            self.expect_punct(",")
-            parts.append(self.parse_aexpr())
+            names.add(self.label_name())
             while self.at_punct(","):
                 self.take()
-                parts.append(self.parse_aexpr())
-            self.expect_punct(")")
-            return AAnd(tuple(parts)) if t == "and" else AOr(tuple(parts))
-        if t == "not":
-            self.take()
-            self.expect_punct("(")
-            part = self.parse_aexpr()
-            self.expect_punct(")")
-            return ANot(part)
-        if t not in KEYWORDS:
-            self.take()
-            self.check_ref(tok, self.accepts, "accepting condition")
-            return ARef(tok.text)
-        raise self.fail(tok, "an accepting condition")
+                names.add(self.label_name())
+        self.expect_punct("}")
+        return tuple(sorted(names, key=lambda name: self._label_index.get(name, -1)))
+
+    def reference(self, desc: str, pool: str, kind: str) -> str:
+        tok = self.expect_ident(desc)
+        if not any(n == tok.text for n, _ in getattr(self, pool)):
+            self.diag(tok, f"unknown {kind} {tok.text!r}")
+        return tok.text
+
+    def at_least(self, minimum: int, what: str) -> int:
+        tok = self.expect_int()
+        if int(tok.text) < minimum:
+            self.diag(tok, f"{what} must be at least {minimum}")
+        return int(tok.text)
+
+    def choice(self, kind: str, words, desc: str) -> str:
+        tok = self.peek()
+        if tok.kind != kind or tok.text not in words:
+            raise self.fail(tok, desc)
+        return self.take().text
+
+
+# -- the generic walks over node templates ------------------------------------------
+
+_TIGHT = frozenset("(),;")  # written without a space before them
+
+
+def _render(node: object) -> str:
+    """The node's keyword, then its template with the field values written in."""
+    if node.__class__ is ARef:
+        return node.name
+    text = node.keyword
+    for word in _written(node.syntax, iter([getattr(node, f) for f, _ in node.arguments])):
+        text += word if word in _TIGHT or text[-1] == "(" else " " + word
+    return text
+
+
+def _written(syntax: tuple, values) -> object:
+    for piece in syntax:
+        if isinstance(piece, str):
+            yield piece
+        elif isinstance(piece, _Optional):
+            value = next(values)
+            if value is not None:
+                yield from _written(piece.syntax, iter([value]))
+        else:
+            yield piece.render(next(values))
+
+
+def _build(doc: SpecDocument, ars: Ars | None, node: object) -> object:
+    cls = node.__class__
+    if cls is ARef:
+        return _build(doc, ars, doc.get_accept(node.name))
+    return cls.build(*[kind.build(doc, ars, getattr(node, f)) for f, kind in cls.arguments])
+
+
+# -- argument kinds and templates ------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """An argument kind: how a template reads, writes and builds it."""
+
+    read: Callable  # _DocParser -> value
+    render: Callable[[object], str] = str
+    build: Callable = lambda doc, ars, value: value  # (doc, ars, value) -> built value
+
+
+class _Optional(NamedTuple):
+    """A group of a template that holds one argument and may be left out."""
+
+    syntax: tuple
+
+
+def _several(one: _Kind, table: dict, desc: str) -> _Kind:
+    """Two or more of one, separated by commas."""
+    return _Kind(
+        methodcaller("several", table, desc),
+        lambda values: ", ".join(map(one.render, values)),
+        lambda doc, ars, values: tuple(one.build(doc, ars, v) for v in values),
+    )
+
+
+def _one_of(what: str, words) -> str:
+    quoted = [f"'{w}'" for w in words]
+    return f"{what} ({', '.join(quoted[:-1])} or {quoted[-1]})"
+
+
+_STRATEGIES: dict[str, type] = {}
+_CONDITIONS: dict[str, type] = {}
+_QUERIES: dict[str, type] = {}
+_STRATEGY_DESC, _CONDITION_DESC = "a strategy expression", "an accepting condition"
+_LENGTHS = {
+    "<": lambda n: LenAtMost(n - 1),
+    "<=": LenAtMost,
+    "=": LenEq,
+    ">=": LenAtLeast,
+    ">": lambda n: LenAtLeast(n + 1),
+}
+CHECK_PROPS = ("prefix", "factor", "composition", "closed")
+
+STRATEGY = _Kind(methodcaller("node", _STRATEGIES, _STRATEGY_DESC), _render, _build)
+STRATEGIES = _several(STRATEGY, _STRATEGIES, _STRATEGY_DESC)
+CONDITION = _Kind(methodcaller("node", _CONDITIONS, _CONDITION_DESC), _render, _build)
+CONDITIONS = _several(CONDITION, _CONDITIONS, _CONDITION_DESC)
+LABEL_SET = _Kind(
+    methodcaller("label_set"),
+    lambda names: "{" + ", ".join(names) + "}",
+    lambda doc, ars, names: frozenset(names),
+)
+STEP_SET = LABEL_SET._replace(
+    build=lambda doc, ars, names: frozenset(s for s in ars.steps if s.label in set(names))
+)
+ORDER = _Kind(
+    methodcaller("reference", "an order name", "orders", "order"),
+    build=lambda doc, ars, name: build_order(doc, name),
+)
+INTEGER = _Kind(methodcaller("at_least", 0, "an integer"))
+OBJECT = _Kind(methodcaller("object_name"))
+WORD = _Kind(methodcaller("parse_alt"), rational.render)
+COMPARISON = _Kind(methodcaller("choice", "punct", _LENGTHS, _one_of("a comparison", _LENGTHS)))
+STRATEGY_NAME = _Kind(methodcaller("reference", "a strategy name", "strategies", "strategy"))
+PROPERTY = _Kind(methodcaller("choice", "ident", CHECK_PROPS, _one_of("a property", CHECK_PROPS)))
+DEPTH = _Kind(methodcaller("at_least", 1, "depth"))
+HORIZON = _Kind(methodcaller("at_least", 2, "horizon"))
+
+
+def _flat(syntax: tuple):
+    for piece in syntax:
+        yield from _flat(piece.syntax) if isinstance(piece, _Optional) else (piece,)
+
+
+def _reads(syntax: tuple) -> tuple:
+    """(reader, None, None) per argument, (None, token kind, text) per literal."""
+    reads = []
+    for i, piece in enumerate(syntax):
+        if isinstance(piece, str):
+            reads.append((None, "ident" if piece.isalpha() else "punct", piece))
+        elif isinstance(piece, _Optional):
+            # a group opens with its own keyword, or else with any word but the next one
+            first = piece.syntax[0]
+            opens = first if isinstance(first, str) else None
+            stop = syntax[i + 1] if opens is None and i + 1 < len(syntax) else None
+            reads.append((methodcaller("optional", opens, stop, _reads(piece.syntax)), None, None))
+        else:
+            reads.append((piece.read, None, None))
+    return tuple(reads)
+
+
+def _node(table: dict, keyword: str, *syntax, build: Callable | None = None):
+    """Class decorator: a frozen node of keyword, read and written by syntax, built by build."""
+
+    def define(cls: type) -> type:
+        cls = dataclass(frozen=True)(cls)
+        kinds = [piece for piece in _flat(syntax) if not isinstance(piece, str)]
+        cls.keyword, cls.syntax, cls.build, cls.reads = keyword, syntax, build, _reads(syntax)
+        cls.arguments = tuple(zip([f.name for f in fields(cls)], kinds, strict=True))
+        table[keyword] = cls
+        return cls
+
+    return define
+
+
+# -- surface syntax trees ---------------------------------------------------------
+
+
+@_node(_STRATEGIES, "universal", build=Universal)
+class SUniversal:
+    pass
+
+
+@_node(_STRATEGIES, "fail", build=Fail)
+class SFail:
+    pass
+
+
+@_node(_STRATEGIES, "greatmost", "(", ORDER, ")", build=Greatmost)
+class SGreatmost:
+    order: str
+
+
+@_node(_STRATEGIES, "maxlen", "(", INTEGER, ")", build=MaxLen)
+class SMaxLen:
+    bound: int
+
+
+@_node(_STRATEGIES, "alternate", "(", STEP_SET, ";", STEP_SET, ")", build=Alternate)
+class SAlternate:
+    first: tuple[str, ...]
+    second: tuple[str, ...]
+
+
+@_node(_STRATEGIES, "restrict", "(", LABEL_SET, ")", build=RestrictLabels)
+class SRestrict:
+    labels: tuple[str, ...]
+
+
+@_node(_STRATEGIES, "intersect", "(", STRATEGIES, ")", build=Intersect)
+class SIntersect:
+    children: tuple[object, ...]
+
+
+@_node(
+    _STRATEGIES, "unionP", "(", STRATEGY, ",", STRATEGY, ")",
+    build=lambda left, right: UnionPointwise((left, right)),
+)
+class SUnionP:
+    left: object
+    right: object
+
+
+@_node(
+    _STRATEGIES, "unionC", "(", STRATEGY, ",", STRATEGY, ")",
+    build=lambda left, right: UnionCommitted((left, right)),
+)
+class SUnionC:
+    left: object
+    right: object
+
+
+@_node(_STRATEGIES, "accept", "(", STRATEGY, ",", CONDITION, ")", build=AcceptFiltered)
+class SAccept:
+    child: object
+    condition: object
+
+
+@_node(_CONDITIONS, "word", "(", WORD, ")", build=LabelWordIn)
+class AWord:
+    expr: object
+
+    def __post_init__(self) -> None:
+        rational.compile_expr(self.expr)  # deep nesting fails here, not at the first match
+
+
+@_node(_CONDITIONS, "len", COMPARISON, INTEGER, build=lambda op, bound: _LENGTHS[op](bound))
+class ALen:
+    op: str
+    bound: int
+
+
+@_node(_CONDITIONS, "at", "(", OBJECT, ")", build=AtObject)
+class AAt:
+    obj: str
+
+
+@_node(_CONDITIONS, "and", "(", CONDITIONS, ")", build=And)
+class AAnd:
+    parts: tuple[object, ...]
+
+
+@_node(_CONDITIONS, "or", "(", CONDITIONS, ")", build=Or)
+class AOr:
+    parts: tuple[object, ...]
+
+
+@_node(_CONDITIONS, "not", "(", CONDITION, ")", build=Not)
+class ANot:
+    part: object
+
+
+@dataclass(frozen=True)
+class ARef:
+    """The name of an earlier accept, where a condition goes."""
+
+    name: str
+
+
+@_node(
+    _QUERIES, "enumerate", _Optional((STRATEGY_NAME,)), "depth", DEPTH, _Optional(("from", OBJECT))
+)
+class QEnumerate:
+    strategy: str | None
+    depth: int
+    source: str | None
+
+
+@_node(_QUERIES, "apply", STRATEGY_NAME, "from", OBJECT, "depth", DEPTH)
+class QApply:
+    strategy: str
+    source: str
+    depth: int
+
+
+@_node(_QUERIES, "check", PROPERTY, STRATEGY_NAME, "depth", DEPTH)
+class QCheck:
+    prop: str
+    strategy: str
+    depth: int
+
+
+@_node(_QUERIES, "witness", STRATEGY_NAME, "horizon", HORIZON)
+class QWitness:
+    strategy: str
+    horizon: int
+
+
+_SECTIONS = {
+    "ars": _DocParser.parse_ars,
+    "order": _DocParser.parse_order,
+    "accept": _DocParser.parse_accept,
+    "strategy": _DocParser.parse_strategy,
+    "query": _DocParser.parse_query,
+}
+_SECTION_DESC = _one_of("a section", _SECTIONS)
+_QUERY_DESC = _one_of("a query form", _QUERIES)
+KEYWORDS = frozenset(
+    [*_SECTIONS, "objects", "labels", "steps", *_STRATEGIES, *_CONDITIONS, *_QUERIES, *CHECK_PROPS]
+    + [
+        piece
+        for table in (_STRATEGIES, _CONDITIONS, _QUERIES)
+        for cls in table.values()
+        for piece in _flat(cls.syntax)
+        if isinstance(piece, str) and piece.isalpha()
+    ]
+)
+
+
+@dataclass(frozen=True)
+class SpecDocument:
+    """A parsed, validated document in canonical shape."""
+
+    objects: tuple[str, ...]
+    labels: tuple[str, ...]
+    steps: tuple[tuple[str, str, str], ...]
+    orders: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    accepts: tuple[tuple[str, object], ...]
+    strategies: tuple[tuple[str, object], ...]
+    queries: tuple[object, ...]
+    positions: dict = field(compare=False, repr=False, default_factory=dict)
+
+    def get_order(self, name: str) -> tuple[tuple[str, str], ...]:
+        return _named(self.orders, name)
+
+    def get_accept(self, name: str) -> object:
+        return _named(self.accepts, name)
+
+    def get_strategy(self, name: str) -> object:
+        return _named(self.strategies, name)
+
+    def has_strategy(self, name: str) -> bool:
+        return any(n == name for n, _ in self.strategies)
+
+
+def _named(pairs: tuple, name: str) -> object:
+    for n, value in pairs:
+        if n == name:
+            return value
+    raise UnknownSymbol(name)
 
 
 def parse(text: str) -> SpecDocument:
@@ -742,23 +780,7 @@ def parse(text: str) -> SpecDocument:
 
 def _canonical(p: _DocParser) -> SpecDocument:
     oi = {name: i for i, name in enumerate(p.objects)}
-    li = {name: i for i, name in enumerate(p.labels)}.__getitem__
-
-    def canon_sexpr(node: object) -> object:
-        if isinstance(node, SAlternate):
-            return SAlternate(_sorted_labels(node.first, li), _sorted_labels(node.second, li))
-        if isinstance(node, SRestrict):
-            return SRestrict(_sorted_labels(node.labels, li))
-        if isinstance(node, SIntersect):
-            return SIntersect(tuple(canon_sexpr(c) for c in node.children))
-        if isinstance(node, SUnionP):
-            return SUnionP(canon_sexpr(node.left), canon_sexpr(node.right))
-        if isinstance(node, SUnionC):
-            return SUnionC(canon_sexpr(node.left), canon_sexpr(node.right))
-        if isinstance(node, SAccept):
-            return SAccept(canon_sexpr(node.child), node.condition)
-        return node
-
+    li = p._label_index.__getitem__
     orders = tuple(
         sorted(
             (
@@ -768,9 +790,7 @@ def _canonical(p: _DocParser) -> SpecDocument:
             key=lambda kv: kv[0],
         )
     )
-    strategies = tuple(
-        sorted(((name, canon_sexpr(node)) for name, node in p.strategies), key=lambda kv: kv[0])
-    )
+    strategies = tuple(sorted(p.strategies, key=lambda kv: kv[0]))
     return SpecDocument(
         objects=tuple(p.objects),
         labels=tuple(p.labels),
@@ -783,18 +803,12 @@ def _canonical(p: _DocParser) -> SpecDocument:
     )
 
 
-def _sorted_labels(names: tuple[str, ...], li: Callable[[str], int]) -> tuple[str, ...]:
-    return tuple(sorted(set(names), key=li))
-
-
 # -- serialization ----------------------------------------------------------------
 
 
 def serialize(doc: SpecDocument) -> str:
     """Canonical text of a valid document; parse(serialize(doc)) == doc."""
-    lines: list[str] = []
-    lines.append("ars {")
-    lines.append(f"  objects: {', '.join(doc.objects)};")
+    lines = ["ars {", f"  objects: {', '.join(doc.objects)};"]
     lines.append(f"  labels: {', '.join(doc.labels)};")
     if doc.steps:
         lines.append("  steps:")
@@ -810,74 +824,12 @@ def serialize(doc: SpecDocument) -> str:
             lines.append(f"  {a} < {b};")
         lines.append("}")
     for name, node in doc.accepts:
-        lines.append(f"accept {name} = {_render_aexpr(node)};")
+        lines.append(f"accept {name} = {_render(node)};")
     for name, node in doc.strategies:
-        lines.append(f"strategy {name} = {_render_sexpr(node)};")
+        lines.append(f"strategy {name} = {_render(node)};")
     for q in doc.queries:
-        lines.append(_render_query(q))
+        lines.append(f"query {_render(q)};")
     return "\n".join(lines) + "\n"
-
-
-def _render_label_set(names: tuple[str, ...]) -> str:
-    return "{" + ", ".join(names) + "}"
-
-
-def _render_sexpr(node: object) -> str:
-    if isinstance(node, SUniversal):
-        return "universal"
-    if isinstance(node, SFail):
-        return "fail"
-    if isinstance(node, SGreatmost):
-        return f"greatmost({node.order})"
-    if isinstance(node, SMaxLen):
-        return f"maxlen({node.bound})"
-    if isinstance(node, SAlternate):
-        return (
-            f"alternate({_render_label_set(node.first)}; {_render_label_set(node.second)})"
-        )
-    if isinstance(node, SRestrict):
-        return f"restrict({_render_label_set(node.labels)})"
-    if isinstance(node, SIntersect):
-        return f"intersect({', '.join(_render_sexpr(c) for c in node.children)})"
-    if isinstance(node, SUnionP):
-        return f"unionP({_render_sexpr(node.left)}, {_render_sexpr(node.right)})"
-    if isinstance(node, SUnionC):
-        return f"unionC({_render_sexpr(node.left)}, {_render_sexpr(node.right)})"
-    if isinstance(node, SAccept):
-        return f"accept({_render_sexpr(node.child)}, {_render_aexpr(node.condition)})"
-    raise TypeError(f"not a strategy expression node: {node!r}")
-
-
-def _render_aexpr(node: object) -> str:
-    if isinstance(node, AWord):
-        return f"word({rational.render(node.expr)})"
-    if isinstance(node, ALen):
-        return f"len {node.op} {node.bound}"
-    if isinstance(node, AAt):
-        return f"at({node.obj})"
-    if isinstance(node, AAnd):
-        return f"and({', '.join(_render_aexpr(x) for x in node.parts)})"
-    if isinstance(node, AOr):
-        return f"or({', '.join(_render_aexpr(x) for x in node.parts)})"
-    if isinstance(node, ANot):
-        return f"not({_render_aexpr(node.part)})"
-    if isinstance(node, ARef):
-        return node.name
-    raise TypeError(f"not an accepting-condition node: {node!r}")
-
-
-def _render_query(q: object) -> str:
-    if isinstance(q, QEnumerate):
-        name = f" {q.strategy}" if q.strategy else ""
-        source = f" from {q.source}" if q.source else ""
-        return f"query enumerate{name} depth {q.depth}{source};"
-    if isinstance(q, QApply):
-        return f"query apply {q.strategy} from {q.source} depth {q.depth};"
-    if isinstance(q, QCheck):
-        return f"query check {q.prop} {q.strategy} depth {q.depth};"
-    if isinstance(q, QWitness):
-        return f"query witness {q.strategy} horizon {q.horizon};"
-    raise TypeError(f"not a query node: {q!r}")
 
 
 # -- building core values from a document ------------------------------------------
@@ -895,67 +847,11 @@ def build_accept(doc: SpecDocument, node: object) -> AcceptCondition:
     """Resolve an accepting-condition node (or a name) to a condition value."""
     if isinstance(node, str):
         node = doc.get_accept(node)
-    if isinstance(node, AWord):
-        return LabelWordIn(node.expr)
-    if isinstance(node, ALen):
-        return _len_condition(node.op, node.bound)
-    if isinstance(node, AAt):
-        return AtObject(node.obj)
-    if isinstance(node, AAnd):
-        return And(tuple(build_accept(doc, x) for x in node.parts))
-    if isinstance(node, AOr):
-        return Or(tuple(build_accept(doc, x) for x in node.parts))
-    if isinstance(node, ANot):
-        return Not(build_accept(doc, node.part))
-    if isinstance(node, ARef):
-        return build_accept(doc, node.name)
-    raise TypeError(f"not an accepting-condition node: {node!r}")
-
-
-def _len_condition(op: str, bound: int) -> AcceptCondition:
-    if op == "<":
-        return LenAtMost(bound - 1)
-    if op == "<=":
-        return LenAtMost(bound)
-    if op == "=":
-        return LenEq(bound)
-    if op == ">=":
-        return LenAtLeast(bound)
-    return LenAtLeast(bound + 1)
+    return _build(doc, None, node)
 
 
 def build_strategy(doc: SpecDocument, node: object, ars: Ars | None = None) -> Strategy:
     """Resolve a strategy-expression node (or a name) to a strategy value."""
     if isinstance(node, str):
         node = doc.get_strategy(node)
-    if ars is None:
-        ars = build_ars(doc)
-    if isinstance(node, SUniversal):
-        return Universal()
-    if isinstance(node, SFail):
-        return Fail()
-    if isinstance(node, SGreatmost):
-        return Greatmost(build_order(doc, node.order))
-    if isinstance(node, SMaxLen):
-        return MaxLen(node.bound)
-    if isinstance(node, SAlternate):
-        first = frozenset(s for s in ars.steps if s.label in set(node.first))
-        second = frozenset(s for s in ars.steps if s.label in set(node.second))
-        return Alternate(first, second)
-    if isinstance(node, SRestrict):
-        return RestrictLabels(frozenset(node.labels))
-    if isinstance(node, SIntersect):
-        return Intersect(tuple(build_strategy(doc, c, ars) for c in node.children))
-    if isinstance(node, SUnionP):
-        return UnionPointwise(
-            (build_strategy(doc, node.left, ars), build_strategy(doc, node.right, ars))
-        )
-    if isinstance(node, SUnionC):
-        return UnionCommitted(
-            (build_strategy(doc, node.left, ars), build_strategy(doc, node.right, ars))
-        )
-    if isinstance(node, SAccept):
-        return AcceptFiltered(
-            build_strategy(doc, node.child, ars), build_accept(doc, node.condition)
-        )
-    raise TypeError(f"not a strategy expression node: {node!r}")
+    return _build(doc, build_ars(doc) if ars is None else ars, node)

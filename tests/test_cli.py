@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from strat import speclang
 from strat.cli import main
 
 
@@ -248,6 +249,55 @@ class TestErrors:
         assert err == f"{stars}:3:3: error: expression nesting too deep\n"
 
 
+def nested_document(kind: str, levels: int) -> str:
+    """A document whose strategy s nests `levels` strategy and condition levels."""
+    text = "ars { objects: a, b; labels: l, m; steps: (a, l, b), (b, m, a), (b, l, b); }\n"
+    inner = levels - 1
+    if kind in ("unionP", "unionC", "intersect"):
+        body = f"{kind}(" * inner + "universal" + ", restrict({l}))" * inner
+    elif kind == "accept":
+        body = "accept(" * inner + "universal" + ", len < 5)" * inner
+    elif kind in ("and", "or"):
+        body = f"accept(universal, {f'{kind}(' * (inner - 1)}len < 4{', at(a))' * (inner - 1)})"
+    else:  # a chain of accepts, each naming the one before it
+        text += "accept c1 = at(a);\n"
+        text += "".join(f"accept c{k} = not(c{k - 1});\n" for k in range(2, levels))
+        body = f"accept(universal, c{inner})"
+    return text + f"strategy s = {body};\n"
+
+
+class TestNestingLimit:
+    KINDS = ["unionP", "unionC", "intersect", "accept", "and", "or", "chain"]
+    # depth 2: at depth 3, `enumerate` on 100 nested unionC takes about 10 s
+    COMMANDS = [
+        ("enumerate", "--depth", "2"),
+        ("check", "--prop", "prefix", "--depth", "2"),
+        ("witness", "--horizon", "3"),
+    ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_document_at_the_limit_answers(self, run, tmp_path, kind):
+        path = tmp_path / "deep.ars"
+        path.write_text(nested_document(kind, speclang.MAX_NESTING))
+        for verb, *options in self.COMMANDS:
+            code, _, err = run(verb, "-f", str(path), "-s", "s", *options)
+            if kind == "unionC" and verb == "witness":
+                assert code == 2
+                assert err == "strat: error: witness search needs a memoryless base strategy\n"
+            else:
+                assert (code, err) in ((0, ""), (3, ""))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_level_more_is_reported_at_its_section(self, run, tmp_path, kind):
+        path = tmp_path / "deep.ars"
+        text = nested_document(kind, speclang.MAX_NESTING + 1)
+        path.write_text(text)
+        line = text.count("\n")  # the strategy section comes last
+        code, out, err = run("--machine", "enumerate", "-f", str(path), "-s", "s", "--depth", "2")
+        assert (code, out) == (2, "")
+        assert err == f"{path}:{line}:1: error: expression nesting too deep\n"
+
+
 class TestExitCodeContract:
     SAMPLE_STRATEGIES = [
         ("a_c.ars", "gm"),
@@ -312,3 +362,108 @@ class TestSubprocess:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 3
         assert proc.stdout == "WITNESS=a ( -loop-> a )^w\n"
+
+
+COMPARISONS = ["<", "<=", "=", ">=", ">"]
+
+
+@st.composite
+def generated_documents(draw):
+    """(text, strategy names) of a valid document over every keyword of the language."""
+    objects = [f"o{i}" for i in range(draw(st.integers(1, 4)))]
+    labels = [f"l{i}" for i in range(draw(st.integers(2, 3)))]
+    steps = [
+        (a, lab, draw(st.sampled_from(objects)))
+        for a in objects
+        for lab in labels
+        if draw(st.booleans())
+    ]
+    body = ", ".join(f"({a}, {lab}, {b})" for a, lab, b in draw(st.permutations(steps)))
+    lines = [f"ars {{ objects: {', '.join(objects)}; labels: {', '.join(labels)};"]
+    lines.append(f"  steps: {body}; }}")
+    ranked = draw(st.permutations(labels))
+    lines.append(f"order o {{ {ranked[0]} < {ranked[1]}; }}")
+
+    def several(make, depth):
+        return ", ".join(make(depth - 1) for _ in range(draw(st.integers(2, 3))))
+
+    def label_set():
+        return "{" + ", ".join(draw(st.lists(st.sampled_from(labels), max_size=4))) + "}"
+
+    def word():
+        a, b = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        return draw(st.sampled_from([a, f"{a}*", f"({a} | {b}) {b}?", f"({a} {b})+ {a}*"]))
+
+    accepts: list[str] = []
+
+    def condition(depth):
+        leaves = [
+            lambda: f"word({word()})",
+            lambda: f"len {draw(st.sampled_from(COMPARISONS))} {draw(st.integers(0, 4))}",
+            lambda: f"at({draw(st.sampled_from(objects))})",
+        ]
+        if accepts:
+            leaves.append(lambda: draw(st.sampled_from(accepts)))
+        inner = [
+            lambda: f"and({several(condition, depth)})",
+            lambda: f"or({condition(depth - 1)}, {condition(depth - 1)})",
+            lambda: f"not({condition(depth - 1)})",
+        ]
+        return draw(st.sampled_from(leaves + inner if depth > 1 else leaves))()
+
+    def strategy(depth):
+        leaves = [
+            lambda: "universal",
+            lambda: "fail",
+            lambda: "greatmost(o)",
+            lambda: f"maxlen({draw(st.integers(0, 4))})",
+            lambda: f"restrict({label_set()})",
+            lambda: f"alternate({label_set()}; {label_set()})",
+        ]
+        inner = [
+            lambda: f"intersect({several(strategy, depth)})",
+            lambda: f"unionP({strategy(depth - 1)}, {strategy(depth - 1)})",
+            lambda: f"unionC({strategy(depth - 1)}, {strategy(depth - 1)})",
+            lambda: f"accept({strategy(depth - 1)}, {condition(depth - 1)})",
+        ]
+        return draw(st.sampled_from(leaves + inner if depth > 1 else leaves))()
+
+    for i in range(draw(st.integers(0, 3))):
+        lines.append(f"accept c{i} = {condition(draw(st.integers(1, 3)))};")
+        accepts.append(f"c{i}")
+    names = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    for name in draw(st.permutations(names)):
+        lines.append(f"strategy {name} = {strategy(draw(st.integers(1, 3)))};")
+    s, a = draw(st.sampled_from(names)), draw(st.sampled_from(objects))
+    queries = [
+        f"enumerate depth {draw(st.integers(1, 3))}",
+        f"enumerate {s} depth 2 from {a}",
+        f"apply {s} from {a} depth 3",
+        f"check {draw(st.sampled_from(['prefix', 'factor', 'composition', 'closed']))} {s} depth 2",
+        f"witness {s} horizon {draw(st.integers(2, 4))}",
+    ]
+    lines.extend(f"query {q};" for q in draw(st.permutations(queries)))
+    return "\n".join(lines) + "\n", names
+
+
+class TestGeneratedDocuments:
+    COMMANDS = TestExitCodeContract.COMMANDS
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(generated_documents(), st.data())
+    def test_round_trip_and_exit_codes(self, run, tmp_path, document, data):
+        text, names = document
+        doc = speclang.parse(text)
+        out = speclang.serialize(doc)
+        assert speclang.parse(out) == doc
+        assert speclang.serialize(speclang.parse(out)) == out
+        path = tmp_path / "generated.ars"
+        path.write_text(text)
+        strategy = data.draw(st.sampled_from(names))
+        for verb, *options in self.COMMANDS:
+            code, _, _ = run(verb, "-f", str(path), "-s", strategy, *options)
+            assert code in (0, 2, 3)

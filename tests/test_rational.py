@@ -63,6 +63,16 @@ class TestParsing:
             parse("(" * 2000 + "x" + ")" * 2000)
         assert "nested" in str(err.value)
 
+    def test_long_postfix_chain_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("x" + "*" * 3000)
+        assert "fewer nested groups" in str(err.value)
+
+    def test_parsed_postfix_chain_matches_and_renders(self):
+        node = parse("x" + "*" * 400)
+        assert matches(node, ["x", "x"]) and not matches(node, ["y"])
+        assert render(node) == "x" + "*" * 400
+
     def test_alphabet_check(self):
         assert parse("w1 w2", None) == Concat((Sym("w1"), Sym("w2")))
         with pytest.raises(UnknownLabel) as err:
