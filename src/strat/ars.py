@@ -2,9 +2,10 @@
 
 An Ars is a triple of object symbols, label symbols and labelled steps where
 the step relation is functional: a (source, label) pair determines at most one
-target. Derivations are composable step sequences; traces pair each visited
-object with the label fired from it. Lassos encode eventually periodic
-infinite derivations as a finite stem plus a repeated cycle.
+target. Derivations are composable step sequences, and a derivation is also
+the traced object a strategy reads: the history so far, ending at the current
+object. Lassos encode eventually periodic infinite derivations as a finite
+stem plus a repeated cycle.
 
 All values here are immutable after construction and safe to share. Symbols
 are interned with stable integer indices (declaration order) and every set
@@ -15,13 +16,12 @@ identical inputs give byte-identical renderings.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FunctionalityViolation,
-    IncompatibleTrace,
     NotComposable,
     ObjectLabelOverlap,
     UndefinedStep,
@@ -166,9 +166,11 @@ class Derivation:
     ars: Ars
     source: str
     labels: tuple[str, ...]
+    target: str = field(init=False, repr=False, compare=False)  # the last of targets
 
     def __post_init__(self) -> None:
-        self.targets  # walk once, eagerly, so invalid derivations never exist
+        # walk once, eagerly, so invalid derivations never exist
+        object.__setattr__(self, "target", self.targets[-1])
 
     @cached_property
     def targets(self) -> tuple[str, ...]:
@@ -185,15 +187,18 @@ class Derivation:
         return tuple(out)
 
     @cached_property
+    def parent(self) -> "Derivation":
+        """One step shorter; extended() sets it, so prefix walks rebuild nothing."""
+        if not self.labels:
+            raise ValueError("the empty derivation has no parent")
+        return Derivation(self.ars, self.source, self.labels[:-1])
+
+    @cached_property
     def steps(self) -> tuple[Step, ...]:
         return tuple(
             self.ars.step(self.targets[i], label)  # type: ignore[misc]
             for i, label in enumerate(self.labels)
         )
-
-    @property
-    def target(self) -> str:
-        return self.targets[-1]
 
     @property
     def is_empty(self) -> bool:
@@ -224,11 +229,18 @@ class Derivation:
         return Derivation(self.ars, self.source, self.labels + other.labels)
 
     def extended(self, label: str) -> "Derivation":
-        return Derivation(self.ars, self.source, self.labels + (label,))
+        grown = Derivation(self.ars, self.source, self.labels + (label,))
+        grown.__dict__["parent"] = self
+        return grown
 
     def prefixes(self) -> list["Derivation"]:
         """All non-empty prefixes, shortest first, ending with self."""
-        return [Derivation(self.ars, self.source, self.labels[:k]) for k in range(1, len(self.labels) + 1)]
+        out = []
+        d = self
+        while d.labels:
+            out.append(d)
+            d = d.parent
+        return out[::-1]
 
     def strict_prefixes(self) -> list["Derivation"]:
         return self.prefixes()[:-1]
@@ -255,10 +267,6 @@ class Derivation:
 
     # -- views ---------------------------------------------------------------
 
-    def trace(self) -> "Trace":
-        pairs = tuple((self.targets[i], label) for i, label in enumerate(self.labels))
-        return Trace(pairs, self.target)
-
     def render(self) -> str:
         parts = [self.source]
         for step in self.steps:
@@ -267,48 +275,6 @@ class Derivation:
 
     def __repr__(self) -> str:
         return f"<{self.render()}>"
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A traced object: (object, fired label) pairs plus the current head."""
-
-    pairs: tuple[tuple[str, str], ...]
-    head: str
-
-    @property
-    def label_word(self) -> tuple[str, ...]:
-        return tuple(label for _, label in self.pairs)
-
-    @property
-    def source(self) -> str:
-        return self.pairs[0][0] if self.pairs else self.head
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def compatible(self, ars: Ars) -> bool:
-        try:
-            self.to_derivation(ars)
-        except (IncompatibleTrace, UnknownSymbol):
-            return False
-        return True
-
-    def to_derivation(self, ars: Ars) -> Derivation:
-        """The derivation this trace records; raises IncompatibleTrace."""
-        ars.object_index(self.head)
-        for i, (obj, label) in enumerate(self.pairs):
-            step = ars.step(obj, label) if ars.has_object(obj) and ars.has_label(label) else None
-            if step is None:
-                raise IncompatibleTrace(i, f"no step from {obj} with label {label}")
-            follow = self.pairs[i + 1][0] if i + 1 < len(self.pairs) else self.head
-            if step.target != follow:
-                raise IncompatibleTrace(i, f"step reaches {step.target}, trace says {follow}")
-        return Derivation(ars, self.source, self.label_word)
-
-    def render(self) -> str:
-        inner = "".join(f"({obj}, {label})" for obj, label in self.pairs)
-        return f"<{inner}>{self.head}"
 
 
 @dataclass(frozen=True)

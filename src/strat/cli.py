@@ -125,7 +125,10 @@ def _record(kind: str, verdict: str, witness: str | None, count: int) -> None:
 
 
 def _load(path: str) -> tuple[speclang.SpecDocument, Ars]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise StratError(f"{path}: not UTF-8 text (byte {err.start})") from None
     doc = speclang.parse(text)
     return doc, speclang.build_ars(doc)
 

@@ -58,17 +58,6 @@ class NotComposable(StratError):
         self.wants = wants
 
 
-class IncompatibleTrace(StratError):
-    """A trace does not follow the steps of the reduction system."""
-
-    def __init__(self, position: int, detail: str = "") -> None:
-        msg = f"trace incompatible with the system at position {position}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-        self.position = position
-
-
 class UnknownObject(StratError):
     """Strategy application was asked about a name that is not an object."""
 

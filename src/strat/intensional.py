@@ -1,11 +1,13 @@
 """Strategies as step-choosing functions over traced objects.
 
-A Strategy maps a trace (history plus current object) to the set of steps it
-permits next, together with a definedness flag: Fail is undefined everywhere,
-which is not the same as being defined with no permitted steps. Strategies
-that ignore the history are memoryless; finite_support materialises the
-derivations a strategy generates up to a depth, and lassos_of_memoryless
-witnesses the infinite ones.
+A traced object is a history plus the current object; with a functional step
+relation that is exactly a Derivation, whose target is the current object. A
+Strategy maps the derivation so far to the set of steps it permits next,
+together with a definedness flag: Fail is undefined everywhere, which is not
+the same as being defined with no permitted steps. Strategies that read only
+the target are memoryless; finite_support materialises the derivations a
+strategy generates up to a depth, and lassos_of_memoryless witnesses the
+infinite ones.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .ars import Ars, Derivation, Lasso, Step, Trace, rotate_cycle, shortest_path_to, simple_cycles
+from .ars import Ars, Derivation, Lasso, Step, rotate_cycle, shortest_path_to, simple_cycles
 from .errors import (
     CyclicOrder,
     MemoryRequired,
@@ -48,13 +50,13 @@ class Strategy(abc.ABC):
     """Interface of intensional strategies."""
 
     @abc.abstractmethod
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        """Permitted next steps at a trace compatible with ars."""
+    def eval(self, d: Derivation) -> EvalResult:
+        """Permitted next steps after the derivation d, from its target."""
 
     @property
     @abc.abstractmethod
     def memoryless(self) -> bool:
-        """True when eval never inspects the history part of the trace."""
+        """True when eval reads only the target of the derivation."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ class LabelOrder:
 class Universal(Strategy):
     """Permits every out-step; defined on every object."""
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        return EvalResult(True, ars.out_steps(trace.head))
+    def eval(self, d: Derivation) -> EvalResult:
+        return EvalResult(True, d.ars.out_steps(d.target))
 
     @property
     def memoryless(self) -> bool:
@@ -107,7 +109,7 @@ class Universal(Strategy):
 class Fail(Strategy):
     """Undefined everywhere; generates nothing."""
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
+    def eval(self, d: Derivation) -> EvalResult:
         return UNDEFINED
 
     @property
@@ -125,8 +127,8 @@ class Greatmost(Strategy):
 
     order: LabelOrder
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        outs = ars.out_steps(trace.head)
+    def eval(self, d: Derivation) -> EvalResult:
+        outs = d.ars.out_steps(d.target)
         if not outs:
             return UNDEFINED
         keep = tuple(
@@ -145,9 +147,9 @@ class MaxLen(Strategy):
 
     bound: int
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        if len(trace) < self.bound - 1:
-            return EvalResult(True, ars.out_steps(trace.head))
+    def eval(self, d: Derivation) -> EvalResult:
+        if len(d) < self.bound - 1:
+            return EvalResult(True, d.ars.out_steps(d.target))
         return EvalResult(True, ())
 
     @property
@@ -161,8 +163,8 @@ class RestrictLabels(Strategy):
 
     allowed: frozenset[str]
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        keep = tuple(s for s in ars.out_steps(trace.head) if s.label in self.allowed)
+    def eval(self, d: Derivation) -> EvalResult:
+        keep = tuple(s for s in d.ars.out_steps(d.target) if s.label in self.allowed)
         return EvalResult(True, keep)
 
     @property
@@ -182,12 +184,11 @@ class Alternate(Strategy):
     first: frozenset[Step]
     second: frozenset[Step]
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        outs = ars.out_steps(trace.head)
-        if not trace.pairs:
+    def eval(self, d: Derivation) -> EvalResult:
+        outs = d.ars.out_steps(d.target)
+        if not d.labels:
             return EvalResult(True, tuple(s for s in outs if s in self.first))
-        obj, label = trace.pairs[-1]
-        last = ars.step(obj, label)
+        last = d.ars.step(d.targets[-2], d.labels[-1])
         allowed: set[Step] = set()
         defined = False
         if last in self.second:
@@ -198,7 +199,7 @@ class Alternate(Strategy):
             allowed.update(s for s in outs if s in self.second)
         if not defined:
             return UNDEFINED
-        return EvalResult(True, ars.sorted_steps(allowed))
+        return EvalResult(True, d.ars.sorted_steps(allowed))
 
     @property
     def memoryless(self) -> bool:
@@ -210,7 +211,7 @@ class ColorAlternate(Strategy):
     """Alternates label colours: after a white-labelled step, only black.
 
     Any coloured first step is permitted on an empty history. A last step with
-    an uncoloured label leaves the strategy undefined at that trace.
+    an uncoloured label leaves the strategy undefined after it.
     """
 
     white: frozenset[str]
@@ -220,12 +221,12 @@ class ColorAlternate(Strategy):
         if self.white & self.black:
             raise ValueError("a label cannot be both white and black")
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        outs = ars.out_steps(trace.head)
-        if not trace.pairs:
+    def eval(self, d: Derivation) -> EvalResult:
+        outs = d.ars.out_steps(d.target)
+        if not d.labels:
             coloured = self.white | self.black
             return EvalResult(True, tuple(s for s in outs if s.label in coloured))
-        last_label = trace.pairs[-1][1]
+        last_label = d.labels[-1]
         if last_label in self.white:
             want = self.black
         elif last_label in self.black:
@@ -249,14 +250,14 @@ class Intersect(Strategy):
         if not self.children:
             raise ValueError("intersection needs at least one child")
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        results = [c.eval(ars, trace) for c in self.children]
+    def eval(self, d: Derivation) -> EvalResult:
+        results = [c.eval(d) for c in self.children]
         if not all(r.defined for r in results):
             return UNDEFINED
         common = set(results[0].steps)
         for r in results[1:]:
             common &= set(r.steps)
-        return EvalResult(True, ars.sorted_steps(common))
+        return EvalResult(True, d.ars.sorted_steps(common))
 
     @property
     def memoryless(self) -> bool:
@@ -277,28 +278,27 @@ class UnionPointwise(Strategy):
         if len(self.children) < 2:
             raise ValueError("union needs at least two children")
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        results = [c.eval(ars, trace) for c in self.children]
+    def eval(self, d: Derivation) -> EvalResult:
+        results = [c.eval(d) for c in self.children]
         if not any(r.defined for r in results):
             return UNDEFINED
         merged: set[Step] = set()
         for r in results:
             merged.update(r.steps)
-        return EvalResult(True, ars.sorted_steps(merged))
+        return EvalResult(True, d.ars.sorted_steps(merged))
 
     @property
     def memoryless(self) -> bool:
         return all(c.memoryless for c in self.children)
 
 
-def _obeys(child: Strategy, ars: Ars, trace: Trace) -> bool:
-    """Whether every recorded step of the trace was permitted by child."""
-    for i, (obj, label) in enumerate(trace.pairs):
-        step = ars.step(obj, label)
-        if step is None:
-            return False
-        prefix = Trace(trace.pairs[:i], obj)
-        if step not in child.eval(ars, prefix).steps:
+def _obeys(child: Strategy, d: Derivation) -> bool:
+    """Whether child permitted each step of d after the prefix before it."""
+    before = [d]  # d and its prefixes, longest first
+    while before[-1].labels:
+        before.append(before[-1].parent)
+    for step in d.steps:
+        if step not in child.eval(before.pop()).steps:
             return False
     return True
 
@@ -307,8 +307,9 @@ def _obeys(child: Strategy, ars: Ars, trace: Trace) -> bool:
 class UnionCommitted(Strategy):
     """Union that commits: once the history leaves a child, that child is out.
 
-    Each child only contributes at traces whose every step it permitted, so
-    the generated set is exactly the union of the children's generated sets.
+    Each child only contributes after derivations whose every step it
+    permitted, so the generated set is exactly the union of the children's
+    generated sets.
     """
 
     children: tuple[Strategy, ...]
@@ -317,19 +318,19 @@ class UnionCommitted(Strategy):
         if len(self.children) < 2:
             raise ValueError("union needs at least two children")
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
+    def eval(self, d: Derivation) -> EvalResult:
         merged: set[Step] = set()
         defined = False
         for child in self.children:
-            if not _obeys(child, ars, trace):
+            if not _obeys(child, d):
                 continue
-            r = child.eval(ars, trace)
+            r = child.eval(d)
             if r.defined:
                 defined = True
                 merged.update(r.steps)
         if not defined:
             return UNDEFINED
-        return EvalResult(True, ars.sorted_steps(merged))
+        return EvalResult(True, d.ars.sorted_steps(merged))
 
     @property
     def memoryless(self) -> bool:
@@ -340,9 +341,9 @@ class UnionCommitted(Strategy):
 class TableEntry:
     """One row of an explicit strategy table.
 
-    Exact rows match traces with precisely this label word (and source, when
-    given); wildcard rows match any trace whose word extends the stored
-    prefix. The head must match either way.
+    Exact rows match derivations with precisely this label word (and source,
+    when given); wildcard rows match any derivation whose word extends the
+    stored prefix. The head must be the derivation's target either way.
     """
 
     head: str
@@ -356,12 +357,12 @@ class TableEntry:
             if s.source != self.head:
                 raise ValueError(f"table step {s.render()} does not leave {self.head}")
 
-    def matches(self, trace: Trace) -> bool:
-        if trace.head != self.head:
+    def matches(self, d: Derivation) -> bool:
+        if d.target != self.head:
             return False
-        if self.source is not None and trace.source != self.source:
+        if self.source is not None and d.source != self.source:
             return False
-        word = trace.label_word
+        word = d.labels
         if self.wildcard:
             return word[: len(self.word)] == self.word
         return word == self.word
@@ -369,7 +370,7 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class FromTable(Strategy):
-    """Finite mapping from trace patterns to permitted step sets.
+    """Finite mapping from derivation patterns to permitted step sets.
 
     Exact rows win over wildcard rows; among wildcard rows the longest stored
     prefix wins. Undefined where no row matches.
@@ -377,18 +378,18 @@ class FromTable(Strategy):
 
     entries: tuple[TableEntry, ...]
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
+    def eval(self, d: Derivation) -> EvalResult:
         best: TableEntry | None = None
         for entry in self.entries:
-            if not entry.matches(trace):
+            if not entry.matches(d):
                 continue
             if not entry.wildcard:
-                return EvalResult(True, ars.sorted_steps(entry.steps))
+                return EvalResult(True, d.ars.sorted_steps(entry.steps))
             if best is None or len(entry.word) > len(best.word):
                 best = entry
         if best is None:
             return UNDEFINED
-        return EvalResult(True, ars.sorted_steps(best.steps))
+        return EvalResult(True, d.ars.sorted_steps(best.steps))
 
     @property
     def memoryless(self) -> bool:
@@ -399,7 +400,7 @@ class FromTable(Strategy):
 
 @dataclass(frozen=True)
 class AcceptFiltered(Strategy):
-    """A strategy plus an accepting condition over completed traces.
+    """A strategy plus an accepting condition over completed derivations.
 
     The condition does not constrain stepping; it selects which generated
     derivations count as accepted when the strategy is materialised.
@@ -408,8 +409,8 @@ class AcceptFiltered(Strategy):
     child: Strategy
     condition: object
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        return self.child.eval(ars, trace)
+    def eval(self, d: Derivation) -> EvalResult:
+        return self.child.eval(d)
 
     @property
     def memoryless(self) -> bool:
@@ -439,9 +440,9 @@ def finite_support(
 ) -> AbstractStrategy:
     """All derivations of length <= depth generated by xi.
 
-    A derivation is generated when each of its steps is permitted by xi at
-    the trace of the preceding prefix. The result is prefix-closed by
-    construction and carries no lassos.
+    A derivation is generated when each of its steps is permitted by xi
+    after the prefix before it. The result is prefix-closed by construction
+    and carries no lassos.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -450,17 +451,11 @@ def finite_support(
     else:
         starts = sorted(set(sources), key=ars.object_index)
     members: list[Derivation] = []
-    frontier: list[Derivation] = []
-    for obj in starts:
-        seed = xi.eval(ars, Trace((), obj))
-        for step in seed.steps:
-            frontier.append(ars.derivation(obj, step.label))
-    members.extend(frontier)
-    for _ in range(depth - 1):
+    frontier = [ars.empty_derivation(obj) for obj in starts]
+    for _ in range(depth):
         grown: list[Derivation] = []
         for d in frontier:
-            nxt = xi.eval(ars, d.trace())
-            for step in nxt.steps:
+            for step in xi.eval(d).steps:
                 grown.append(d.extended(step.label))
         members.extend(grown)
         frontier = grown
@@ -475,7 +470,7 @@ def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
         raise MemoryRequired("induced sub-system needs a memoryless strategy")
     chosen: set[Step] = set()
     for obj in ars.objects:
-        chosen.update(xi.eval(ars, Trace((), obj)).steps)
+        chosen.update(xi.eval(ars.empty_derivation(obj)).steps)
     return ars.sorted_steps(chosen)
 
 
@@ -539,8 +534,8 @@ def memoried_from(z: AbstractStrategy) -> Strategy:
     """A memoried strategy generating exactly z.
 
     Requires z to be prefix-closed; the empty set yields Fail. The table maps
-    the empty trace at each object to z's one-step members there, and each
-    member's trace to the steps extending it inside z.
+    the empty derivation at each object to z's one-step members there, and
+    each member to the steps extending it inside z.
     """
     if z.lasso_part:
         raise ValueError("only finite derivation sets can be rebuilt")

@@ -1,13 +1,14 @@
 """Strategies described by logic: step predicates and accepting conditions.
 
-A characteristic predicate decides, per trace and candidate label, whether a
-step is permitted; it is itself the intensional strategy it describes. An
-accepting condition selects which completed traces count, so a logical
-strategy (base strategy plus condition) generates a derivation set that need
-not be prefix-closed. nonclosed_witness searches, up to a horizon, for a
-lasso whose finite truncations always remain extendable to accepted
-derivations without ever being accepted themselves: a finitely presented
-limit point outside the accepted set.
+Both read a derivation, the paper's traced object. A characteristic predicate
+decides, per derivation so far and candidate label, whether the step is
+permitted; it is itself the intensional strategy it describes. An accepting
+condition selects which completed derivations count, so a logical strategy
+(base strategy plus condition) generates a set that need not be prefix-closed.
+nonclosed_witness searches, up to a horizon, for a lasso whose finite
+truncations always remain extendable to accepted derivations without ever
+being accepted themselves: a finitely presented limit point outside the
+accepted set.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import rational
-from .ars import Ars, Derivation, Lasso, Trace
+from .ars import Ars, Derivation, Lasso
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy
 from .intensional import (
@@ -37,22 +38,22 @@ from .intensional import (
 class Predicate(Strategy):
     """A characteristic predicate, read as the strategy it describes.
 
-    holds decides whether a candidate label is permitted after a trace; eval
-    keeps the head's out-steps whose labels it permits, and is defined
-    everywhere.
+    holds decides whether a candidate label is permitted after a derivation;
+    eval keeps the out-steps of its target whose labels it permits, and is
+    defined everywhere.
     """
 
     @abc.abstractmethod
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool: ...
+    def holds(self, d: Derivation, label: str) -> bool: ...
 
-    def eval(self, ars: Ars, trace: Trace) -> EvalResult:
-        keep = tuple(s for s in ars.out_steps(trace.head) if self.holds(ars, trace, s.label))
+    def eval(self, d: Derivation) -> EvalResult:
+        keep = tuple(s for s in d.ars.out_steps(d.target) if self.holds(d, s.label))
         return EvalResult(True, keep)
 
 
 # Permitting every label is Universal; permitting extension while the history
 # is shorter than bound - 1 is MaxLen(bound); permitting the labels that no
-# out-label of the head is above is Greatmost(order).
+# out-label of the target is above is Greatmost(order).
 TruePredicate = Universal
 LenLess = MaxLen
 GreatmostPredicate = Greatmost
@@ -60,7 +61,7 @@ GreatmostPredicate = Greatmost
 
 @dataclass(frozen=True)
 class FalsePredicate(Predicate):
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
+    def holds(self, d: Derivation, label: str) -> bool:
         return False
 
     @property
@@ -75,10 +76,10 @@ class AlternatePredicate(Predicate):
     first: frozenset[str]
     second: frozenset[str]
 
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
-        if not trace.pairs:
+    def holds(self, d: Derivation, label: str) -> bool:
+        if not d.labels:
             return label in self.first
-        last = trace.pairs[-1][1]
+        last = d.labels[-1]
         return (last in self.second and label in self.first) or (
             last in self.first and label in self.second
         )
@@ -90,13 +91,13 @@ class AlternatePredicate(Predicate):
 
 @dataclass(frozen=True)
 class CustomPredicate(Predicate):
-    """Wraps a callable over (label word, head object, candidate label)."""
+    """Wraps a callable over (label word, target object, candidate label)."""
 
     fn: Callable[[tuple[str, ...], str, str], bool]
     trace_free: bool = False
 
-    def holds(self, ars: Ars, trace: Trace, label: str) -> bool:
-        return self.fn(trace.label_word, trace.head, label)
+    def holds(self, d: Derivation, label: str) -> bool:
+        return self.fn(d.labels, d.target, label)
 
     @property
     def memoryless(self) -> bool:
@@ -112,86 +113,86 @@ def strategy_from_predicate(pred: Strategy) -> Strategy:
 
 
 class AcceptCondition(abc.ABC):
-    """Decides whether a completed trace is accepted."""
+    """Decides whether a completed derivation is accepted."""
 
     @abc.abstractmethod
-    def accepts(self, trace: Trace) -> bool: ...
+    def accepts(self, d: Derivation) -> bool: ...
 
 
 @dataclass(frozen=True)
 class LabelWordIn(AcceptCondition):
-    """The trace's label word lies in a rational language."""
+    """The derivation's label word lies in a rational language."""
 
     expr: object
 
-    def accepts(self, trace: Trace) -> bool:
-        return rational.matches(self.expr, trace.label_word)
+    def accepts(self, d: Derivation) -> bool:
+        return rational.matches(self.expr, d.labels)
 
 
 @dataclass(frozen=True)
 class LenAtLeast(AcceptCondition):
     bound: int
 
-    def accepts(self, trace: Trace) -> bool:
-        return len(trace) >= self.bound
+    def accepts(self, d: Derivation) -> bool:
+        return len(d) >= self.bound
 
 
 @dataclass(frozen=True)
 class LenAtMost(AcceptCondition):
     bound: int
 
-    def accepts(self, trace: Trace) -> bool:
-        return len(trace) <= self.bound
+    def accepts(self, d: Derivation) -> bool:
+        return len(d) <= self.bound
 
 
 @dataclass(frozen=True)
 class LenEq(AcceptCondition):
     bound: int
 
-    def accepts(self, trace: Trace) -> bool:
-        return len(trace) == self.bound
+    def accepts(self, d: Derivation) -> bool:
+        return len(d) == self.bound
 
 
 @dataclass(frozen=True)
 class AtObject(AcceptCondition):
-    """The trace ends at the given object."""
+    """The derivation ends at the given object."""
 
     obj: str
 
-    def accepts(self, trace: Trace) -> bool:
-        return trace.head == self.obj
+    def accepts(self, d: Derivation) -> bool:
+        return d.target == self.obj
 
 
 @dataclass(frozen=True)
 class ExplicitTraceSet(AcceptCondition):
-    traces: frozenset[Trace]
+    traces: frozenset[Derivation]
 
-    def accepts(self, trace: Trace) -> bool:
-        return trace in self.traces
+    def accepts(self, d: Derivation) -> bool:
+        return d in self.traces
 
 
 @dataclass(frozen=True)
 class And(AcceptCondition):
     parts: tuple[AcceptCondition, ...]
 
-    def accepts(self, trace: Trace) -> bool:
-        return all(p.accepts(trace) for p in self.parts)
+    def accepts(self, d: Derivation) -> bool:
+        return all(p.accepts(d) for p in self.parts)
 
 
 @dataclass(frozen=True)
 class Or(AcceptCondition):
     parts: tuple[AcceptCondition, ...]
 
-    def accepts(self, trace: Trace) -> bool:
-        return any(p.accepts(trace) for p in self.parts)
+    def accepts(self, d: Derivation) -> bool:
+        return any(p.accepts(d) for p in self.parts)
 
 
 @dataclass(frozen=True)
 class Not(AcceptCondition):
     part: AcceptCondition
 
-    def accepts(self, trace: Trace) -> bool:
-        return not self.part.accepts(trace)
+    def accepts(self, d: Derivation) -> bool:
+        return not self.part.accepts(d)
 
 
 ACCEPT_ALL: AcceptCondition = LenAtLeast(0)
@@ -227,9 +228,9 @@ def as_logical(xi: Strategy) -> LogicalStrategy:
 def accepted(
     ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
 ) -> AbstractStrategy:
-    """Members of the base's support (up to depth) whose trace is accepted."""
+    """Members of the base's support (up to depth) that the condition accepts."""
     support = finite_support(ls.base, ars, depth, sources)
-    kept = frozenset(d for d in support.finite_part if ls.accept.accepts(d.trace()))
+    kept = frozenset(d for d in support.finite_part if ls.accept.accepts(d))
     return AbstractStrategy(ars, kept)
 
 

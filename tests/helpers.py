@@ -9,7 +9,8 @@ enumeration.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 from strat import (
     AbstractStrategy,
@@ -124,11 +125,32 @@ def stepwise_support(
         if d.source not in allowed:
             continue
         if all(
-            d.steps[j] in xi.eval(ars, Derivation(ars, d.source, d.labels[:j]).trace()).steps
+            d.steps[j] in xi.eval(Derivation(ars, d.source, d.labels[:j])).steps
             for j in range(len(d))
         ):
             kept.append(d)
     return frozenset(kept)
+
+
+@contextmanager
+def counting_builds() -> Iterator[list[Derivation]]:
+    """Collects every Derivation constructed inside the block.
+
+    Counts calls of Derivation.__post_init__, as the benchmark's tracer does
+    for `ars.derivations_built`.
+    """
+    built: list[Derivation] = []
+    original = Derivation.__post_init__
+
+    def counted(d: Derivation) -> None:
+        built.append(d)
+        original(d)
+
+    Derivation.__post_init__ = counted
+    try:
+        yield built
+    finally:
+        Derivation.__post_init__ = original
 
 
 # -- oracle: regex matching by word derivatives -------------------------------------

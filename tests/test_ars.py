@@ -1,4 +1,4 @@
-"""Core system, derivation, trace and lasso behaviour."""
+"""Core system, derivation and lasso behaviour."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ from strat import (
     Ars,
     Derivation,
     FunctionalityViolation,
-    IncompatibleTrace,
     Lasso,
     NotComposable,
     ObjectLabelOverlap,
     Step,
-    Trace,
     UndefinedStep,
     UnknownSymbol,
     enumerate_derivations,
@@ -122,6 +120,20 @@ class TestDerivation:
             d,
         }
 
+    def test_prefixes_follow_parent_links(self, alc):
+        d = alc.empty_derivation("b").extended("phi3").extended("phi1").extended("phi4")
+        assert d.parent.parent == alc.derivation("b", "phi3")
+        with helpers.counting_builds() as built:
+            prefixes = d.prefixes()
+            strict = d.strict_prefixes()
+        assert built == []
+        assert prefixes == alc.derivation("b", "phi3", "phi1", "phi4").prefixes()
+        assert [len(p) for p in prefixes] == [1, 2, 3]
+        assert strict == prefixes[:-1]
+        assert alc.empty_derivation("a").prefixes() == []
+        with pytest.raises(ValueError, match="no parent"):
+            alc.empty_derivation("a").parent
+
     def test_is_prefix_of_requires_same_system(self, alc):
         d = alc.derivation("a", "phi1")
         longer = alc.derivation("a", "phi1", "phi3")
@@ -132,28 +144,6 @@ class TestDerivation:
     def test_render(self, alc):
         assert alc.derivation("a", "phi1", "phi4").render() == "a -phi1-> b -phi4-> d"
         assert alc.empty_derivation("c").render() == "c"
-
-
-class TestTrace:
-    def test_round_trip(self, alc):
-        d = alc.derivation("b", "phi3", "phi1", "phi4")
-        t = d.trace()
-        assert t.pairs == (("b", "phi3"), ("a", "phi1"), ("b", "phi4"))
-        assert t.head == "d" and t.source == "b"
-        assert t.label_word == ("phi3", "phi1", "phi4")
-        assert t.to_derivation(alc) == d
-        assert t.compatible(alc)
-
-    def test_incompatible_traces(self, alc):
-        with pytest.raises(IncompatibleTrace):
-            Trace((("a", "phi3"),), "a").to_derivation(alc)
-        with pytest.raises(IncompatibleTrace):
-            Trace((("a", "phi1"),), "c").to_derivation(alc)
-        assert not Trace((("a", "phi1"),), "c").compatible(alc)
-
-    def test_render(self, alc):
-        assert Trace((("a", "phi1"),), "b").render() == "<(a, phi1)>b"
-        assert Trace((), "a").render() == "<>a"
 
 
 class TestLasso:

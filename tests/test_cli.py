@@ -209,6 +209,13 @@ class TestErrors:
         assert code == 2
         assert err.startswith("strat: error: ")
 
+    def test_file_that_is_not_utf8(self, run, tmp_path):
+        path = tmp_path / "bin.ars"
+        path.write_bytes(b"ars {\xff\xfe")
+        code, out, err = run("enumerate", "-f", str(path), "--depth", "2")
+        assert (code, out) == (2, "")
+        assert err == f"strat: error: {path}: not UTF-8 text (byte 5)\n"
+
     def test_unknown_strategy_and_object(self, run, samples_dir):
         code, _, err = run(
             "enumerate", "-f", sample(samples_dir, "a_lc.ars"), "-s", "missing", "--depth", "2"

@@ -12,7 +12,9 @@ from strat import (
     ApplicationStatus,
     Lasso,
     UnknownObject,
+    Universal,
     enumerate_derivations,
+    finite_support,
     is_closed,
     is_composition_closed,
     is_factor_closed,
@@ -97,6 +99,13 @@ class TestClosureChecks:
         assert not verdict
         assert verdict.culprits == (d,)
         assert verdict.missing == alc.derivation("a", "phi1")
+
+    def test_prefix_checks_rebuild_no_prefix_of_a_support(self, alc):
+        z = finite_support(Universal(), alc, 4)
+        with helpers.counting_builds() as built:
+            assert is_prefix_closed(z).holds
+            assert prefix_closure(z).finite_part == z.finite_part
+        assert built == []
 
     def test_factor_closure(self, alc):
         two = alc.derivation("a", "phi1", "phi3")

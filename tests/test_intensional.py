@@ -26,7 +26,6 @@ from strat import (
     CyclicOrder,
     RestrictLabels,
     TableEntry,
-    Trace,
     UnionCommitted,
     UnionPointwise,
     Universal,
@@ -36,10 +35,6 @@ from strat import (
     memoried_from,
     memoryless_from,
 )
-
-
-def _trace(ars, source, *labels) -> Trace:
-    return ars.derivation(source, *labels).trace()
 
 
 class TestLabelOrder:
@@ -54,44 +49,44 @@ class TestLabelOrder:
 
 class TestBuiltinEval:
     def test_universal_defined_even_on_sinks(self, alc):
-        res = Universal().eval(alc, Trace((), "c"))
+        res = Universal().eval(alc.empty_derivation("c"))
         assert res.defined and res.steps == ()
-        assert Universal().eval(alc, Trace((), "a")).steps == alc.out_steps("a")
+        assert Universal().eval(alc.empty_derivation("a")).steps == alc.out_steps("a")
 
     def test_fail_undefined_everywhere(self, alc):
         for obj in alc.objects:
-            assert not Fail().eval(alc, Trace((), obj)).defined
+            assert not Fail().eval(alc.empty_derivation(obj)).defined
 
     def test_greatmost_total_and_partial(self, alc):
         asc = helpers.chain_order(("phi1", "phi2", "phi3", "phi4"))
-        res = Greatmost(asc).eval(alc, Trace((), "a"))
+        res = Greatmost(asc).eval(alc.empty_derivation("a"))
         assert [s.label for s in res.steps] == ["phi2"]
         # incomparable labels are all maximal
         partial = LabelOrder.from_pairs([("phi3", "phi4")])
-        res = Greatmost(partial).eval(alc, Trace((), "a"))
+        res = Greatmost(partial).eval(alc.empty_derivation("a"))
         assert [s.label for s in res.steps] == ["phi1", "phi2"]
-        assert not Greatmost(asc).eval(alc, Trace((), "c")).defined
+        assert not Greatmost(asc).eval(alc.empty_derivation("c")).defined
 
     def test_maxlen_cutoff(self, ac):
         xi = MaxLen(3)
-        assert xi.eval(ac, _trace(ac, "a")).steps == ac.out_steps("a")
-        assert xi.eval(ac, _trace(ac, "a", "phi1")).steps == ac.out_steps("a")
-        capped = xi.eval(ac, _trace(ac, "a", "phi1", "phi2"))
+        assert xi.eval(ac.derivation("a")).steps == ac.out_steps("a")
+        assert xi.eval(ac.derivation("a", "phi1")).steps == ac.out_steps("a")
+        capped = xi.eval(ac.derivation("a", "phi1", "phi2"))
         assert capped.defined and capped.steps == ()
         assert {len(d) for d in finite_support(xi, ac, 6).finite_part} == {1, 2}
         assert not finite_support(MaxLen(1), ac, 4).finite_part
 
     def test_restrict_labels(self, alc):
-        res = RestrictLabels(frozenset({"phi2", "phi3"})).eval(alc, Trace((), "a"))
+        res = RestrictLabels(frozenset({"phi2", "phi3"})).eval(alc.empty_derivation("a"))
         assert [s.label for s in res.steps] == ["phi2"]
 
     def test_alternate_clauses(self, ac):
         phi1 = frozenset({ac.step("a", "phi1")})
         phi2 = frozenset({ac.step("a", "phi2")})
         xi = Alternate(phi1, phi2)
-        assert xi.eval(ac, _trace(ac, "a")).steps == tuple(phi1)
-        assert xi.eval(ac, _trace(ac, "a", "phi1")).steps == tuple(phi2)
-        assert xi.eval(ac, _trace(ac, "a", "phi1", "phi2")).steps == tuple(phi1)
+        assert xi.eval(ac.derivation("a")).steps == tuple(phi1)
+        assert xi.eval(ac.derivation("a", "phi1")).steps == tuple(phi2)
+        assert xi.eval(ac.derivation("a", "phi1", "phi2")).steps == tuple(phi1)
         words = {d.labels for d in finite_support(xi, ac, 4).finite_part}
         assert words == {
             ("phi1",),
@@ -101,17 +96,17 @@ class TestBuiltinEval:
         }
         # a last step in both sets permits both continuations
         both = Alternate(phi1 | phi2, phi2)
-        assert set(both.eval(ac, _trace(ac, "a", "phi2")).steps) == phi1 | phi2
+        assert set(both.eval(ac.derivation("a", "phi2")).steps) == phi1 | phi2
         # a last step in neither leaves it undefined
-        assert not Alternate(phi1, phi1).eval(ac, _trace(ac, "a", "phi2")).defined
+        assert not Alternate(phi1, phi1).eval(ac.derivation("a", "phi2")).defined
 
     def test_color_alternate(self, alc):
         xi = ColorAlternate(frozenset({"phi1"}), frozenset({"phi3"}))
-        assert [s.label for s in xi.eval(alc, Trace((), "a")).steps] == ["phi1"]
-        assert [s.label for s in xi.eval(alc, _trace(alc, "a", "phi1")).steps] == ["phi3"]
-        assert [s.label for s in xi.eval(alc, _trace(alc, "b", "phi3")).steps] == ["phi1"]
-        stray = Trace((("a", "phi2"),), "c")
-        assert not xi.eval(alc, stray).defined
+        assert [s.label for s in xi.eval(alc.empty_derivation("a")).steps] == ["phi1"]
+        assert [s.label for s in xi.eval(alc.derivation("a", "phi1")).steps] == ["phi3"]
+        assert [s.label for s in xi.eval(alc.derivation("b", "phi3")).steps] == ["phi1"]
+        stray = alc.derivation("a", "phi2")
+        assert not xi.eval(stray).defined
         with pytest.raises(ValueError):
             ColorAlternate(frozenset({"phi1"}), frozenset({"phi1", "phi3"}))
 
@@ -119,15 +114,15 @@ class TestBuiltinEval:
 class TestCombinators:
     def test_intersect_needs_all_defined(self, alc):
         xi = Intersect((Universal(), Fail()))
-        assert not xi.eval(alc, Trace((), "a")).defined
+        assert not xi.eval(alc.empty_derivation("a")).defined
         assert not finite_support(xi, alc, 3).finite_part
         with pytest.raises(ValueError):
             Intersect(())
 
     def test_union_pointwise_needs_some_defined(self, alc):
         xi = UnionPointwise((Fail(), RestrictLabels(frozenset({"phi1"}))))
-        assert [s.label for s in xi.eval(alc, Trace((), "a")).steps] == ["phi1"]
-        assert not UnionPointwise((Fail(), Fail())).eval(alc, Trace((), "a")).defined
+        assert [s.label for s in xi.eval(alc.empty_derivation("a")).steps] == ["phi1"]
+        assert not UnionPointwise((Fail(), Fail())).eval(alc.empty_derivation("a")).defined
         with pytest.raises(ValueError):
             UnionPointwise((Universal(),))
         with pytest.raises(ValueError):
@@ -136,18 +131,29 @@ class TestCombinators:
     def test_union_committed_drops_disobeyed_children(self, ac):
         c1 = RestrictLabels(frozenset({"phi1"}))
         c2 = RestrictLabels(frozenset({"phi2"}))
-        after_phi1 = _trace(ac, "a", "phi1")
-        pointwise = UnionPointwise((c1, c2)).eval(ac, after_phi1)
-        committed = UnionCommitted((c1, c2)).eval(ac, after_phi1)
+        after_phi1 = ac.derivation("a", "phi1")
+        pointwise = UnionPointwise((c1, c2)).eval(after_phi1)
+        committed = UnionCommitted((c1, c2)).eval(after_phi1)
         assert {s.label for s in pointwise.steps} == {"phi1", "phi2"}
         assert {s.label for s in committed.steps} == {"phi1"}
-        assert not UnionCommitted((c1, c2)).eval(ac, _trace(ac, "a", "phi1", "phi2")).defined
+        assert not UnionCommitted((c1, c2)).eval(ac.derivation("a", "phi1", "phi2")).defined
+
+    def test_union_committed_of_tables_builds_only_its_members(self, union_sys):
+        halves = [
+            memoried_from(finite_support(RestrictLabels(frozenset(labels)), union_sys, 4))
+            for labels in (("phi1", "beta1"), ("phi2", "beta2"))
+        ]
+        with helpers.counting_builds() as built:
+            z = finite_support(UnionCommitted(tuple(halves)), union_sys, 4)
+        assert len(z.finite_part) == 16
+        # one empty derivation per start object, then one per member
+        assert len(built) == len(z.finite_part) + len(union_sys.objects)
 
     def test_accept_filter_is_transparent_for_stepping(self, alc):
         plain = Universal()
         wrapped = AcceptFiltered(plain, LenAtMost(1))
-        t = _trace(alc, "a", "phi1")
-        assert wrapped.eval(alc, t) == plain.eval(alc, t)
+        t = alc.derivation("a", "phi1")
+        assert wrapped.eval(t) == plain.eval(t)
         assert wrapped.memoryless
         assert (
             finite_support(wrapped, alc, 4).finite_part
@@ -166,22 +172,22 @@ class TestFromTable:
                 TableEntry(head="a", steps=frozenset(), word=("phi1", "phi1"), wildcard=False),
             )
         )
-        assert xi.eval(ac, _trace(ac, "a")).steps == tuple(phi1)
-        assert xi.eval(ac, _trace(ac, "a", "phi2")).steps == tuple(phi1)
+        assert xi.eval(ac.derivation("a")).steps == tuple(phi1)
+        assert xi.eval(ac.derivation("a", "phi2")).steps == tuple(phi1)
         # longest matching wildcard prefix wins
-        assert xi.eval(ac, _trace(ac, "a", "phi1")).steps == tuple(phi2)
-        assert xi.eval(ac, _trace(ac, "a", "phi1", "phi2")).steps == tuple(phi2)
+        assert xi.eval(ac.derivation("a", "phi1")).steps == tuple(phi2)
+        assert xi.eval(ac.derivation("a", "phi1", "phi2")).steps == tuple(phi2)
         # the exact row beats both wildcards
-        exact = xi.eval(ac, _trace(ac, "a", "phi1", "phi1"))
+        exact = xi.eval(ac.derivation("a", "phi1", "phi1"))
         assert exact.defined and exact.steps == ()
 
     def test_source_pinning_and_memorylessness(self, aloop):
         step_b = frozenset({aloop.step("b", "phi2")})
         pinned = TableEntry(head="b", steps=step_b, word=("phi1",), wildcard=False, source="a")
         xi = FromTable((pinned,))
-        assert xi.eval(aloop, _trace(aloop, "a", "phi1")).steps == tuple(step_b)
-        foreign = Trace((("b", "phi2"), ("a", "phi1")), "b")
-        assert not xi.eval(aloop, foreign).defined
+        assert xi.eval(aloop.derivation("a", "phi1")).steps == tuple(step_b)
+        foreign = aloop.derivation("b", "phi2", "phi1")
+        assert not xi.eval(foreign).defined
         assert not xi.memoryless
         assert FromTable((TableEntry(head="a", steps=frozenset()),)).memoryless
 

@@ -1,0 +1,135 @@
+"""Paper laws of generation on random small systems and random strategy trees.
+
+Each example draws a system (5 objects or fewer, 3 labels or fewer), two
+strategy trees over every kind the library builds (combinators nested inside
+combinators, predicates, explicit and memoried tables) and a depth of 4 or
+less, then checks:
+
+- the support is what filtering every derivation step by step keeps;
+- a support is prefix-closed;
+- the support of an intersection is the intersection of the supports;
+- a committed union generates exactly the union of its children;
+- memoried_from rebuilds a strategy whose support is the set it was given.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import helpers
+from strat import (
+    AcceptFiltered,
+    Alternate,
+    AlternatePredicate,
+    Ars,
+    ColorAlternate,
+    CustomPredicate,
+    Fail,
+    FalsePredicate,
+    FromTable,
+    Greatmost,
+    Intersect,
+    LenAtLeast,
+    MaxLen,
+    RestrictLabels,
+    TableEntry,
+    UnionCommitted,
+    UnionPointwise,
+    Universal,
+    finite_support,
+    is_prefix_closed,
+    memoried_from,
+)
+
+LEAVES = (
+    "universal", "fail", "greatmost", "maxlen", "restrict", "alternate", "color",
+    "table", "memoried", "alt_pred", "false_pred", "parity_pred",
+)
+NODES = ("intersect", "union_pointwise", "union_committed", "accept")
+
+
+@st.composite
+def systems(draw) -> Ars:
+    objects = tuple(f"o{i}" for i in range(draw(st.integers(1, 5))))
+    labels = tuple(f"l{i}" for i in range(draw(st.integers(1, 3))))
+    steps = [
+        (obj, label, draw(st.sampled_from(objects)))
+        for obj in objects
+        for label in labels
+        if draw(st.booleans())
+    ]
+    return Ars(objects, labels, steps)
+
+
+def _tree(draw, ars: Ars, levels: int):
+    kind = draw(st.sampled_from(LEAVES + (NODES if levels else ())))
+    label_set = st.frozensets(st.sampled_from(ars.labels))
+    step_set = st.frozensets(st.sampled_from(ars.steps)) if ars.steps else st.just(frozenset())
+    if kind == "universal":
+        return Universal()
+    if kind == "fail":
+        return Fail()
+    if kind == "greatmost":
+        return Greatmost(helpers.chain_order(draw(st.permutations(ars.labels))))
+    if kind == "maxlen":
+        return MaxLen(draw(st.integers(1, 4)))
+    if kind == "restrict":
+        return RestrictLabels(draw(label_set))
+    if kind == "alternate":
+        return Alternate(draw(step_set), draw(step_set))
+    if kind == "color":
+        colour = {label: draw(st.sampled_from("wbn")) for label in ars.labels}
+        return ColorAlternate(
+            frozenset(l for l, c in colour.items() if c == "w"),
+            frozenset(l for l, c in colour.items() if c == "b"),
+        )
+    if kind == "table":
+        rows = []
+        for obj in ars.objects:
+            if draw(st.booleans()):
+                outs = ars.out_steps(obj)
+                chosen = draw(st.frozensets(st.sampled_from(outs))) if outs else frozenset()
+                word = tuple(draw(st.lists(st.sampled_from(ars.labels), max_size=2)))
+                rows.append(TableEntry(obj, chosen, word, draw(st.booleans())))
+        return FromTable(tuple(rows))
+    if kind == "memoried":
+        base = _tree(draw, ars, 0)
+        return memoried_from(finite_support(base, ars, draw(st.integers(1, 3))))
+    if kind == "alt_pred":
+        return AlternatePredicate(draw(label_set), draw(label_set))
+    if kind == "false_pred":
+        return FalsePredicate()
+    if kind == "parity_pred":
+        return CustomPredicate(lambda word, head, label: (len(word) + int(label[1:])) % 2 == 0)
+    if kind == "accept":
+        return AcceptFiltered(_tree(draw, ars, levels - 1), LenAtLeast(2))
+    children = tuple(_tree(draw, ars, levels - 1) for _ in range(draw(st.integers(2, 3))))
+    combine = {"intersect": Intersect, "union_pointwise": UnionPointwise}
+    return combine.get(kind, UnionCommitted)(children)
+
+
+@st.composite
+def cases(draw):
+    ars = draw(systems())
+    x1 = _tree(draw, ars, draw(st.integers(0, 3)))
+    x2 = _tree(draw, ars, draw(st.integers(0, 2)))
+    sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
+    return ars, x1, x2, draw(st.integers(1, 4)), sources
+
+
+class TestGenerationLaws:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cases())
+    def test_laws(self, case):
+        ars, x1, x2, depth, sources = case
+        z1 = finite_support(x1, ars, depth, sources)
+        s1, s2 = z1.finite_part, finite_support(x2, ars, depth, sources).finite_part
+        committed = UnionCommitted((x1, x2))
+        union = finite_support(committed, ars, depth, sources)
+        assert s1 == helpers.stepwise_support(x1, ars, depth, sources)
+        assert union.finite_part == helpers.stepwise_support(committed, ars, depth, sources)
+        assert is_prefix_closed(z1) and is_prefix_closed(union)
+        assert finite_support(Intersect((x1, x2)), ars, depth, sources).finite_part == s1 & s2
+        assert union.finite_part == s1 | s2
+        assert finite_support(memoried_from(z1), ars, depth, sources).finite_part == s1

@@ -28,7 +28,6 @@ from strat import (
     MemoryRequired,
     Not,
     Or,
-    Trace,
     TruePredicate,
     Universal,
     accepted,
@@ -54,7 +53,7 @@ class TestPredicateLifting:
 
     def test_false_predicate_generates_nothing_but_is_defined(self, alc):
         lifted = strategy_from_predicate(FalsePredicate())
-        res = lifted.eval(alc, Trace((), "a"))
+        res = lifted.eval(alc.empty_derivation("a"))
         assert res.defined and res.steps == ()
         assert not _support(lifted, alc)
 
@@ -92,23 +91,23 @@ class TestPredicateLifting:
 
 class TestAcceptConditions:
     def test_length_bounds(self, alc):
-        t2 = alc.derivation("a", "phi1", "phi3").trace()
+        t2 = alc.derivation("a", "phi1", "phi3")
         assert LenAtLeast(2).accepts(t2) and not LenAtLeast(3).accepts(t2)
         assert LenAtMost(2).accepts(t2) and not LenAtMost(1).accepts(t2)
         assert LenEq(2).accepts(t2) and not LenEq(1).accepts(t2)
-        assert ACCEPT_ALL.accepts(Trace((), "a"))
+        assert ACCEPT_ALL.accepts(alc.empty_derivation("a"))
 
     def test_word_object_and_explicit(self, alc):
-        t = alc.derivation("a", "phi1", "phi3", "phi2").trace()
+        t = alc.derivation("a", "phi1", "phi3", "phi2")
         assert LabelWordIn(rational.parse("phi1 phi3 phi2")).accepts(t)
         assert not LabelWordIn(rational.parse("phi1*")).accepts(t)
         assert AtObject("c").accepts(t) and not AtObject("a").accepts(t)
         explicit = ExplicitTraceSet(frozenset({t}))
         assert explicit.accepts(t)
-        assert not explicit.accepts(alc.derivation("a", "phi1").trace())
+        assert not explicit.accepts(alc.derivation("a", "phi1"))
 
     def test_boolean_connectives(self, alc):
-        t = alc.derivation("a", "phi1").trace()
+        t = alc.derivation("a", "phi1")
         yes, no = LenAtLeast(0), LenAtLeast(99)
         assert And((yes, yes)).accepts(t) and not And((yes, no)).accepts(t)
         assert Or((no, yes)).accepts(t) and not Or((no, no)).accepts(t)

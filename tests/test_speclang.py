@@ -341,8 +341,8 @@ class TestBuilders:
         cond = build_accept(doc, "w")
         assert isinstance(cond, LabelWordIn)
         ars = build_ars(doc)
-        assert cond.accepts(ars.derivation("a", "l1").trace())
-        assert not cond.accepts(ars.derivation("a", "l1", "l2").trace())
+        assert cond.accepts(ars.derivation("a", "l1"))
+        assert not cond.accepts(ars.derivation("a", "l1", "l2"))
 
     def test_unknown_names_raise(self):
         doc = parse(MINI)

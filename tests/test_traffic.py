@@ -93,7 +93,7 @@ class TestSafetyController:
         ars = build_traffic_ars(1)
         controller = never_both_green(ars)
         for obj in ars.objects:
-            permitted = controller.eval(ars, ars.empty_derivation(obj).trace()).steps
+            permitted = controller.eval(ars.empty_derivation(obj)).steps
             dropped = set(ars.out_steps(obj)) - set(permitted)
             for step in dropped:
                 assert step.label in ("signal1", "signal2")
@@ -121,11 +121,11 @@ class TestFairness:
     def test_condition_distinguishes_serviced_from_starved(self):
         ars = build_traffic_ars(1)
         cond = fairness_condition()
-        serviced = ars.derivation("s_0_0_0_1", "car2", "cross2").trace()
-        starved = ars.derivation(STARVATION_START, "cross2", "car2").trace()
+        serviced = ars.derivation("s_0_0_0_1", "car2", "cross2")
+        starved = ars.derivation(STARVATION_START, "cross2", "car2")
         assert cond.accepts(serviced)
         assert not cond.accepts(starved)
-        assert cond.accepts(ars.empty_derivation("s_0_0_0_0").trace())
+        assert cond.accepts(ars.empty_derivation("s_0_0_0_0"))
 
     @pytest.mark.parametrize("horizon", [2, 4, 6])
     def test_starvation_lasso(self, horizon):
@@ -162,7 +162,7 @@ class TestDocument:
         ls = LogicalStrategy(Universal(), build_accept(doc, "fair"))
         witness = nonclosed_witness(ls, ars, 6, sources=(STARVATION_START,))
         assert witness.render() == "s_1_0_1_1 ( -cross2-> s_1_0_0_1 -car2-> s_1_0_1_1 )^w"
-        assert strategy.eval(ars, ars.empty_derivation(STARVATION_START).trace()).defined
+        assert strategy.eval(ars.empty_derivation(STARVATION_START)).defined
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_document_is_canonical(self, bound):
