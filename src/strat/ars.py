@@ -229,7 +229,17 @@ class Derivation:
         return Derivation(self.ars, self.source, self.labels + other.labels)
 
     def extended(self, label: str) -> "Derivation":
-        grown = Derivation(self.ars, self.source, self.labels + (label,))
+        """self plus one step; walks only that step, and sets parent to self."""
+        step = self.ars.step(self.target, label)
+        if step is None:
+            raise UndefinedStep(self.target, label)
+        grown = object.__new__(Derivation)
+        # set as the constructor sets them, so that instances share one key table
+        object.__setattr__(grown, "ars", self.ars)
+        object.__setattr__(grown, "source", self.source)
+        object.__setattr__(grown, "labels", self.labels + (label,))
+        grown.__dict__["targets"] = self.targets + (step.target,)
+        grown.__post_init__()
         grown.__dict__["parent"] = self
         return grown
 
@@ -385,34 +395,68 @@ def reachable_objects(ars: Ars, sources: Iterable[str]) -> list[str]:
     return order
 
 
-def shortest_path_to(ars: Ars, source: str, targets: set[str]) -> Derivation | None:
-    """BFS path (ties broken by step order) from source into targets."""
+def shortest_paths(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:
+    """A shortest path from source to each object it reaches, in BFS discovery order.
+
+    Ties are broken by step order; with max_len, only paths of that length or
+    less are searched.
+    """
     ars.object_index(source)
-    if source in targets:
-        return ars.empty_derivation(source)
-    queue = deque([ars.empty_derivation(source)])
+    first = ars.empty_derivation(source)
+    yield first
+    queue = deque([first])
     seen = {source}
     while queue:
         d = queue.popleft()
+        if max_len is not None and len(d) >= max_len:
+            continue
         for step in ars.out_steps(d.target):
-            if step.target in seen:
-                continue
-            grown = d.extended(step.label)
-            if step.target in targets:
-                return grown
-            seen.add(step.target)
-            queue.append(grown)
-    return None
+            if step.target not in seen:
+                seen.add(step.target)
+                grown = d.extended(step.label)
+                yield grown
+                queue.append(grown)
 
 
-def simple_cycles(ars: Ars) -> list[Derivation]:
+def shortest_path_to(ars: Ars, source: str, targets: set[str]) -> Derivation | None:
+    """BFS path (ties broken by step order) from source into targets."""
+    return next((d for d in shortest_paths(ars, source) if d.target in targets), None)
+
+
+def reaches_cycle(ars: Ars, source: str) -> bool:
+    """Whether a cycle is reachable from source: one depth-first search for a back step."""
+    ars.object_index(source)
+    done: set[str] = set()
+    path = [source]
+    on_path = {source}
+    stack = [iter(ars.out_steps(source))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            on_path.remove(path[-1])
+            done.add(path.pop())
+        elif step.target in on_path:
+            return True
+        elif step.target not in done:
+            on_path.add(step.target)
+            path.append(step.target)
+            stack.append(iter(ars.out_steps(step.target)))
+    return False
+
+
+def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
     """All vertex-simple cycles, as derivations with source == target.
 
     Each cycle appears once, rooted at its minimum-index object. Parallel
-    steps count as distinct cycles (two self-loops give two cycles). The
-    search keeps an explicit stack, so a cycle may be longer than the
-    recursion limit.
+    steps count as distinct cycles (two self-loops give two cycles). With
+    max_len, the search cuts each path at max_len steps, so it visits only
+    the cycles of that length or less. The search keeps an explicit stack,
+    so a cycle may be longer than the recursion limit.
     """
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    longest_open = len(ars.objects) if max_len is None else max_len - 1
     found: list[Derivation] = []
     for root in ars.objects:
         floor = ars.object_index(root)
@@ -428,7 +472,11 @@ def simple_cycles(ars: Ars) -> list[Derivation]:
                 del labels[-1:]
             elif step.target == root:
                 found.append(Derivation(ars, root, (*labels, step.label)))
-            elif ars.object_index(step.target) > floor and step.target not in on_path:
+            elif (
+                len(labels) < longest_open
+                and ars.object_index(step.target) > floor
+                and step.target not in on_path
+            ):
                 on_path.add(step.target)
                 path.append(step.target)
                 labels.append(step.label)

@@ -19,17 +19,16 @@ from pathlib import Path
 from typing import Sequence
 
 from . import speclang
-from .ars import Ars, enumerate_derivations
+from .ars import Ars, enumerate_derivations, reaches_cycle
 from .errors import NoWitnessUpToHorizon, StratError
 from .extensional import (
-    AbstractStrategy,
     ApplicationStatus,
     is_closed,
     is_composition_closed,
     is_factor_closed,
     is_prefix_closed,
 )
-from .intensional import Universal, finite_support, lassos_of_memoryless
+from .intensional import Universal, finite_support, induced_steps
 from .logic import accepted, as_logical, nonclosed_witness
 from .traffic import (
     build_traffic_ars,
@@ -156,12 +155,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     ars.object_index(args.source)
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
-    z = accepted(ls, ars, args.depth, (args.source,))
-    lassos = ()
-    if ls.base.memoryless and not z.finite_part:
-        # lassos only tell "indeterminate" from "fails" when nothing finite applies
-        lassos = tuple(lassos_of_memoryless(ls.base, ars, (args.source,)))
-    result = AbstractStrategy(ars, z.finite_part, frozenset(lassos)).apply(args.source)
+    result = accepted(ls, ars, args.depth, (args.source,)).apply(args.source)
     if result.status is ApplicationStatus.APPLIES:
         rendered = "{" + ", ".join(result.targets) + "}"
         if _machine(args):
@@ -169,7 +163,12 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         else:
             print(rendered)
     else:
-        verdict = "fails" if result.status is ApplicationStatus.FAILS else "indeterminate"
+        # nothing finite applies: an infinite derivation from the source makes it
+        # indeterminate, and a memoryless one exists when its sub-system reaches a cycle
+        infinite = ls.base.memoryless and reaches_cycle(
+            ars.restrict(induced_steps(ls.base, ars)), args.source
+        )
+        verdict = "indeterminate" if infinite else "fails"
         if _machine(args):
             _record("apply", verdict, None, 0)
         else:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .ars import Ars, Derivation, Lasso, Step, rotate_cycle, shortest_path_to, simple_cycles
+from .ars import Ars, Derivation, Lasso, Step, shortest_paths, simple_cycles
 from .errors import (
     CyclicOrder,
     MemoryRequired,
@@ -475,27 +475,43 @@ def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
 
 
 def lassos_of_memoryless(
-    xi: Strategy, ars: Ars, sources: Iterable[str] | None = None
+    xi: Strategy, ars: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[Lasso]:
     """Witnesses for the infinite derivations a memoryless strategy generates.
 
     One lasso per (source object, simple cycle) pair of the induced
-    sub-system, with a shortest stem from the source to the cycle; raises
-    MemoryRequired for memoried strategies, where the sub-system view is not
-    available.
+    sub-system, with a shortest stem from the source to the cycle. One BFS
+    per source gives the stems: a cycle is entered at the object of it that
+    the BFS discovers first. With max_len, only the lassos with |stem| +
+    |cycle| <= max_len, and cycles and stems are searched up to that length.
+    Raises MemoryRequired for memoried strategies, where the sub-system view
+    is not available.
     """
     sub = ars.restrict(induced_steps(xi, ars))
-    cycles = simple_cycles(sub)
+    cycles = simple_cycles(sub, max_len)
+    through: dict[str, list[int]] = {}  # object -> the cycles through it
+    for k, cycle in enumerate(cycles):
+        for obj in cycle.targets[1:]:
+            through.setdefault(obj, []).append(k)
+    loops: dict[tuple[int, str], Derivation] = {}  # (cycle, object on it) -> cycle started there
     out: list[Lasso] = []
     for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
-        for cycle in cycles:
-            stem = shortest_path_to(sub, src, set(cycle.targets))
-            if stem is None:
+        met: set[int] = set()
+        for stem in shortest_paths(sub, src, None if max_len is None else max_len - 1):
+            entry = stem.target
+            fresh = [k for k in through.get(entry, ()) if k not in met]
+            if not fresh:
                 continue
-            loop = rotate_cycle(cycle, stem.target)
-            out.append(
-                Lasso(Derivation(ars, src, stem.labels), Derivation(ars, loop.source, loop.labels))
-            )
+            met.update(fresh)
+            home = Derivation(ars, src, stem.labels)
+            for k in fresh:
+                cycle = cycles[k]
+                if max_len is not None and len(stem) + len(cycle) > max_len:
+                    continue
+                if (k, entry) not in loops:
+                    i = cycle.targets.index(entry)
+                    loops[k, entry] = Derivation(ars, entry, cycle.labels[i:] + cycle.labels[:i])
+                out.append(Lasso(home, loops[k, entry]))
     out.sort(key=Lasso.sort_key)
     return out
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Hashable, Iterable
 
 from . import rational
-from .ars import Ars, Derivation, Lasso
+from .ars import Ars, Derivation, Lasso, Step
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy
 from .intensional import (
@@ -29,6 +30,7 @@ from .intensional import (
     Strategy,
     Universal,
     finite_support,
+    induced_steps,
     lassos_of_memoryless,
 )
 
@@ -113,54 +115,101 @@ def strategy_from_predicate(pred: Strategy) -> Strategy:
 
 
 class AcceptCondition(abc.ABC):
-    """Decides whether a completed derivation is accepted."""
+    """Decides whether a completed derivation is accepted.
+
+    start, advance and final read the condition as an automaton over steps,
+    with hashable states: folding advance over a derivation's steps from
+    start at its source ends in a state that final accepts exactly when
+    accepts does. By default the state is the derivation itself.
+    """
 
     @abc.abstractmethod
     def accepts(self, d: Derivation) -> bool: ...
 
+    def start(self, ars: Ars, obj: str) -> Hashable:
+        return ars.empty_derivation(obj)
+
+    def advance(self, state, step: Step) -> Hashable:
+        return state.extended(step.label)
+
+    def final(self, state) -> bool:
+        return self.accepts(state)
+
 
 @dataclass(frozen=True)
 class LabelWordIn(AcceptCondition):
-    """The derivation's label word lies in a rational language."""
+    """The derivation's label word lies in a rational language; the state is the automaton's state set."""
 
     expr: object
 
+    @cached_property
+    def nfa(self) -> rational.Nfa:
+        return rational.compile_expr(self.expr)
+
     def accepts(self, d: Derivation) -> bool:
-        return rational.matches(self.expr, d.labels)
+        return self.nfa.run(d.labels)
+
+    def start(self, ars: Ars, obj: str) -> frozenset[int]:
+        return rational.START
+
+    def advance(self, state: frozenset[int], step: Step) -> frozenset[int]:
+        return self.nfa.step(state, step.label)
+
+    def final(self, state: frozenset[int]) -> bool:
+        return self.nfa.accepts(state)
 
 
 @dataclass(frozen=True)
-class LenAtLeast(AcceptCondition):
+class _LenCondition(AcceptCondition):
+    """A condition on the length alone; the state counts steps up to bound + 1."""
+
     bound: int
 
     def accepts(self, d: Derivation) -> bool:
-        return len(d) >= self.bound
+        return self.final(len(d))
+
+    def start(self, ars: Ars, obj: str) -> int:
+        return 0
+
+    def advance(self, state: int, step: Step) -> int:
+        return min(state + 1, self.bound + 1)
 
 
 @dataclass(frozen=True)
-class LenAtMost(AcceptCondition):
-    bound: int
-
-    def accepts(self, d: Derivation) -> bool:
-        return len(d) <= self.bound
+class LenAtLeast(_LenCondition):
+    def final(self, state: int) -> bool:
+        return state >= self.bound
 
 
 @dataclass(frozen=True)
-class LenEq(AcceptCondition):
-    bound: int
+class LenAtMost(_LenCondition):
+    def final(self, state: int) -> bool:
+        return state <= self.bound
 
-    def accepts(self, d: Derivation) -> bool:
-        return len(d) == self.bound
+
+@dataclass(frozen=True)
+class LenEq(_LenCondition):
+    def final(self, state: int) -> bool:
+        return state == self.bound
 
 
 @dataclass(frozen=True)
 class AtObject(AcceptCondition):
-    """The derivation ends at the given object."""
+    """The derivation ends at the given object; the state is the current object."""
 
     obj: str
 
     def accepts(self, d: Derivation) -> bool:
         return d.target == self.obj
+
+    def start(self, ars: Ars, obj: str) -> str:
+        return obj
+
+    def advance(self, state: str, step: Step) -> str:
+        return step.target
+
+    def final(self, state: str) -> bool:
+        return state == self.obj
 
 
 @dataclass(frozen=True)
@@ -172,27 +221,53 @@ class ExplicitTraceSet(AcceptCondition):
 
 
 @dataclass(frozen=True)
-class And(AcceptCondition):
+class _Junction(AcceptCondition):
+    """And and Or; the state is the tuple of the parts' states."""
+
     parts: tuple[AcceptCondition, ...]
 
-    def accepts(self, d: Derivation) -> bool:
-        return all(p.accepts(d) for p in self.parts)
+    def start(self, ars: Ars, obj: str) -> tuple:
+        return tuple(p.start(ars, obj) for p in self.parts)
+
+    def advance(self, state: tuple, step: Step) -> tuple:
+        return tuple(p.advance(q, step) for p, q in zip(self.parts, state))
 
 
 @dataclass(frozen=True)
-class Or(AcceptCondition):
-    parts: tuple[AcceptCondition, ...]
+class And(_Junction):
+    def accepts(self, d: Derivation) -> bool:
+        return all(p.accepts(d) for p in self.parts)
 
+    def final(self, state: tuple) -> bool:
+        return all(p.final(q) for p, q in zip(self.parts, state))
+
+
+@dataclass(frozen=True)
+class Or(_Junction):
     def accepts(self, d: Derivation) -> bool:
         return any(p.accepts(d) for p in self.parts)
+
+    def final(self, state: tuple) -> bool:
+        return any(p.final(q) for p, q in zip(self.parts, state))
 
 
 @dataclass(frozen=True)
 class Not(AcceptCondition):
+    """The complement; the state is the part's state."""
+
     part: AcceptCondition
 
     def accepts(self, d: Derivation) -> bool:
         return not self.part.accepts(d)
+
+    def start(self, ars: Ars, obj: str) -> Hashable:
+        return self.part.start(ars, obj)
+
+    def advance(self, state, step: Step) -> Hashable:
+        return self.part.advance(state, step)
+
+    def final(self, state) -> bool:
+        return not self.part.final(state)
 
 
 ACCEPT_ALL: AcceptCondition = LenAtLeast(0)
@@ -242,38 +317,61 @@ def nonclosed_witness(
     A candidate lasso (|stem| + |cycle| <= horizon, from the base's induced
     sub-system) is a witness when every pumped truncation stem . cycle^i for
     i = 1..horizon//|cycle| is a prefix of some accepted derivation within
-    depth horizon + |stem| + |cycle| and is never itself accepted: along the
-    loop, acceptance stays reachable but is never attained. Returns the first
-    witness in deterministic order, or None (a semi-decision: no witness up to
-    the horizon is not a closedness proof).
+    depth D = horizon + |stem| + |cycle| and is never itself accepted: along
+    the loop, acceptance stays reachable but is never attained. Returns the
+    first witness in deterministic order, or None (a semi-decision: no
+    witness up to the horizon is not a closedness proof).
+
+    "A prefix of an accepted derivation within depth D" is read on the
+    product of the induced sub-system with the condition's states: the
+    truncation p qualifies exactly when a state the condition accepts is
+    reachable from (p's target, p's condition state) in 1..D-|p| product
+    steps. Each such answer is kept for the rest of the call.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     if not ls.base.memoryless:
         raise MemoryRequired("witness search needs a memoryless base strategy")
-    candidates = [
-        l
-        for l in lassos_of_memoryless(ls.base, ars, sources)
-        if len(l.stem) + len(l.cycle) <= horizon
-    ]
-    member_cache: dict[tuple[int, str], tuple[Derivation, ...]] = {}
-    for lasso in candidates:
+    sub = ars.restrict(induced_steps(ls.base, ars))
+    cond = ls.accept
+    answers: dict[tuple, bool] = {}
+
+    def extendable(obj: str, state: Hashable, budget: int) -> bool:
+        key = (obj, state, budget)
+        if key not in answers:
+            answers[key] = _reaches_final(sub, cond, obj, state, budget)
+        return answers[key]
+
+    for lasso in lassos_of_memoryless(ls.base, ars, sources, horizon):
         depth = horizon + len(lasso.stem) + len(lasso.cycle)
-        key = (depth, lasso.source)
-        if key not in member_cache:
-            member_cache[key] = accepted(ls, ars, depth, sources={lasso.source}).members()
-        members = member_cache[key]
-        member_set = set(members)
-        pumps = max(1, horizon // len(lasso.cycle))
-        good = True
-        for i in range(1, pumps + 1):
-            pumped = lasso.unroll(i)
-            if pumped in member_set:
-                good = False
+        state = cond.start(ars, lasso.source)
+        for step in lasso.stem.steps:
+            state = cond.advance(state, step)
+        length = len(lasso.stem)
+        for _ in range(max(1, horizon // len(lasso.cycle))):
+            for step in lasso.cycle.steps:
+                state = cond.advance(state, step)
+            length += len(lasso.cycle)
+            if cond.final(state) or not extendable(lasso.cycle.source, state, depth - length):
                 break
-            if not any(pumped.is_prefix_of(m) for m in members):
-                good = False
-                break
-        if good:
+        else:
             return lasso
     return None
+
+
+def _reaches_final(sub: Ars, cond: AcceptCondition, obj: str, state: Hashable, budget: int) -> bool:
+    """Whether a product state that cond accepts lies 1..budget steps from (obj, state)."""
+    frontier = [(obj, state)]
+    seen = set(frontier)
+    for _ in range(budget):
+        grown = []
+        for o, q in frontier:
+            for step in sub.out_steps(o):
+                nxt = (step.target, cond.advance(q, step))
+                if cond.final(nxt[1]):
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    grown.append(nxt)
+        frontier = grown
+    return False

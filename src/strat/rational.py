@@ -10,7 +10,7 @@ symbol occurrences), and matching is whole-word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -241,6 +241,7 @@ class Nfa:
     state_count: int
     transitions: tuple[tuple[int, str, int], ...]
     accepting: frozenset[int]
+    _subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def step_map(self) -> dict[tuple[int, str], frozenset[int]]:
         table: dict[tuple[int, str], set[int]] = {}
@@ -252,6 +253,31 @@ class Nfa:
     def table(self) -> dict[tuple[int, str], frozenset[int]]:
         """step_map, built once per automaton."""
         return self.step_map()
+
+    def step(self, states: frozenset[int], label: str) -> frozenset[int]:
+        """The states reached from `states` by one label: a lazily built subset automaton."""
+        key = (states, label)
+        nxt = self._subsets.get(key)
+        if nxt is None:
+            table = self.table
+            nxt = frozenset().union(*(table.get((s, label), ()) for s in states))
+            self._subsets[key] = nxt
+        return nxt
+
+    def accepts(self, states: frozenset[int]) -> bool:
+        return not self.accepting.isdisjoint(states)
+
+    def run(self, word: Sequence[str]) -> bool:
+        """Whole-word membership, by stepping the state set from START."""
+        states = START
+        for label in word:
+            states = self.step(states, label)
+            if not states:
+                return False
+        return self.accepts(states)
+
+
+START = frozenset([0])
 
 
 @lru_cache(maxsize=512)
@@ -314,14 +340,4 @@ def compile_expr(node) -> Nfa:
 
 def matches(node, word: Sequence[str]) -> bool:
     """Whole-word membership of a label word in the expression's language."""
-    nfa = compile_expr(node)
-    table = nfa.table
-    states: frozenset[int] = frozenset([0])
-    for label in word:
-        nxt: set[int] = set()
-        for s in states:
-            nxt |= table.get((s, label), frozenset())
-        if not nxt:
-            return False
-        states = frozenset(nxt)
-    return bool(states & nfa.accepting)
+    return compile_expr(node).run(word)

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the implementations they
 check: support by filtering a raw enumeration step by step, regex matching by
 word derivatives, closedness by a limit-point scan over an ambient
-enumeration.
+enumeration, and the witness search by materialising every accepted
+derivation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from strat import (
     GreatmostPredicate,
     Intersect,
     LabelOrder,
+    Lasso,
     LenAtMost,
+    LogicalStrategy,
     MaxLen,
     RestrictLabels,
     Strategy,
@@ -34,7 +37,12 @@ from strat import (
     UnionCommitted,
     UnionPointwise,
     Universal,
+    accepted,
     enumerate_derivations,
+    induced_steps,
+    rotate_cycle,
+    shortest_path_to,
+    simple_cycles,
     strategy_from_predicate,
 )
 from strat import rational
@@ -253,6 +261,48 @@ def brute_is_closed(z: AbstractStrategy, ambient_depth: int) -> bool:
         if all(any(p.is_prefix_of(m) for m in members) for p in d.prefixes()):
             return False
     return True
+
+
+# -- oracle: the witness search over materialised accepted sets ----------------------
+
+
+def brute_lassos(xi: Strategy, ars: Ars, sources: Iterable[str] | None = None) -> list[Lasso]:
+    """One lasso per (source, simple cycle of the whole induced sub-system), by a
+    shortest path to the cycle and a rotation of it."""
+    sub = ars.restrict(induced_steps(xi, ars))
+    out = []
+    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
+        for cycle in simple_cycles(sub):
+            stem = shortest_path_to(sub, src, set(cycle.targets))
+            if stem is not None:
+                loop = rotate_cycle(cycle, stem.target)
+                out.append(
+                    Lasso(Derivation(ars, src, stem.labels), Derivation(ars, loop.source, loop.labels))
+                )
+    out.sort(key=Lasso.sort_key)
+    return out
+
+
+def brute_nonclosed_witness(
+    ls: LogicalStrategy, ars: Ars, horizon: int, sources: Iterable[str] | None = None
+) -> Lasso | None:
+    """The first lasso (|stem| + |cycle| <= horizon) whose every pumped truncation
+    is not accepted but is a proper prefix of an accepted derivation, found by
+    scanning all accepted derivations from its source up to the depth."""
+    members: dict[tuple[int, str], tuple[Derivation, ...]] = {}
+    for lasso in brute_lassos(ls.base, ars, sources):
+        if len(lasso.stem) + len(lasso.cycle) > horizon:
+            continue
+        depth = horizon + len(lasso.stem) + len(lasso.cycle)
+        key = (depth, lasso.source)
+        if key not in members:
+            members[key] = accepted(ls, ars, depth, sources={lasso.source}).members()
+        if all(
+            pumped not in members[key] and any(pumped.is_prefix_of(m) for m in members[key])
+            for pumped in (lasso.unroll(i) for i in range(1, max(1, horizon // len(lasso.cycle)) + 1))
+        ):
+            return lasso
+    return None
 
 
 # -- random systems and closed sets --------------------------------------------------

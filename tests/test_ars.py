@@ -21,8 +21,10 @@ from strat import (
     UnknownSymbol,
     enumerate_derivations,
     reachable_objects,
+    reaches_cycle,
     rotate_cycle,
     shortest_path_to,
+    shortest_paths,
     simple_cycles,
 )
 
@@ -87,6 +89,19 @@ class TestDerivation:
             alc.derivation("a", "phi3")
         with pytest.raises(UnknownSymbol):
             alc.derivation("zz", "phi1")
+
+    def test_extended_walks_one_step(self, alc, monkeypatch):
+        d = alc.derivation("a", "phi1", "phi3")
+        lookups = []
+        original = Ars.step
+        monkeypatch.setattr(Ars, "step", lambda ars, *key: lookups.append(key) or original(ars, *key))
+        grown = d.extended("phi1")
+        assert lookups == [("a", "phi1")]
+        assert grown == alc.derivation("a", "phi1", "phi3", "phi1")
+        assert (grown.targets, grown.target, grown.parent) == (("a", "b", "a", "b"), "b", d)
+        with pytest.raises(UndefinedStep) as err:
+            d.extended("phi4")
+        assert (err.value.source, err.value.label) == ("a", "phi4")
 
     def test_compose_and_neutral_empty(self, alc):
         left = alc.derivation("a", "phi1")
@@ -237,6 +252,39 @@ class TestGraphSearches:
             union_sys.derivation("a", "phi1", "beta1"),
             union_sys.derivation("a", "phi2", "beta2"),
         ]
+
+    def test_shortest_paths_in_discovery_order(self, alc):
+        assert list(shortest_paths(alc, "a")) == [
+            alc.empty_derivation("a"),
+            alc.derivation("a", "phi1"),
+            alc.derivation("a", "phi2"),
+            alc.derivation("a", "phi1", "phi4"),
+        ]
+        assert [d.target for d in shortest_paths(alc, "a", 1)] == ["a", "b", "c"]
+        assert list(shortest_paths(alc, "c", 0)) == [alc.empty_derivation("c")]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bounded_simple_cycles_are_the_short_ones(self, seed):
+        rng = random.Random(seed)
+        objects = tuple(f"o{i}" for i in range(6))
+        ars = Ars(
+            objects,
+            ("x", "y"),
+            [(o, l, rng.choice(objects)) for o in objects for l in ("x", "y") if rng.random() < 0.7],
+        )
+        every = simple_cycles(ars)
+        for bound in range(1, 7):
+            assert simple_cycles(ars, bound) == [c for c in every if len(c) <= bound]
+        with pytest.raises(ValueError):
+            simple_cycles(ars, 0)
+
+    def test_reaches_cycle(self, alc, aloop):
+        assert reaches_cycle(alc, "a") and reaches_cycle(alc, "b")
+        assert not reaches_cycle(alc, "c") and not reaches_cycle(alc, "d")
+        assert reaches_cycle(aloop, "b")
+        assert not reaches_cycle(helpers.random_dag_ars(random.Random(3)), "o0")
+        with pytest.raises(UnknownSymbol):
+            reaches_cycle(alc, "zz")
 
     def test_rotate_cycle(self, alc):
         cycle = alc.derivation("a", "phi1", "phi3")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from strat import speclang
 from strat.cli import main
+from strat.traffic import traffic_document
 
 
 @pytest.fixture()
@@ -97,6 +98,17 @@ class TestApply:
         assert (code, err) == (0, "")
         assert out == '{"kind": "apply", "verdict": "applies", "witness": "{o1, o2}", "count": 2}\n'
 
+    def test_nothing_finite_applies_on_a_cyclic_system(self, run, tmp_path):
+        # one search for a reachable cycle, not a lasso per simple cycle of the system
+        doc = tmp_path / "t2.ars"
+        doc.write_text(traffic_document(2) + "strategy long = accept(universal, len >= 5);\n")
+        code, out, err = run(
+            "--machine", "apply", "-f", str(doc), "-s", "long", "--from", "s_0_0_0_0",
+            "--depth", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "apply", "verdict": "indeterminate", "witness": null, "count": 0}\n'
+
 
 class TestCheck:
     def test_failing_property_exits_three(self, run, samples_dir):
@@ -151,6 +163,14 @@ class TestWitness:
         assert (code, err) == (0, "")
         assert out == '{"kind": "witness", "verdict": "none", "witness": null, "count": 0}\n'
 
+    def test_traffic_queue_bound_two(self, run, tmp_path):
+        # cycles longer than the horizon are never enumerated
+        doc = tmp_path / "t2.ars"
+        doc.write_text(traffic_document(2))
+        code, out, err = run("--machine", "witness", "-f", str(doc), "-s", "all", "--horizon", "2")
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "witness", "verdict": "none", "witness": null, "count": 0}\n'
+
 
 class TestScenario:
     def test_fairness_witness(self, run):
@@ -161,6 +181,17 @@ class TestScenario:
         assert out == (
             "OBJECTS=16\nSTEPS=56\nSUPPORT=4886\n"
             "WITNESS=s_1_0_1_1 ( -cross2-> s_1_0_0_1 -car2-> s_1_0_1_1 )^w\n"
+        )
+
+    def test_fairness_witness_at_queue_bound_two(self, run):
+        code, out, _ = run(
+            "--machine", "scenario", "traffic", "--queue-bound", "2", "--depth", "4",
+            "--check", "fairness",
+        )
+        assert code == 3
+        assert out == (
+            '{"kind": "scenario", "verdict": "found", "witness": '
+            '"s_1_0_1_1 ( -cross2-> s_1_0_0_1 -car2-> s_1_0_1_1 )^w", "count": 3584}\n'
         )
 
     def test_safety_holds_under_default_controller(self, run):

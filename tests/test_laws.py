@@ -10,6 +10,16 @@ less, then checks:
 - the support of an intersection is the intersection of the supports;
 - a committed union generates exactly the union of its children;
 - memoried_from rebuilds a strategy whose support is the set it was given.
+
+A second family draws a system (6 objects or fewer, 3 labels or fewer), a
+horizon from 2 to 6, a `universal` or `restrict` base and a condition tree
+over word, len, at, and, or, not and explicit derivation sets, then checks:
+
+- the witness search on the product graph returns what the search over
+  materialised accepted sets returns, and its horizon-bounded lassos are the
+  short ones of the unbounded search;
+- folding a condition's start, advance and final over a derivation agrees
+  with accepts.
 """
 
 from __future__ import annotations
@@ -22,24 +32,37 @@ from strat import (
     AcceptFiltered,
     Alternate,
     AlternatePredicate,
+    And,
     Ars,
+    AtObject,
     ColorAlternate,
     CustomPredicate,
+    ExplicitTraceSet,
     Fail,
     FalsePredicate,
     FromTable,
     Greatmost,
     Intersect,
+    LabelWordIn,
     LenAtLeast,
+    LenAtMost,
+    LenEq,
+    LogicalStrategy,
     MaxLen,
+    Not,
+    Or,
     RestrictLabels,
     TableEntry,
     UnionCommitted,
     UnionPointwise,
     Universal,
+    enumerate_derivations,
     finite_support,
     is_prefix_closed,
+    lassos_of_memoryless,
     memoried_from,
+    nonclosed_witness,
+    rational,
 )
 
 LEAVES = (
@@ -50,8 +73,8 @@ NODES = ("intersect", "union_pointwise", "union_committed", "accept")
 
 
 @st.composite
-def systems(draw) -> Ars:
-    objects = tuple(f"o{i}" for i in range(draw(st.integers(1, 5))))
+def systems(draw, max_objects: int = 5) -> Ars:
+    objects = tuple(f"o{i}" for i in range(draw(st.integers(1, max_objects))))
     labels = tuple(f"l{i}" for i in range(draw(st.integers(1, 3))))
     steps = [
         (obj, label, draw(st.sampled_from(objects)))
@@ -133,3 +156,82 @@ class TestGenerationLaws:
         assert finite_support(Intersect((x1, x2)), ars, depth, sources).finite_part == s1 & s2
         assert union.finite_part == s1 | s2
         assert finite_support(memoried_from(z1), ars, depth, sources).finite_part == s1
+
+
+def _expr(draw, labels: tuple[str, ...], levels: int):
+    kind = draw(st.sampled_from(("sym",) + (("cat", "alt", "star", "plus", "opt") if levels else ())))
+    if kind == "sym":
+        return rational.Sym(draw(st.sampled_from(labels)))
+    if kind in ("cat", "alt"):
+        parts = tuple(_expr(draw, labels, levels - 1) for _ in range(draw(st.integers(2, 3))))
+        return rational.Concat(parts) if kind == "cat" else rational.Alt(parts)
+    return {"star": rational.Star, "plus": rational.Plus, "opt": rational.Opt}[kind](
+        _expr(draw, labels, levels - 1)
+    )
+
+
+def _condition(draw, ars: Ars, levels: int):
+    kind = draw(st.sampled_from(("word", "len", "at", "explicit") + (("and", "or", "not") if levels else ())))
+    if kind == "word":
+        return LabelWordIn(_expr(draw, ars.labels, 3))
+    if kind == "len":
+        return draw(st.sampled_from((LenAtLeast, LenAtMost, LenEq)))(draw(st.integers(0, 5)))
+    if kind == "at":
+        return AtObject(draw(st.sampled_from(ars.objects)))
+    if kind == "explicit":
+        short = enumerate_derivations(ars, 3) if ars.steps else []
+        return ExplicitTraceSet(
+            draw(st.frozensets(st.sampled_from(short), max_size=4)) if short else frozenset()
+        )
+    if kind == "not":
+        return Not(_condition(draw, ars, levels - 1))
+    parts = tuple(_condition(draw, ars, levels - 1) for _ in range(draw(st.integers(2, 3))))
+    return (And if kind == "and" else Or)(parts)
+
+
+def _walks(ars: Ars, max_len: int) -> int:
+    """Derivations of length 1..max_len, counted without building them."""
+    ending = {obj: 1 for obj in ars.objects}
+    total = 0
+    for _ in range(max_len):
+        ending = {obj: sum(ending[s.target] for s in ars.out_steps(obj)) for obj in ars.objects}
+        total += sum(ending.values())
+    return total
+
+
+@st.composite
+def witness_cases(draw):
+    ars = draw(systems(max_objects=6))
+    horizon = draw(st.integers(2, 6))
+    # the oracle materialises every derivation up to twice the horizon
+    while horizon > 2 and _walks(ars, 2 * horizon) > 20_000:
+        horizon -= 1
+    base = draw(st.sampled_from((Universal(), RestrictLabels(draw(st.frozensets(st.sampled_from(ars.labels)))))))
+    sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
+    return ars, LogicalStrategy(base, _condition(draw, ars, 2)), horizon, sources
+
+
+class TestWitnessSearch:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(witness_cases())
+    def test_product_search_agrees_with_materialised_search(self, case):
+        ars, ls, horizon, sources = case
+        assert nonclosed_witness(ls, ars, horizon, sources) == helpers.brute_nonclosed_witness(
+            ls, ars, horizon, sources
+        )
+        assert lassos_of_memoryless(ls.base, ars, sources, horizon) == [
+            l
+            for l in helpers.brute_lassos(ls.base, ars, sources)
+            if len(l.stem) + len(l.cycle) <= horizon
+        ]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(witness_cases())
+    def test_condition_state_folds_to_accepts(self, case):
+        ars, ls, _, _ = case
+        cond = ls.accept
+        for d in [ars.empty_derivation(obj) for obj in ars.objects] + enumerate_derivations(ars, 4):
+            state = cond.start(ars, d.source)
+            for step in d.steps:
+                state = cond.advance(state, step)
+            assert cond.final(state) == cond.accepts(d)

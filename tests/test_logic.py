@@ -179,6 +179,15 @@ class TestNonclosedWitness:
         for horizon in (2, 4, 6):
             assert nonclosed_witness(ls, aloop, horizon) == expected
 
+    def test_extension_depth_is_horizon_plus_lasso_length(self, ac):
+        # stem . cycle^1 needs horizon more steps to reach length horizon + 1
+        for horizon in (2, 3, 5):
+            at_depth = LogicalStrategy(Universal(), LenEq(horizon + 1))
+            beyond = LogicalStrategy(Universal(), LenEq(horizon + 2))
+            expected = Lasso(ac.empty_derivation("a"), ac.derivation("a", "phi1"))
+            assert nonclosed_witness(at_depth, ac, horizon) == expected
+            assert nonclosed_witness(beyond, ac, horizon) is None
+
     def test_sources_pin_the_search(self, aloop):
         ls = LogicalStrategy(
             Universal(), LabelWordIn(rational.parse("(phi1 phi2)* phi1"))
