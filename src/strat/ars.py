@@ -228,18 +228,25 @@ class Derivation:
             raise NotComposable(self.target, other.source)
         return Derivation(self.ars, self.source, self.labels + other.labels)
 
+    def _walked(
+        self, source: str, labels: tuple[str, ...], targets: tuple[str, ...]
+    ) -> "Derivation":
+        """A derivation of this system whose targets are known, so not walked again."""
+        d = object.__new__(Derivation)
+        # set as the constructor sets them, so that instances share one key table
+        object.__setattr__(d, "ars", self.ars)
+        object.__setattr__(d, "source", source)
+        object.__setattr__(d, "labels", labels)
+        d.__dict__["targets"] = targets
+        d.__post_init__()
+        return d
+
     def extended(self, label: str) -> "Derivation":
         """self plus one step; walks only that step, and sets parent to self."""
         step = self.ars.step(self.target, label)
         if step is None:
             raise UndefinedStep(self.target, label)
-        grown = object.__new__(Derivation)
-        # set as the constructor sets them, so that instances share one key table
-        object.__setattr__(grown, "ars", self.ars)
-        object.__setattr__(grown, "source", self.source)
-        object.__setattr__(grown, "labels", self.labels + (label,))
-        grown.__dict__["targets"] = self.targets + (step.target,)
-        grown.__post_init__()
+        grown = self._walked(self.source, self.labels + (label,), self.targets + (step.target,))
         grown.__dict__["parent"] = self
         return grown
 
@@ -259,9 +266,10 @@ class Derivation:
         """All non-empty contiguous subsequences, re-sourced, deduplicated."""
         seen = set()
         out = []
-        for i in range(len(self.labels)):
-            for j in range(i + 1, len(self.labels) + 1):
-                d = Derivation(self.ars, self.targets[i], self.labels[i:j])
+        targets, labels = self.targets, self.labels
+        for i in range(len(labels)):
+            for j in range(i + 1, len(labels) + 1):
+                d = self._walked(targets[i], labels[i:j], targets[i : j + 1])
                 if d not in seen:
                     seen.add(d)
                     out.append(d)
@@ -393,6 +401,21 @@ def reachable_objects(ars: Ars, sources: Iterable[str]) -> list[str]:
                 order.append(step.target)
                 queue.append(step.target)
     return order
+
+
+def reaching_objects(ars: Ars, targets: Iterable[str]) -> set[str]:
+    """Objects from which some target is reachable (the targets included): one backward search."""
+    into: dict[str, list[str]] = {}
+    for step in ars.steps:
+        into.setdefault(step.target, []).append(step.source)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for source in into.get(stack.pop(), ()):
+            if source not in seen:
+                seen.add(source)
+                stack.append(source)
+    return seen
 
 
 def shortest_paths(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:

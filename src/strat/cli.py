@@ -1,13 +1,15 @@
 """The strat command line: enumerate, apply, check, witness, scenario.
 
-Commands read a .ars document, materialise the named strategy bounded by a
-depth, and report results on standard output; diagnostics go to standard
-error. Exit codes let shells branch on verdicts: 0 for success or an
-affirmative verdict, 2 for usage errors and diagnostics, 3 for a negative
-verdict (a closure property that fails, a non-closedness witness found, a
-safety violation). With --machine each invocation emits exactly one JSON
-record {kind, verdict, witness, count} in that key order; output is
-byte-deterministic for identical invocations.
+Commands read a .ars document, evaluate the named strategy up to a depth,
+and report results on standard output; diagnostics go to standard error.
+A count or a prefix verdict is decided by logic.layered_check without
+building the set; listings, apply and the factor and composition checks
+materialise it. Exit codes let shells branch on verdicts: 0 for success or
+an affirmative verdict, 2 for usage errors and diagnostics, 3 for a
+negative verdict (a closure property that fails, a non-closedness witness
+found, a safety violation). With --machine each invocation emits exactly
+one JSON record {kind, verdict, witness, count} in that key order; output
+is byte-deterministic for identical invocations.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from typing import Sequence
 from . import speclang
 from .ars import Ars, enumerate_derivations, reaches_cycle
 from .errors import NoWitnessUpToHorizon, StratError
-from .extensional import (
-    ApplicationStatus,
-    is_closed,
-    is_composition_closed,
-    is_factor_closed,
-    is_prefix_closed,
+from .extensional import ApplicationStatus, is_composition_closed, is_factor_closed
+from .intensional import Universal, induced_steps
+from .logic import (
+    ACCEPT_ALL,
+    LogicalStrategy,
+    accepted,
+    as_logical,
+    layered_check,
+    nonclosed_witness,
 )
-from .intensional import Universal, finite_support, induced_steps
-from .logic import accepted, as_logical, nonclosed_witness
 from .traffic import (
     build_traffic_ars,
     fairness_nonclosed_witness,
@@ -38,12 +41,9 @@ from .traffic import (
     safety_violation,
 )
 
-_CHECKS = {
-    "prefix": is_prefix_closed,
-    "factor": is_factor_closed,
-    "composition": is_composition_closed,
-    "closed": is_closed,
-}
+# factor and composition closure are checked on the materialised set; prefix
+# closure, and closedness, which is the same on lasso-free sets, by layered_check
+_CHECKS = {"factor": is_factor_closed, "composition": is_composition_closed}
 
 
 def _at_least(minimum: int, what: str):
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check a closure property of the materialised set")
     p_check.add_argument("-f", "--file", required=True)
     p_check.add_argument("-s", "--strategy", required=True)
-    p_check.add_argument("--prop", required=True, choices=sorted(_CHECKS))
+    p_check.add_argument("--prop", required=True, choices=sorted([*_CHECKS, "prefix", "closed"]))
     p_check.add_argument("--depth", required=True, type=_at_least(1, "depth"))
     machine_flag(p_check)
 
@@ -136,18 +136,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     if args.source is not None:
         ars.object_index(args.source)
-    if args.strategy is not None:
+    sources = None if args.source is None else (args.source,)
+    if args.strategy is None:
+        ls = LogicalStrategy(Universal(), ACCEPT_ALL)
+    else:
         ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
-        sources = None if args.source is None else (args.source,)
-        members = accepted(ls, ars, args.depth, sources).members()
-    else:
-        members = tuple(enumerate_derivations(ars, args.depth, args.source))
     if _machine(args):
-        _record("enumerate", "ok", None, len(members))
+        _record("enumerate", "ok", None, layered_check(ls, ars, args.depth, sources)[0])
+        return 0
+    if args.strategy is None:
+        members = enumerate_derivations(ars, args.depth, args.source)
     else:
-        for d in members:
-            print(d.render())
-        print(f"COUNT={len(members)}")
+        members = accepted(ls, ars, args.depth, sources).members()
+    for d in members:
+        print(d.render())
+    print(f"COUNT={len(members)}")
     return 0
 
 
@@ -179,16 +182,19 @@ def _cmd_apply(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
-    z = accepted(ls, ars, args.depth)
-    verdict = _CHECKS[args.prop](z)
-    witness = None if verdict.holds else verdict.missing.render()
-    if _machine(args):
-        _record("check", "true" if verdict.holds else "false", witness, z.size())
+    if args.prop in _CHECKS:
+        z = accepted(ls, ars, args.depth)
+        count, missing = z.size(), _CHECKS[args.prop](z).missing
     else:
-        print(f"PROPERTY={'true' if verdict.holds else 'false'}")
+        count, missing = layered_check(ls, ars, args.depth)
+    witness = None if missing is None else missing.render()
+    if _machine(args):
+        _record("check", "true" if missing is None else "false", witness, count)
+    else:
+        print(f"PROPERTY={'true' if missing is None else 'false'}")
         if witness is not None:
             print(f"WITNESS={witness}")
-    return 0 if verdict.holds else 3
+    return 0 if missing is None else 3
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -211,7 +217,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     ars = build_traffic_ars(args.queue_bound)
     strategy = never_both_green(ars) if args.strategy == "safe" else Universal()
-    support = finite_support(strategy, ars, args.depth, good_starts(ars))
+    ls = LogicalStrategy(strategy, ACCEPT_ALL)
+    support = layered_check(ls, ars, args.depth, good_starts(ars))[0]
     verdict, witness, code = "ok", None, 0
     if args.check == "safety":
         violation = safety_violation(ars, strategy)
@@ -224,11 +231,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         except NoWitnessUpToHorizon:
             verdict = "none"
     if _machine(args):
-        _record("scenario", verdict, witness, support.size())
+        _record("scenario", verdict, witness, support)
         return code
     print(f"OBJECTS={len(ars.objects)}")
     print(f"STEPS={len(ars.steps)}")
-    print(f"SUPPORT={support.size()}")
+    print(f"SUPPORT={support}")
     if args.check == "safety":
         print(f"SAFETY={'ok' if code == 0 else 'violation'}")
         if witness is not None:

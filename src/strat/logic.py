@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable
 
 from . import rational
@@ -307,6 +307,68 @@ def accepted(
     support = finite_support(ls.base, ars, depth, sources)
     kept = frozenset(d for d in support.finite_part if ls.accept.accepts(d))
     return AbstractStrategy(ars, kept)
+
+
+def layered_check(
+    ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
+) -> tuple[int, Derivation | None]:
+    """The size of accepted(ls, ars, depth, sources) and the missing prefix that
+    is_prefix_closed reports for it (None when it is prefix-closed), found
+    without building the set.
+
+    A forward search over layers 1..depth of nodes (memory, condition state,
+    gap). The memory is the object for a memoryless base and the derivation
+    otherwise; gap says whether some non-empty strict prefix was not accepted.
+    Each node keeps its number of paths and its first arrival. Layers are
+    expanded in first-arrival order with out-steps in label order, so a node's
+    first arrival is its least path in Derivation.sort_key order, and the first
+    accepted node with a gap in the first layer that has one is the first
+    member with a missing prefix.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
+    base, cond = ls.base, ls.accept
+
+    def evaluate(d: Derivation) -> tuple[Step, ...]:
+        return ars.sorted_steps(base.eval(d).steps)
+
+    if base.memoryless:  # each object reached is evaluated once, the others never
+        begin, move = (lambda obj: obj), (lambda obj, step: step.target)
+        steps = cache(lambda obj: evaluate(ars.empty_derivation(obj)))
+    else:
+        begin, steps, move = ars.empty_derivation, evaluate, (lambda d, step: d.extended(step.label))
+
+    # node -> [paths, first arrival (parent node, label) or the source, accepted]
+    layers = [{(begin(obj), cond.start(ars, obj), False): [1, obj, False] for obj in starts}]
+    count, found = 0, None
+    while layers[-1] and len(layers) <= depth:
+        grown: dict[tuple, list] = {}
+        for node, (paths, _, final) in layers[-1].items():
+            memory, state, gap = node
+            gap = found is None and (gap or (len(layers) > 1 and not final))
+            for step in steps(memory):
+                nxt = (move(memory, step), cond.advance(state, step), gap)
+                if nxt in grown:
+                    grown[nxt][0] += paths
+                else:
+                    grown[nxt] = [paths, (node, step.label), False]
+        for (_, state, gap), entry in grown.items():
+            entry[2] = cond.final(state)
+            if entry[2]:
+                count += entry[0]
+                if gap and found is None:
+                    found = (len(layers), entry)
+        layers.append(grown)
+    if found is None:
+        return count, None
+    k, entry = found
+    path = [entry]  # the entries along the member's first arrival, layer k down to 0
+    for layer in reversed(layers[:k]):
+        path.append(layer[path[-1][1][0]])
+    path.reverse()
+    shortest = next(j for j in range(1, k) if not path[j][2])
+    return count, ars.derivation(path[0][1], *(e[1][1] for e in path[1 : shortest + 1]))
 
 
 def nonclosed_witness(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rational, speclang
-from .ars import Ars, Derivation, Lasso, shortest_path_to
+from .ars import Ars, Derivation, Lasso, reaching_objects, shortest_path_to
 from .errors import NoWitnessUpToHorizon
 from .intensional import FromTable, Strategy, TableEntry, Universal, induced_steps
 from .logic import AcceptCondition, And, LabelWordIn, LogicalStrategy, nonclosed_witness
@@ -141,16 +141,19 @@ def fairness_nonclosed_witness(ars: Ars, horizon: int) -> Lasso:
 def safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
     """Shortest reach of a both-green state from a good start, if any.
 
-    Searches the sub-system the (memoryless) strategy induces; None means no
+    Searches the sub-system the (memoryless) strategy induces: one backward
+    search from the both-green states finds the good starts that reach one,
+    and the path is searched from the first of them only. None means no
     both-green state is reachable from any good start under the strategy.
     """
     sub = ars.restrict(induced_steps(strategy, ars))
     bad = {s for s in ars.objects if TrafficState.from_symbol(s).both_green}
-    for start in good_starts(ars):
-        path = shortest_path_to(sub, start, bad)
-        if path is not None and not path.is_empty:
-            return Derivation(ars, path.source, path.labels)
-    return None
+    reaching = reaching_objects(sub, bad)
+    start = next((s for s in good_starts(ars) if s in reaching), None)
+    if start is None:
+        return None
+    path = shortest_path_to(sub, start, bad)
+    return Derivation(ars, path.source, path.labels)
 
 
 def traffic_document(queue_bound: int) -> str:

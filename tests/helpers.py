@@ -46,6 +46,7 @@ from strat import (
     strategy_from_predicate,
 )
 from strat import rational
+from strat.traffic import TrafficState, good_starts
 
 # -- corpus systems ---------------------------------------------------------------
 
@@ -138,6 +139,17 @@ def stepwise_support(
         ):
             kept.append(d)
     return frozenset(kept)
+
+
+def walks(ars: Ars, max_len: int, sources: Iterable[str] | None = None) -> int:
+    """Derivations of length 1..max_len (from the sources, or from any object),
+    counted without building them."""
+    starting = {obj: 1 for obj in ars.objects}  # walks of the current length from each object
+    total = 0
+    for _ in range(max_len):
+        starting = {obj: sum(starting[s.target] for s in ars.out_steps(obj)) for obj in ars.objects}
+        total += sum(starting[obj] for obj in (ars.objects if sources is None else sources))
+    return total
 
 
 @contextmanager
@@ -302,6 +314,21 @@ def brute_nonclosed_witness(
             for pumped in (lasso.unroll(i) for i in range(1, max(1, horizon // len(lasso.cycle)) + 1))
         ):
             return lasso
+    return None
+
+
+# -- oracle: the safety search as one BFS per good start ------------------------------
+
+
+def loop_safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
+    """Shortest reach of a both-green state from the first good start that has
+    one, found by a breadth-first search from every good start in turn."""
+    sub = ars.restrict(induced_steps(strategy, ars))
+    bad = {s for s in ars.objects if TrafficState.from_symbol(s).both_green}
+    for start in good_starts(ars):
+        path = shortest_path_to(sub, start, bad)
+        if path is not None and not path.is_empty:
+            return Derivation(ars, path.source, path.labels)
     return None
 
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strat import speclang
+import helpers
+from strat import induced_steps, speclang
 from strat.cli import main
-from strat.traffic import traffic_document
+from strat.traffic import build_traffic_ars, good_starts, never_both_green, traffic_document
 
 
 @pytest.fixture()
@@ -225,6 +226,46 @@ class TestScenario:
         )
         assert code == 0
         assert out == '{"kind": "scenario", "verdict": "ok", "witness": null, "count": 114}\n'
+
+
+def _controlled_walks(bound: int, depth: int) -> int:
+    """Walks of the controller's sub-system from the good starts, counted by a DP."""
+    ars = build_traffic_ars(bound)
+    sub = ars.restrict(induced_steps(never_both_green(ars), ars))
+    return helpers.walks(sub, depth, good_starts(ars))
+
+
+class TestCountsOnTheProduct:
+    """Records whose counts run to hundreds of thousands of derivations."""
+
+    def test_fairness_scenario_at_queue_bound_two_depth_eight(self, run):
+        code, out, err = run(
+            "--machine", "scenario", "traffic", "--queue-bound", "2", "--depth", "8",
+            "--check", "fairness",
+        )
+        assert (code, err) == (3, "")
+        assert out == (
+            '{"kind": "scenario", "verdict": "found", "witness": '
+            '"s_1_0_1_1 ( -cross2-> s_1_0_0_1 -car2-> s_1_0_1_1 )^w", "count": 275616}\n'
+        )
+        assert _controlled_walks(2, 8) == 275616
+
+    def test_safety_scenario_at_queue_bound_three_depth_eight(self, run):
+        code, out, err = run(
+            "--machine", "scenario", "traffic", "--queue-bound", "3", "--depth", "8",
+            "--check", "safety",
+        )
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "scenario", "verdict": "ok", "witness": null, "count": 994466}\n'
+        assert _controlled_walks(3, 8) == 994466
+
+    def test_enumerate_every_derivation_at_depth_eight(self, run, tmp_path):
+        doc = tmp_path / "t1.ars"
+        doc.write_text(traffic_document(1))
+        code, out, err = run("--machine", "enumerate", "-f", str(doc), "-s", "all", "--depth", "8")
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "enumerate", "verdict": "ok", "witness": null, "count": 471250}\n'
+        assert helpers.walks(build_traffic_ars(1), 8) == 471250
 
 
 class TestErrors:

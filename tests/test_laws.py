@@ -20,6 +20,12 @@ over word, len, at, and, or, not and explicit derivation sets, then checks:
   short ones of the unbounded search;
 - folding a condition's start, advance and final over a derivation agrees
   with accepts.
+
+A third family draws a system (6 objects or fewer), a strategy tree of every
+kind, a condition tree and optional sources, then checks at every depth from 1
+to 5, for the condition and for its complement, that the layered search counts
+the accepted set and finds its first missing prefix as materialising the set
+and checking prefix closure do.
 """
 
 from __future__ import annotations
@@ -56,10 +62,12 @@ from strat import (
     UnionCommitted,
     UnionPointwise,
     Universal,
+    accepted,
     enumerate_derivations,
     finite_support,
     is_prefix_closed,
     lassos_of_memoryless,
+    layered_check,
     memoried_from,
     nonclosed_witness,
     rational,
@@ -189,22 +197,12 @@ def _condition(draw, ars: Ars, levels: int):
     return (And if kind == "and" else Or)(parts)
 
 
-def _walks(ars: Ars, max_len: int) -> int:
-    """Derivations of length 1..max_len, counted without building them."""
-    ending = {obj: 1 for obj in ars.objects}
-    total = 0
-    for _ in range(max_len):
-        ending = {obj: sum(ending[s.target] for s in ars.out_steps(obj)) for obj in ars.objects}
-        total += sum(ending.values())
-    return total
-
-
 @st.composite
 def witness_cases(draw):
     ars = draw(systems(max_objects=6))
     horizon = draw(st.integers(2, 6))
     # the oracle materialises every derivation up to twice the horizon
-    while horizon > 2 and _walks(ars, 2 * horizon) > 20_000:
+    while horizon > 2 and helpers.walks(ars, 2 * horizon) > 20_000:
         horizon -= 1
     base = draw(st.sampled_from((Universal(), RestrictLabels(draw(st.frozensets(st.sampled_from(ars.labels)))))))
     sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
@@ -235,3 +233,27 @@ class TestWitnessSearch:
             for step in d.steps:
                 state = cond.advance(state, step)
             assert cond.final(state) == cond.accepts(d)
+
+
+@st.composite
+def layered_cases(draw):
+    ars = draw(systems(max_objects=6))
+    ls = LogicalStrategy(_tree(draw, ars, draw(st.integers(0, 2))), _condition(draw, ars, 2))
+    sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
+    return ars, ls, sources
+
+
+class TestLayeredCheck:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layered_cases())
+    def test_agrees_with_the_materialised_set(self, case):
+        # the condition and its complement at every depth: most conditions
+        # drawn accept prefix-closed sets, their complements often do not
+        ars, ls, sources = case
+        for logical in (ls, LogicalStrategy(ls.base, Not(ls.accept))):
+            for depth in range(1, 6):
+                z = accepted(logical, ars, depth, sources)
+                assert layered_check(logical, ars, depth, sources) == (
+                    z.size(),
+                    is_prefix_closed(z).missing,
+                )

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import helpers
 from strat import (
     ACCEPT_ALL,
+    FromTable,
     Lasso,
     LogicalStrategy,
     NoWitnessUpToHorizon,
+    TableEntry,
     Universal,
     nonclosed_witness,
 )
@@ -109,6 +114,26 @@ class TestSafetyController:
         violation = safety_violation(ars, Universal())
         assert violation == ars.derivation("s_0_0_0_0", "signal1", "signal2")
         assert TrafficState.from_symbol(violation.target).both_green
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_backward_search_agrees_with_one_search_per_start(self, bound):
+        ars = build_traffic_ars(bound)
+        rng = random.Random(bound)
+        tables = [
+            FromTable(
+                tuple(
+                    TableEntry(obj, frozenset(s for s in ars.out_steps(obj) if rng.random() < keep))
+                    for obj in ars.objects
+                )
+            )
+            for keep in (0.2, 0.4, 0.6, 0.8) * 5
+        ]
+        found = 0
+        for strategy in [never_both_green(ars), Universal(), *tables]:
+            violation = safety_violation(ars, strategy)
+            assert violation == helpers.loop_safety_violation(ars, strategy)
+            found += violation is not None
+        assert 0 < found < len(tables) + 2
 
     def test_controller_closed_under_all_accepting(self):
         ars = build_traffic_ars(1)
