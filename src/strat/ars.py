@@ -287,8 +287,8 @@ class Derivation:
 
     def render(self) -> str:
         parts = [self.source]
-        for step in self.steps:
-            parts.append(f"-{step.label}-> {step.target}")
+        for label, target in zip(self.labels, self.targets[1:]):
+            parts.append(f"-{label}-> {target}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -41,8 +41,9 @@ from .traffic import (
     safety_violation,
 )
 
-# factor and composition closure are checked on the materialised set; prefix
-# closure, and closedness, which is the same on lasso-free sets, by layered_check
+# factor and composition closure are checked on the materialised set, by key
+# lookups that build none of its factors or compositions; prefix closure, and
+# closedness, which is the same on lasso-free sets, by layered_check
 _CHECKS = {"factor": is_factor_closed, "composition": is_composition_closed}
 
 

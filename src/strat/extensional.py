@@ -12,6 +12,15 @@ any infinite limit point of the represented set must share arbitrarily long
 prefixes with one of the finitely many lassos and is therefore equal to one of
 them, so it is already a member; nothing needs checking beyond the lassos the
 set carries.
+
+Factor closure needs no factor built while it holds. The non-empty factors of
+a derivation d of length two or more are d itself and the factors of d[:-1]
+and of d[1:], so all of d's strict factors are members iff d[:-1] and d[1:]
+are members whose own strict factors are all members. One pass over the
+members by increasing length decides this for each of them. The first member
+in sort order with a missing factor is the least member for which it fails,
+so building only that member's factors names the same first missing factor as
+scanning every member's factors in order.
 """
 
 from __future__ import annotations
@@ -139,26 +148,40 @@ def is_prefix_closed(z: AbstractStrategy) -> ClosureVerdict:
 
 
 def is_factor_closed(z: AbstractStrategy) -> ClosureVerdict:
-    """Every factor of a finite member is a member."""
-    have = z.finite_part
-    for d in z.members():
-        for f in d.factors():
-            if f != d and f not in have:
-                return ClosureVerdict(False, (d,), f)
-    return _HOLDS
+    """Every factor of a finite member is a member.
+
+    ok[key] says whether all of a member's strict factors are members, by the
+    recurrence of the module docstring; only the least member that is not ok
+    has its factors built, to name the first one missing.
+    """
+    ok: dict[tuple[str, tuple[str, ...]], bool] = {}
+    for d in sorted(z.finite_part, key=len):
+        labels = d.labels
+        ok[d.source, labels] = len(labels) == 1 or (
+            ok.get((d.source, labels[:-1]), False) and ok.get((d.targets[1], labels[1:]), False)
+        )
+    bad = [d for d in z.finite_part if not ok[d.source, d.labels]]
+    if not bad:
+        return _HOLDS
+    d = min(bad, key=Derivation.sort_key)
+    return ClosureVerdict(False, (d,), next(f for f in d.factors() if f not in z.finite_part))
 
 
 def is_composition_closed(z: AbstractStrategy) -> ClosureVerdict:
-    """Every composition of two composable finite members is a member."""
-    have = z.finite_part
+    """Every composition of two composable finite members is a member.
+
+    Compositions are looked up by (source, labels); only the first missing
+    one, in members() order of both parts, is built.
+    """
+    have = {(d.source, d.labels) for d in z.finite_part}
     members = z.members()
+    starting: dict[str, list[Derivation]] = {}
+    for d in members:
+        starting.setdefault(d.source, []).append(d)
     for d1 in members:
-        for d2 in members:
-            if d1.target != d2.source:
-                continue
-            both = d1.compose(d2)
-            if both not in have:
-                return ClosureVerdict(False, (d1, d2), both)
+        for d2 in starting.get(d1.target, ()):
+            if (d1.source, d1.labels + d2.labels) not in have:
+                return ClosureVerdict(False, (d1, d2), d1.compose(d2))
     return _HOLDS
 
 

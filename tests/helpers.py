@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the implementations they
 check: support by filtering a raw enumeration step by step, regex matching by
 word derivatives, closedness by a limit-point scan over an ambient
-enumeration, and the witness search by materialising every accepted
+enumeration, factor and composition closure by building every factor and
+every composition, and the witness search by materialising every accepted
 derivation.
 """
 
@@ -18,6 +19,7 @@ from strat import (
     AcceptFiltered,
     Alternate,
     Ars,
+    ClosureVerdict,
     ColorAlternate,
     Derivation,
     Fail,
@@ -273,6 +275,33 @@ def brute_is_closed(z: AbstractStrategy, ambient_depth: int) -> bool:
         if all(any(p.is_prefix_of(m) for m in members) for p in d.prefixes()):
             return False
     return True
+
+
+# -- oracle: factor and composition closure by building them all ------------------
+
+
+def brute_factor_closed(z: AbstractStrategy) -> ClosureVerdict:
+    """The first member, in order, with a factor that is not a member, and its
+    first such factor."""
+    for d in z.members():
+        for f in d.factors():
+            if f != d and f not in z.finite_part:
+                return ClosureVerdict(False, (d,), f)
+    return ClosureVerdict(True)
+
+
+def brute_composition_closed(z: AbstractStrategy) -> ClosureVerdict:
+    """The first pair of composable members, in order, whose composition is
+    not a member, and that composition."""
+    members = z.members()
+    for d1 in members:
+        for d2 in members:
+            if d1.target != d2.source:
+                continue
+            both = d1.compose(d2)
+            if both not in z.finite_part:
+                return ClosureVerdict(False, (d1, d2), both)
+    return ClosureVerdict(True)
 
 
 # -- oracle: the witness search over materialised accepted sets ----------------------

@@ -137,6 +137,42 @@ class TestCheck:
         assert out == '{"kind": "check", "verdict": "false", "witness": "a -phi1-> b", "count": 2}\n'
 
 
+class TestFactorAndCompositionRecords:
+    """Records of the factor and composition checks, as the checks that built
+    every factor and every composition printed them."""
+
+    def test_factor_fails_on_fair_traffic_runs(self, run, tmp_path):
+        doc = tmp_path / "t1.ars"
+        doc.write_text(traffic_document(1))
+        argv = ("check", "-f", str(doc), "-s", "fair_runs", "--prop", "factor", "--depth", "3")
+        code, out, err = run("--machine", *argv)
+        assert (code, err) == (3, "")
+        assert out == (
+            '{"kind": "check", "verdict": "false", "witness": "s_0_0_0_1 -car2-> s_0_0_1_1", '
+            '"count": 444}\n'
+        )
+        assert run(*argv) == (3, "PROPERTY=false\nWITNESS=s_0_0_0_1 -car2-> s_0_0_1_1\n", "")
+
+    def test_factor_holds_on_a_sample(self, run, samples_dir):
+        code, out, err = run(
+            "--machine", "check", "-f", sample(samples_dir, "a_c.ars"), "-s", "all",
+            "--prop", "factor", "--depth", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out == '{"kind": "check", "verdict": "true", "witness": null, "count": 14}\n'
+
+    def test_composition_fails_on_a_sample(self, run, samples_dir):
+        code, out, err = run(
+            "--machine", "check", "-f", sample(samples_dir, "a_lc.ars"), "-s", "all",
+            "--prop", "composition", "--depth", "3",
+        )
+        assert (code, err) == (3, "")
+        assert out == (
+            '{"kind": "check", "verdict": "false", '
+            '"witness": "a -phi1-> b -phi3-> a -phi1-> b -phi3-> a", "count": 12}\n'
+        )
+
+
 class TestWitness:
     def test_found(self, run, samples_dir):
         code, out, _ = run(

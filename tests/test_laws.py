@@ -26,6 +26,19 @@ kind, a condition tree and optional sources, then checks at every depth from 1
 to 5, for the condition and for its complement, that the layered search counts
 the accepted set and finds its first missing prefix as materialising the set
 and checking prefix closure do.
+
+A fourth family draws a system (6 objects or fewer, 3 labels or fewer, with
+cycles or acyclic) and a set of derivations of length 4 or less: a random
+subset of all of them, or the support of `universal` or `restrict` with up
+to two members removed. The factor and composition checks return the verdict,
+culprits and missing derivation that building every factor and every
+composition gives.
+
+A fifth family draws an acyclic system (every step goes from o_i to o_j with
+i < j) and a memoryless leaf (`universal`, `restrict`, `greatmost` or a
+wildcard table). At a depth no smaller than the number of objects its support
+is factor- and composition-closed, and memoryless_from rebuilds a strategy
+whose support is that set.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from hypothesis import strategies as st
 
 import helpers
 from strat import (
+    AbstractStrategy,
     AcceptFiltered,
     Alternate,
     AlternatePredicate,
@@ -65,10 +79,13 @@ from strat import (
     accepted,
     enumerate_derivations,
     finite_support,
+    is_composition_closed,
+    is_factor_closed,
     is_prefix_closed,
     lassos_of_memoryless,
     layered_check,
     memoried_from,
+    memoryless_from,
     nonclosed_witness,
     rational,
 )
@@ -257,3 +274,72 @@ class TestLayeredCheck:
                     z.size(),
                     is_prefix_closed(z).missing,
                 )
+
+
+@st.composite
+def acyclic_systems(draw, max_objects: int = 6) -> Ars:
+    objects = tuple(f"o{i}" for i in range(draw(st.integers(1, max_objects))))
+    labels = tuple(f"l{i}" for i in range(draw(st.integers(1, 3))))
+    steps = [
+        (objects[i], label, draw(st.sampled_from(objects[i + 1 :])))
+        for i in range(len(objects) - 1)
+        for label in labels
+        if draw(st.booleans())
+    ]
+    return Ars(objects, labels, steps)
+
+
+@st.composite
+def closure_cases(draw) -> AbstractStrategy:
+    # at least three steps, two steps deep and three members drawn: smaller
+    # draws are mostly single steps, whose factors and compositions are trivial
+    ars = draw((systems(max_objects=6) | acyclic_systems()).filter(lambda a: len(a.steps) >= 3))
+    depth = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        pool = enumerate_derivations(ars, depth)
+        return AbstractStrategy(ars, draw(st.frozensets(st.sampled_from(pool), min_size=3, max_size=10)))
+    labels = draw(st.frozensets(st.sampled_from(ars.labels), min_size=1))
+    kept = list(finite_support(draw(st.sampled_from((Universal(), RestrictLabels(labels)))), ars, depth).members())
+    for _ in range(draw(st.integers(0, 2))):
+        if kept:
+            kept.pop(draw(st.integers(0, len(kept) - 1)))
+    return AbstractStrategy(ars, frozenset(kept))
+
+
+class TestClosureChecks:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(closure_cases())
+    def test_agree_with_building_every_factor_and_composition(self, z):
+        assert is_factor_closed(z) == helpers.brute_factor_closed(z)
+        assert is_composition_closed(z) == helpers.brute_composition_closed(z)
+
+
+@st.composite
+def memoryless_cases(draw):
+    ars = draw(acyclic_systems().filter(lambda a: len(a.steps) >= 3))
+    kind = draw(st.sampled_from(("universal", "restrict", "greatmost", "table")))
+    if kind == "universal":
+        leaf = Universal()
+    elif kind == "restrict":
+        leaf = RestrictLabels(draw(st.frozensets(st.sampled_from(ars.labels), min_size=1)))
+    elif kind == "greatmost":
+        leaf = Greatmost(helpers.chain_order(draw(st.permutations(ars.labels))))
+    else:
+        leaf = FromTable(
+            tuple(
+                TableEntry(obj, draw(st.frozensets(st.sampled_from(ars.out_steps(obj)), min_size=1)))
+                for obj in ars.objects
+                if ars.out_steps(obj) and draw(st.booleans())
+            )
+        )
+    return ars, leaf, draw(st.integers(len(ars.objects), len(ars.objects) + 2))
+
+
+class TestMemorylessRoundTrip:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(memoryless_cases())
+    def test_closed_supports_rebuild_exactly(self, case):
+        ars, leaf, depth = case
+        z = finite_support(leaf, ars, depth)
+        assert is_factor_closed(z) and is_composition_closed(z)
+        assert finite_support(memoryless_from(z), ars, depth).finite_part == z.finite_part
