@@ -10,7 +10,9 @@ stem plus a repeated cycle.
 All values here are immutable after construction and safe to share. Symbols
 are interned with stable integer indices (declaration order) and every set
 produced by the module is emitted sorted by (source index, label indices) so
-identical inputs give byte-identical renderings.
+identical inputs give byte-identical renderings. Derivations are grown from
+a strategy, the universal one included, by intensional.generate; this module
+keeps the graph searches.
 """
 
 from __future__ import annotations
@@ -355,32 +357,7 @@ class Lasso:
         return f"<{self.render()}>"
 
 
-# -- enumeration and graph searches ------------------------------------------
-
-
-def enumerate_derivations(ars: Ars, max_len: int, source: str | None = None) -> list[Derivation]:
-    """All non-empty derivations of length <= max_len, optionally from source.
-
-    Deterministic order: by length, then source index, then label indices.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if source is not None:
-        ars.object_index(source)
-    starts = [source] if source is not None else list(ars.objects)
-    out: list[Derivation] = []
-    frontier = [ars.empty_derivation(s) for s in starts]
-    for _ in range(max_len):
-        grown: list[Derivation] = []
-        for d in frontier:
-            for step in ars.out_steps(d.target):
-                grown.append(d.extended(step.label))
-        out.extend(grown)
-        frontier = grown
-        if not frontier:
-            break
-    out.sort(key=Derivation.sort_key)
-    return out
+# -- graph searches -----------------------------------------------------------
 
 
 def reachable_objects(ars: Ars, sources: Iterable[str]) -> list[str]:

@@ -3,13 +3,15 @@
 Commands read a .ars document, evaluate the named strategy up to a depth,
 and report results on standard output; diagnostics go to standard error.
 A count or a prefix verdict is decided by logic.layered_check without
-building the set; listings, apply and the factor and composition checks
-materialise it. Exit codes let shells branch on verdicts: 0 for success or
-an affirmative verdict, 2 for usage errors and diagnostics, 3 for a
-negative verdict (a closure property that fails, a non-closedness witness
-found, a safety violation). With --machine each invocation emits exactly
-one JSON record {kind, verdict, witness, count} in that key order; output
-is byte-deterministic for identical invocations.
+building the set; listings and apply read the accepted members one at a
+time, in order, as intensional.generate yields them; only the factor and
+composition checks materialise the set (logic.accepted). Exit codes let
+shells branch on verdicts: 0 for success or an affirmative verdict, 2 for
+usage errors and diagnostics, 3 for a negative verdict (a closure property
+that fails, a non-closedness witness found, a safety violation). With
+--machine each invocation emits exactly one JSON record {kind, verdict,
+witness, count} in that key order; output is byte-deterministic for
+identical invocations.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import speclang
-from .ars import Ars, enumerate_derivations, reaches_cycle
+from .ars import Ars, reaches_cycle
 from .errors import NoWitnessUpToHorizon, StratError
-from .extensional import ApplicationStatus, is_composition_closed, is_factor_closed
-from .intensional import Universal, induced_steps
+from .extensional import is_composition_closed, is_factor_closed
+from .intensional import Universal, generate, induced_steps
 from .logic import (
     ACCEPT_ALL,
     LogicalStrategy,
@@ -145,13 +147,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if _machine(args):
         _record("enumerate", "ok", None, layered_check(ls, ars, args.depth, sources)[0])
         return 0
-    if args.strategy is None:
-        members = enumerate_derivations(ars, args.depth, args.source)
-    else:
-        members = accepted(ls, ars, args.depth, sources).members()
-    for d in members:
-        print(d.render())
-    print(f"COUNT={len(members)}")
+    count = 0
+    for d in generate(ls.base, ars, args.depth, sources):
+        if ls.accept.accepts(d):
+            print(d.render())
+            count += 1
+    print(f"COUNT={count}")
     return 0
 
 
@@ -159,11 +160,12 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     ars.object_index(args.source)
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
-    result = accepted(ls, ars, args.depth, (args.source,)).apply(args.source)
-    if result.status is ApplicationStatus.APPLIES:
-        rendered = "{" + ", ".join(result.targets) + "}"
+    members = generate(ls.base, ars, args.depth, (args.source,))
+    reached = {d.target for d in members if ls.accept.accepts(d)}
+    if reached:
+        rendered = "{" + ", ".join(sorted(reached, key=ars.object_index)) + "}"
         if _machine(args):
-            _record("apply", "applies", rendered, len(result.targets))
+            _record("apply", "applies", rendered, len(reached))
         else:
             print(rendered)
     else:

@@ -170,17 +170,24 @@ def is_factor_closed(z: AbstractStrategy) -> ClosureVerdict:
 def is_composition_closed(z: AbstractStrategy) -> ClosureVerdict:
     """Every composition of two composable finite members is a member.
 
-    Compositions are looked up by (source, labels); only the first missing
-    one, in members() order of both parts, is built.
+    Compositions are looked up by labels among the members from their source.
+    Length classes are taken shortest first and sorted only when reached, so
+    the first d1 with a missing composition, and its least missing partner
+    d2, are those that scanning members() in order for both parts finds.
     """
-    have = {(d.source, d.labels) for d in z.finite_part}
-    members = z.members()
     starting: dict[str, list[Derivation]] = {}
-    for d in members:
+    words: dict[str, set[tuple[str, ...]]] = {}
+    by_length: dict[int, list[Derivation]] = {}
+    for d in z.finite_part:
         starting.setdefault(d.source, []).append(d)
-    for d1 in members:
-        for d2 in starting.get(d1.target, ()):
-            if (d1.source, d1.labels + d2.labels) not in have:
+        words.setdefault(d.source, set()).add(d.labels)
+        by_length.setdefault(len(d), []).append(d)
+    for length in sorted(by_length):
+        for d1 in sorted(by_length[length], key=Derivation.sort_key):
+            have, labels = words[d1.source], d1.labels
+            unmet = [d2 for d2 in starting.get(d1.target, ()) if labels + d2.labels not in have]
+            if unmet:
+                d2 = min(unmet, key=Derivation.sort_key)
                 return ClosureVerdict(False, (d1, d2), d1.compose(d2))
     return _HOLDS
 

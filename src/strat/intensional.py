@@ -5,9 +5,10 @@ relation that is exactly a Derivation, whose target is the current object. A
 Strategy maps the derivation so far to the set of steps it permits next,
 together with a definedness flag: Fail is undefined everywhere, which is not
 the same as being defined with no permitted steps. Strategies that read only
-the target are memoryless; finite_support materialises the derivations a
-strategy generates up to a depth, and lassos_of_memoryless witnesses the
-infinite ones.
+the target are memoryless. generate yields the derivations a strategy
+generates up to a depth, in Derivation.sort_key order; finite_support (the
+set) and enumerate_derivations (every derivation, the universal strategy's)
+read it. lassos_of_memoryless witnesses the infinite derivations.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -20,7 +21,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .ars import Ars, Derivation, Lasso, Step, shortest_paths, simple_cycles
 from .errors import (
@@ -435,33 +436,35 @@ def union_committed(left: Strategy, right: Strategy) -> UnionCommitted:
 # -- generation ----------------------------------------------------------------
 
 
-def finite_support(
+def generate(
     xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
-) -> AbstractStrategy:
-    """All derivations of length <= depth generated by xi.
+) -> Iterator[Derivation]:
+    """The derivations of length <= depth that xi generates, in Derivation.sort_key order.
 
-    A derivation is generated when each of its steps is permitted by xi
-    after the prefix before it. The result is prefix-closed by construction
-    and carries no lassos.
+    A derivation is generated when xi permits each of its steps after the
+    prefix before it. Each layer extends the one before, in order, by the
+    steps xi permits, sorted and deduplicated; from sources in object-index
+    order every layer comes out sorted, so nothing else is sorted.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if sources is None:
-        starts = list(ars.objects)
-    else:
-        starts = sorted(set(sources), key=ars.object_index)
-    members: list[Derivation] = []
-    frontier = [ars.empty_derivation(obj) for obj in starts]
+    starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
+    layer = [ars.empty_derivation(obj) for obj in starts]
     for _ in range(depth):
-        grown: list[Derivation] = []
-        for d in frontier:
-            for step in xi.eval(d).steps:
-                grown.append(d.extended(step.label))
-        members.extend(grown)
-        frontier = grown
-        if not frontier:
-            break
-    return AbstractStrategy(ars, frozenset(members))
+        layer = [d.extended(s.label) for d in layer for s in ars.sorted_steps(xi.eval(d).steps)]
+        yield from layer
+
+
+def finite_support(
+    xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
+) -> AbstractStrategy:
+    """generate's members as a set; it is prefix-closed and carries no lassos."""
+    return AbstractStrategy(ars, frozenset(generate(xi, ars, depth, sources)))
+
+
+def enumerate_derivations(ars: Ars, max_len: int, source: str | None = None) -> list[Derivation]:
+    """Every non-empty derivation of length <= max_len (from source, if given), in order."""
+    return list(generate(Universal(), ars, max_len, None if source is None else (source,)))
 
 
 def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:

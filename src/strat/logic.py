@@ -29,7 +29,7 @@ from .intensional import (
     MaxLen,
     Strategy,
     Universal,
-    finite_support,
+    generate,
     induced_steps,
     lassos_of_memoryless,
 )
@@ -304,8 +304,7 @@ def accepted(
     ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
 ) -> AbstractStrategy:
     """Members of the base's support (up to depth) that the condition accepts."""
-    support = finite_support(ls.base, ars, depth, sources)
-    kept = frozenset(d for d in support.finite_part if ls.accept.accepts(d))
+    kept = frozenset(d for d in generate(ls.base, ars, depth, sources) if ls.accept.accepts(d))
     return AbstractStrategy(ars, kept)
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures-in-code: corpus systems, strategy pools, brute oracles.
 
 The oracles here are deliberately independent of the implementations they
-check: support by filtering a raw enumeration step by step, regex matching by
+check: support by filtering a raw enumeration (raw_derivations, which does
+not go through intensional.generate) step by step, regex matching by
 word derivatives, closedness by a limit-point scan over an ambient
 enumeration, factor and composition closure by building every factor and
 every composition, and the witness search by materialising every accepted
@@ -40,7 +41,6 @@ from strat import (
     UnionPointwise,
     Universal,
     accepted,
-    enumerate_derivations,
     induced_steps,
     rotate_cycle,
     shortest_path_to,
@@ -126,13 +126,25 @@ def strategy_pool(ars: Ars) -> list[tuple[str, Strategy]]:
 # -- oracle: support by stepwise filtering -----------------------------------------
 
 
+def raw_derivations(ars: Ars, max_len: int) -> list[Derivation]:
+    """Every non-empty derivation of length <= max_len, grown breadth first
+    from every object without a strategy, then sorted by Derivation.sort_key."""
+    out: list[Derivation] = []
+    frontier = [ars.empty_derivation(obj) for obj in ars.objects]
+    for _ in range(max_len):
+        frontier = [d.extended(step.label) for d in frontier for step in ars.out_steps(d.target)]
+        out.extend(frontier)
+    out.sort(key=Derivation.sort_key)
+    return out
+
+
 def stepwise_support(
     xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
 ) -> frozenset[Derivation]:
     """Filter a raw enumeration by evaluating the strategy at every prefix."""
     allowed = set(ars.objects if sources is None else sources)
     kept = []
-    for d in enumerate_derivations(ars, depth):
+    for d in raw_derivations(ars, depth):
         if d.source not in allowed:
             continue
         if all(
@@ -269,7 +281,7 @@ def brute_is_closed(z: AbstractStrategy, ambient_depth: int) -> bool:
     """No missing limit points: any derivation whose prefixes all extend into
     the set must already belong to it. Finite members only."""
     members = z.members()
-    for d in enumerate_derivations(z.ars, ambient_depth):
+    for d in raw_derivations(z.ars, ambient_depth):
         if d in z.finite_part:
             continue
         if all(any(p.is_prefix_of(m) for m in members) for p in d.prefixes()):
@@ -386,5 +398,5 @@ def random_subsystem_set(rng: random.Random, ars: Ars) -> AbstractStrategy:
     sub = ars.restrict(kept)
     if not kept:
         return AbstractStrategy(ars)
-    members = transplant(ars, enumerate_derivations(sub, len(ars.objects)))
+    members = transplant(ars, raw_derivations(sub, len(ars.objects)))
     return AbstractStrategy(ars, members)

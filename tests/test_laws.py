@@ -39,9 +39,16 @@ i < j) and a memoryless leaf (`universal`, `restrict`, `greatmost` or a
 wildcard table). At a depth no smaller than the number of objects its support
 is factor- and composition-closed, and memoryless_from rebuilds a strategy
 whose support is that set.
+
+A sixth family draws a system, a strategy tree and sources that may repeat
+and come in any order, and checks that generate yields the support in
+Derivation.sort_key order, once each, also for a strategy whose eval returns
+its steps reversed and repeated.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -57,6 +64,8 @@ from strat import (
     AtObject,
     ColorAlternate,
     CustomPredicate,
+    Derivation,
+    EvalResult,
     ExplicitTraceSet,
     Fail,
     FalsePredicate,
@@ -72,6 +81,7 @@ from strat import (
     Not,
     Or,
     RestrictLabels,
+    Strategy,
     TableEntry,
     UnionCommitted,
     UnionPointwise,
@@ -79,6 +89,7 @@ from strat import (
     accepted,
     enumerate_derivations,
     finite_support,
+    generate,
     is_composition_closed,
     is_factor_closed,
     is_prefix_closed,
@@ -90,11 +101,15 @@ from strat import (
     rational,
 )
 
-LEAVES = (
-    "universal", "fail", "greatmost", "maxlen", "restrict", "alternate", "color",
-    "table", "memoried", "alt_pred", "false_pred", "parity_pred",
+# the leaves that generate on most systems come three times as often, so
+# that most trees generate something to compare
+LEAVES = ("universal", "restrict", "table") * 3 + (
+    "fail", "greatmost", "maxlen", "alternate", "color", "memoried", "alt_pred",
+    "false_pred", "parity_pred",
 )
 NODES = ("intersect", "union_pointwise", "union_committed", "accept")
+# depth 1 has no member of two steps; drawn as integers, it came up in most examples
+DEPTHS = st.sampled_from((3, 4, 2, 1))
 
 
 @st.composite
@@ -123,7 +138,7 @@ def _tree(draw, ars: Ars, levels: int):
     if kind == "maxlen":
         return MaxLen(draw(st.integers(1, 4)))
     if kind == "restrict":
-        return RestrictLabels(draw(label_set))
+        return RestrictLabels(draw(st.frozensets(st.sampled_from(ars.labels), min_size=1)))
     if kind == "alternate":
         return Alternate(draw(step_set), draw(step_set))
     if kind == "color":
@@ -133,11 +148,13 @@ def _tree(draw, ars: Ars, levels: int):
             frozenset(l for l, c in colour.items() if c == "b"),
         )
     if kind == "table":
+        # a row on every object that has a step: the rows of the objects a
+        # derivation reaches decide whether it grows
         rows = []
         for obj in ars.objects:
-            if draw(st.booleans()):
-                outs = ars.out_steps(obj)
-                chosen = draw(st.frozensets(st.sampled_from(outs))) if outs else frozenset()
+            outs = ars.out_steps(obj)
+            if outs:
+                chosen = draw(st.frozensets(st.sampled_from(outs), min_size=1))
                 word = tuple(draw(st.lists(st.sampled_from(ars.labels), max_size=2)))
                 rows.append(TableEntry(obj, chosen, word, draw(st.booleans())))
         return FromTable(tuple(rows))
@@ -163,7 +180,7 @@ def cases(draw):
     x1 = _tree(draw, ars, draw(st.integers(0, 3)))
     x2 = _tree(draw, ars, draw(st.integers(0, 2)))
     sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
-    return ars, x1, x2, draw(st.integers(1, 4)), sources
+    return ars, x1, x2, draw(DEPTHS), sources
 
 
 class TestGenerationLaws:
@@ -343,3 +360,36 @@ class TestMemorylessRoundTrip:
         z = finite_support(leaf, ars, depth)
         assert is_factor_closed(z) and is_composition_closed(z)
         assert finite_support(memoryless_from(z), ars, depth).finite_part == z.finite_part
+
+
+@dataclass(frozen=True)
+class Scrambled(Strategy):
+    """Another strategy's steps, reversed and each given twice: out of order and repeated."""
+
+    inner: Strategy
+
+    def eval(self, d):
+        result = self.inner.eval(d)
+        return EvalResult(result.defined, result.steps[::-1] * 2)
+
+    @property
+    def memoryless(self) -> bool:
+        return self.inner.memoryless
+
+
+@st.composite
+def generation_cases(draw):
+    ars = draw(systems())
+    xi = _tree(draw, ars, draw(st.integers(0, 2)))
+    sources = draw(st.none() | st.lists(st.sampled_from(ars.objects), min_size=1, max_size=8))
+    return ars, xi, draw(DEPTHS), sources
+
+
+class TestGenerate:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(generation_cases())
+    def test_yields_the_support_in_order(self, case):
+        ars, xi, depth, sources = case
+        for strategy in (xi, Scrambled(xi)):
+            expected = sorted(helpers.stepwise_support(strategy, ars, depth, sources), key=Derivation.sort_key)
+            assert list(generate(strategy, ars, depth, sources)) == expected
