@@ -117,6 +117,7 @@ def _scenario_calls() -> list[list[str]]:
     return out
 
 
+# usage, help and document errors
 ERRORS = [
     [],
     ["--help"],

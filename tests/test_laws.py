@@ -391,5 +391,5 @@ class TestGenerate:
     def test_yields_the_support_in_order(self, case):
         ars, xi, depth, sources = case
         for strategy in (xi, Scrambled(xi)):
-            expected = sorted(helpers.stepwise_support(strategy, ars, depth, sources), key=Derivation.sort_key)
-            assert list(generate(strategy, ars, depth, sources)) == expected
+            support = helpers.stepwise_support(strategy, ars, depth, sources)
+            assert list(generate(strategy, ars, depth, sources)) == sorted(support, key=Derivation.sort_key)
