@@ -56,42 +56,42 @@ class Ars:
     ) -> None:
         objects = tuple(objects)
         labels = tuple(labels)
-        for pool, kind in ((objects, "object"), (labels, "label")):
-            seen: set[str] = set()
-            for name in pool:
-                if name in seen:
-                    raise ValueError(f"duplicate {kind} symbol {name!r}")
-                seen.add(name)
-        overlap = sorted(set(objects) & set(labels))
+        obj_index = {name: i for i, name in enumerate(objects)}
+        lab_index = {name: i for i, name in enumerate(labels)}
+        for pool, index, kind in ((objects, obj_index, "object"), (labels, lab_index, "label")):
+            if len(index) < len(pool):
+                seen: set[str] = set()
+                name = next(name for name in pool if name in seen or seen.add(name))
+                raise ValueError(f"duplicate {kind} symbol {name!r}")
+        overlap = sorted(obj_index.keys() & lab_index.keys())
         if overlap:
             raise ObjectLabelOverlap(tuple(overlap))
 
-        obj_index = {name: i for i, name in enumerate(objects)}
-        lab_index = {name: i for i, name in enumerate(labels)}
-
+        # one pass checks and indexes the steps, each once; they are sorted only
+        # if they did not come in (source index, label index) order
         lookup: dict[tuple[str, str], Step] = {}
+        out: dict[str, list[Step]] = {name: [] for name in objects}
+        last, in_order, width = -1, True, len(labels)
         for raw in steps:
             step = raw if isinstance(raw, Step) else Step(*raw)
-            for name, pool in ((step.source, obj_index), (step.target, obj_index)):
-                if name not in pool:
-                    raise UnknownSymbol(name)
-            if step.label not in lab_index:
-                raise UnknownSymbol(step.label)
-            prior = lookup.get((step.source, step.label))
-            if prior is not None and prior.target != step.target:
-                raise FunctionalityViolation(step.source, step.label, prior.target, step.target)
-            lookup[(step.source, step.label)] = step
-
-        ordered = tuple(
-            sorted(lookup.values(), key=lambda s: (obj_index[s.source], lab_index[s.label]))
-        )
-        out: dict[str, list[Step]] = {name: [] for name in objects}
-        for step in ordered:
-            out[step.source].append(step)
+            source, label, target = step.source, step.label, step.target
+            if not (source in obj_index and target in obj_index and label in lab_index):
+                raise UnknownSymbol(next((n for n in (source, target) if n not in obj_index), label))
+            prior = lookup.setdefault((source, label), step)
+            if prior is step:
+                out[source].append(step)
+                rank = obj_index[source] * width + lab_index[label]
+                in_order = in_order and last < rank
+                last = rank
+            elif prior.target != target:
+                raise FunctionalityViolation(source, label, prior.target, target)
+        if not in_order:
+            for ss in out.values():
+                ss.sort(key=lambda s: lab_index[s.label])
 
         self.objects = objects
         self.labels = labels
-        self.steps = ordered
+        self.steps = tuple(s for ss in out.values() for s in ss)
         self._obj_index = obj_index
         self._lab_index = lab_index
         self._out = {name: tuple(ss) for name, ss in out.items()}
@@ -126,6 +126,16 @@ class Ars:
 
     def step(self, source: str, label: str) -> Step | None:
         return self._lookup.get((source, label))
+
+    def steps_from(self, obj: str, steps: Iterable[Step]) -> tuple[Step, ...]:
+        """The steps of this system that leave obj among steps, once each, in label
+        order: what a strategy that returns steps at a derivation ending in obj
+        permits there. A step from another object, or not of this system, is dropped."""
+        out = self._out[obj]
+        if steps is out:
+            return out
+        chosen = set(steps)
+        return tuple(s for s in out if s in chosen)
 
     def sorted_steps(self, steps: Iterable[Step]) -> tuple[Step, ...]:
         return tuple(

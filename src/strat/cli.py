@@ -8,15 +8,21 @@ time, in order, as intensional.generate yields them; only the factor and
 composition checks materialise the set (logic.accepted). Exit codes let
 shells branch on verdicts: 0 for success or an affirmative verdict, 2 for
 usage errors and diagnostics, 3 for a negative verdict (a closure property
-that fails, a non-closedness witness found, a safety violation). With
+that fails, a non-closedness witness found, a safety violation). An internal
+error is reported in one line and exits 2 as well, never as a traceback. With
 --machine each invocation emits exactly one JSON record {kind, verdict,
 witness, count} in that key order; output is byte-deterministic for
 identical invocations.
+
+The argument parser is built once per process (build_parser is cached), so
+every main call after the first in one process skips that cost; a fresh
+`strat` process builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,7 +68,9 @@ def _at_least(minimum: int, what: str):
     return convert
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="strat",
         description="Bounded analysis of strategies over finite reduction systems.",
@@ -275,6 +283,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (StratError, OSError) as err:
         print(f"strat: error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # a fault of strat itself: one line and exit 2, not a traceback
+        print(f"strat: error: internal error: {err!r}", file=sys.stderr)
         return 2
 
 

@@ -443,15 +443,16 @@ def generate(
 
     A derivation is generated when xi permits each of its steps after the
     prefix before it. Each layer extends the one before, in order, by the
-    steps xi permits, sorted and deduplicated; from sources in object-index
-    order every layer comes out sorted, so nothing else is sorted.
+    steps xi permits among the out-steps of each target, in label order
+    (Ars.steps_from); from sources in object-index order every layer comes
+    out sorted, so nothing else is sorted.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
     layer = [ars.empty_derivation(obj) for obj in starts]
     for _ in range(depth):
-        layer = [d.extended(s.label) for d in layer for s in ars.sorted_steps(xi.eval(d).steps)]
+        layer = [d.extended(s.label) for d in layer for s in ars.steps_from(d.target, xi.eval(d).steps)]
         yield from layer
 
 

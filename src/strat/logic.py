@@ -330,7 +330,7 @@ def layered_check(
     base, cond = ls.base, ls.accept
 
     def evaluate(d: Derivation) -> tuple[Step, ...]:
-        return ars.sorted_steps(base.eval(d).steps)
+        return ars.steps_from(d.target, base.eval(d).steps)
 
     if base.memoryless:  # each object reached is evaluated once, the others never
         begin, move = (lambda obj: obj), (lambda obj, step: step.target)

@@ -29,6 +29,14 @@ documents parse(serialize(doc)) equals doc structurally and serialization is
 idempotent. Every parse failure raises SpecLangError carrying at least one
 Diagnostic with a 1-based line and column.
 
+The lexer reads a run of well-formed steps right after `steps:` as one
+token, whose steps the parser then reads with one compiled triple pattern: a
+large system costs one token, not seven per step. Whatever the run does not
+cover (a comment inside the list, a malformed step, a trailing comma) is
+lexed and read token by token. Both readers check each name, and each step
+against the earlier ones, by the same calls, so a diagnostic is the same and
+at the same line and column whichever reads the step.
+
 Each strategy, condition and query kind is defined once, by one node class:
 the `_node` decorator gives the class its keyword, its syntax template
 (words and punctuation as strings, one argument kind per field, and optional
@@ -106,23 +114,75 @@ class _SyntaxFail(Exception):
 # -- lexing ---------------------------------------------------------------------
 
 
+_SPACE = r"[ \t\r\n]*"  # the lexer's skip: a character it rejects ends a run of steps
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _PATTERN = re.compile(
-    r"(?P<skip>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"(?P<skip>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<ident>{_NAME})"
     r"|(?P<int>[0-9]+)|(?P<punct><=|>=|[{}(),;:=<>|*+?])|(?P<error>.)",
     re.S,
 )
+
+
+def _triple(name: str) -> str:
+    return rf"\({_SPACE}{name}{_SPACE},{_SPACE}{name}{_SPACE},{_SPACE}{name}{_SPACE}\)"
+
+
+_TRIPLE = re.compile(_triple(f"({_NAME})"))  # one step, its names in groups 1-3
+# up to 256 more steps, each after a comma: the matcher keeps about 700 bytes
+# per repetition until the match ends, so a run is matched a bounded part at a time
+_MORE = re.compile(rf"(?:{_SPACE},{_SPACE}{_triple(_NAME)}){{1,256}}")
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _unexpected(text: str, bad: Token) -> _SyntaxFail:
+    line, col = _line_col(text, bad.offset)
+    return _SyntaxFail(Diagnostic(line, col, f"unexpected character {bad.text!r}"))
+
+
 def _lex(text: str) -> list[Token]:
+    """The document's tokens, one per name, number and punctuation mark."""
     tokens = rational.lex(text, _PATTERN)
-    bad = tokens[-1]
-    if bad.kind == "error":
-        line, col = _line_col(text, bad.offset)
-        raise _SyntaxFail(Diagnostic(line, col, f"unexpected character {bad.text!r}"))
+    if tokens[-1].kind == "error":
+        raise _unexpected(text, tokens[-1])
+    return tokens
+
+
+def _lex_runs(text: str) -> list[Token]:
+    """_lex's tokens, except that a run of well-formed steps right after `steps :`
+    is one "steps" token in place of its first '(' and the rest; the parser
+    reads its steps with _TRIPLE.
+
+    Lexing stays eager, so the first character the lexer rejects is still
+    reported before anything is parsed.
+    """
+    tokens: list[Token] = []
+    end, pos = len(text), 0
+    while pos is not None:
+        matches, pos = _PATTERN.finditer(text, pos), None
+        for m in matches:
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            if kind == "comment":
+                if m.end() == len(text):
+                    end = m.start()
+                continue
+            word, start = m.group(), m.start()
+            if word == "(" and [t.text for t in tokens[-2:]] == ["steps", ":"]:
+                run = _TRIPLE.match(text, start)
+                if run is not None:
+                    pos = run.end()
+                    while more := _MORE.match(text, pos):
+                        pos = more.end()
+                    tokens.append(Token("steps", text[start:pos], start))
+                    break
+            tokens.append(Token(kind, word, start))
+            if kind == "error":
+                raise _unexpected(text, tokens[-1])
+    tokens.append(Token("eof", "", end))
     return tokens
 
 
@@ -131,7 +191,7 @@ def _lex(text: str) -> list[Token]:
 
 class _DocParser(rational.Grammar):
     def __init__(self, text: str):
-        super().__init__(_lex(text))
+        super().__init__(_lex_runs(text))
         self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
@@ -244,11 +304,11 @@ class _DocParser(rational.Grammar):
         self.expect_punct(":")
         targets: dict[tuple[str, str], str] = {}
         steps: list[tuple[str, str, str]] = []
-        if self.at_punct("("):
-            self._step(steps, targets)
+        if self.at_punct("(") or self.peek().kind == "steps":
+            self._steps(steps, targets)
             while self.at_punct(","):
                 self.take()
-                self._step(steps, targets)
+                self._steps(steps, targets)
         self.expect_punct(";")
         self.expect_punct("}")
         if not was_seen:
@@ -274,7 +334,23 @@ class _DocParser(rational.Grammar):
         self.expect_punct(";")
         return list(names)
 
-    def _step(self, into: list[tuple[str, str, str]], targets: dict[tuple[str, str], str]) -> None:
+    def _steps(self, into: list[tuple[str, str, str]], targets: dict[tuple[str, str], str]) -> None:
+        """One step, or the run of well-formed steps that the lexer made one token.
+
+        Both are checked by the same calls, in the same order: each name as
+        it is read, then the step against the earlier ones (_add_step).
+        """
+        run = self.peek()
+        if run.kind == "steps":
+            self.pos += 1
+            objects, labels = self._object_set, self._label_index
+            for m in _TRIPLE.finditer(self.text, run.offset, run.offset + len(run.text)):
+                step = m.groups()
+                if not (step[0] in objects and step[1] in labels and step[2] in objects):
+                    for i, check in enumerate((self.check_object, self.check_label, self.check_object)):
+                        check(Token("ident", step[i], m.start(i + 1)))
+                self._add_step(into, targets, step, m.start())
+            return
         open_tok = self.expect_punct("(")
         src = self.expect_ident("an object name")
         self.check_object(src)
@@ -285,13 +361,18 @@ class _DocParser(rational.Grammar):
         tgt = self.expect_ident("an object name")
         self.check_object(tgt)
         self.expect_punct(")")
-        src, lab, tgt = src.text, lab.text, tgt.text
+        self._add_step(into, targets, (src.text, lab.text, tgt.text), open_tok.offset)
+
+    def _add_step(self, into: list, targets: dict, step: tuple[str, str, str], at: int) -> None:
+        """Keeps a step unless an earlier one from its source by its label reaches
+        another target; at is the offset of its '('."""
+        src, lab, tgt = step
         prior = targets.setdefault((src, lab), tgt)
         if prior != tgt:
             clash = f"two steps from {src!r} with label {lab!r} reach {prior!r} and {tgt!r}"
-            self.diag(open_tok, clash)
+            self.diag(Token("punct", "(", at), clash)
         else:
-            into.append((src, lab, tgt))
+            into.append(step)
 
     def parse_order(self) -> None:
         head = self.take()

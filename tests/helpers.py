@@ -6,7 +6,8 @@ not go through intensional.generate) step by step, regex matching by
 word derivatives, closedness by a limit-point scan over an ambient
 enumeration, factor and composition closure by building every factor and
 every composition, and the witness search by materialising every accepted
-derivation.
+derivation. The document parser's steps reader is checked against the token
+loop it stands in for (parse_by_tokens).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from typing import Iterable, Iterator
+from unittest import mock
 
 from strat import (
     AbstractStrategy,
@@ -47,7 +49,7 @@ from strat import (
     simple_cycles,
     strategy_from_predicate,
 )
-from strat import rational
+from strat import rational, speclang
 from strat.traffic import TrafficState, good_starts
 
 # -- corpus systems ---------------------------------------------------------------
@@ -400,3 +402,18 @@ def random_subsystem_set(rng: random.Random, ars: Ars) -> AbstractStrategy:
         return AbstractStrategy(ars)
     members = transplant(ars, raw_derivations(sub, len(ars.objects)))
     return AbstractStrategy(ars, members)
+
+
+def parse_by_tokens(text: str) -> speclang.SpecDocument:
+    """speclang.parse with the plain lexer, so that the token loop reads every step."""
+    with mock.patch.object(speclang, "_lex_runs", speclang._lex):
+        return speclang.parse(text)
+
+
+def parse_outcome(parse, text: str) -> object:
+    """A parse's document with its positions, or its diagnostics as (rendering, expected)."""
+    try:
+        doc = parse(text)
+    except speclang.SpecLangError as err:
+        return [(d.render(), d.expected) for d in err.diagnostics]
+    return doc, doc.positions

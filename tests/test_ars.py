@@ -39,6 +39,29 @@ class TestConstruction:
         ars = Ars(("y", "x"), ("m", "k"), [("x", "k", "y"), ("y", "m", "x"), ("y", "k", "y")])
         assert [(s.source, s.label) for s in ars.steps] == [("y", "m"), ("y", "k"), ("x", "k")]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_steps_in_any_order_build_the_same_system(self, data):
+        objects = tuple(f"o{i}" for i in range(data.draw(st.integers(1, 5))))
+        labels = tuple(f"l{i}" for i in range(data.draw(st.integers(1, 3))))
+        canonical = [
+            (o, l, data.draw(st.sampled_from(objects)))
+            for o in objects
+            for l in labels
+            if data.draw(st.booleans())
+        ]
+        repeated = data.draw(st.lists(st.sampled_from(canonical))) if canonical else []
+        ars = Ars(objects, labels, data.draw(st.permutations(canonical + repeated)))
+        assert ars.steps == tuple(Step(*s) for s in canonical)
+        for obj in objects:
+            assert ars.out_steps(obj) == tuple(s for s in ars.steps if s.source == obj)
+
+    def test_steps_from_keeps_the_out_steps_among_the_given(self, alc):
+        a1, a2, b4 = alc.step("a", "phi1"), alc.step("a", "phi2"), alc.step("b", "phi4")
+        assert alc.steps_from("a", [b4, a2, Step("a", "phi1", "d"), a2, a1]) == (a1, a2)
+        assert alc.steps_from("a", alc.out_steps("a")) is alc.out_steps("a")
+        assert alc.steps_from("b", [a1]) == ()
+
     def test_duplicate_symbols_rejected(self):
         with pytest.raises(ValueError, match="duplicate object"):
             Ars(("a", "a"), ("l",), [])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from strat import induced_steps, speclang
-from strat.cli import main
+from strat.cli import build_parser, main
 from strat.traffic import build_traffic_ars, good_starts, never_both_green, traffic_document
 
 
@@ -21,6 +21,8 @@ def run(capsys):
     def invoke(*argv: str):
         code = main(list(argv))
         captured = capsys.readouterr()
+        # main turns a crash into exit 2; no test here expects one
+        assert "strat: error: internal error:" not in captured.err, captured.err
         return code, captured.out, captured.err
 
     return invoke
@@ -477,6 +479,45 @@ class TestSubprocess:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 3
         assert proc.stdout == "WITNESS=a ( -loop-> a )^w\n"
+
+    def test_internal_error_is_one_line_and_exit_two(self, samples_dir):
+        # a command that fails inside strat itself, not on its input
+        driver = (
+            "import sys, strat.cli as cli\n"
+            "def broken(args):\n"
+            "    raise KeyError('inner')\n"
+            "cli._COMMANDS['enumerate'] = broken\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["enumerate", "-f", sample(samples_dir, "a_c.ars"), "--depth", "1"]
+        proc = subprocess.run([sys.executable, "-c", driver, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "strat: error: internal error: KeyError('inner')\n"
+
+
+class TestCachedParser:
+    """The parser is built once per process; no call may see what an earlier one parsed."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_machine_does_not_leak_into_the_next_call(self, run, samples_dir):
+        argv = ("enumerate", "-f", sample(samples_dir, "a_loop.ars"), "--from", "a", "--depth", "2")
+        text = run(*argv)
+        assert run("--machine", *argv)[1].startswith('{"kind": "enumerate"')
+        assert run(*argv, "--machine")[1].startswith('{"kind": "enumerate"')
+        assert run(*argv) == text == (0, "a -phi1-> b\na -phi1-> b -phi2-> a\nCOUNT=2\n", "")
+
+    def test_a_usage_error_then_a_valid_call(self, run, samples_dir):
+        argv = ("check", "-f", sample(samples_dir, "a_lc.ars"), "-s", "gm", "--depth", "2")
+        code, out, err = run(*argv, "--prop", "nope")
+        assert (code, out) == (2, "") and "invalid choice: 'nope'" in err
+        assert run(*argv, "--prop", "prefix") == (0, "PROPERTY=true\n", "")
+
+    def test_help_twice_prints_the_same(self, run):
+        for argv in (("--help",), ("witness", "--help")):
+            first, second = run(*argv), run(*argv)
+            assert first == second and first[0] == 0 and first[1].startswith("usage: strat")
 
 
 COMPARISONS = ["<", "<=", "=", ">=", ">"]

@@ -22,10 +22,11 @@ over word, len, at, and, or, not and explicit derivation sets, then checks:
   with accepts.
 
 A third family draws a system (6 objects or fewer), a strategy tree of every
-kind, a condition tree and optional sources, then checks at every depth from 1
-to 5, for the condition and for its complement, that the layered search counts
-the accepted set and finds its first missing prefix as materialising the set
-and checking prefix closure do.
+kind, in half of the examples wrapped so that its eval also returns the steps
+of other objects, a condition tree and optional sources, then checks at every
+depth from 1 to 5, for the condition and for its complement, that the layered
+search counts the accepted set and finds its first missing prefix as
+materialising the set and checking prefix closure do.
 
 A fourth family draws a system (6 objects or fewer, 3 labels or fewer, with
 cycles or acyclic) and a set of derivations of length 4 or less: a random
@@ -43,7 +44,8 @@ whose support is that set.
 A sixth family draws a system, a strategy tree and sources that may repeat
 and come in any order, and checks that generate yields the support in
 Derivation.sort_key order, once each, also for a strategy whose eval returns
-its steps reversed and repeated.
+its steps reversed and repeated, and for one whose eval also returns the steps
+of other objects: a step that does not leave the target is never taken.
 """
 
 from __future__ import annotations
@@ -272,7 +274,10 @@ class TestWitnessSearch:
 @st.composite
 def layered_cases(draw):
     ars = draw(systems(max_objects=6))
-    ls = LogicalStrategy(_tree(draw, ars, draw(st.integers(0, 2))), _condition(draw, ars, 2))
+    base = _tree(draw, ars, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        base = Foreign(base)
+    ls = LogicalStrategy(base, _condition(draw, ars, 2))
     sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
     return ars, ls, sources
 
@@ -377,6 +382,22 @@ class Scrambled(Strategy):
         return self.inner.memoryless
 
 
+@dataclass(frozen=True)
+class Foreign(Strategy):
+    """Another strategy's steps, then every step of the system that leaves another object."""
+
+    inner: Strategy
+
+    def eval(self, d):
+        result = self.inner.eval(d)
+        foreign = tuple(s for s in d.ars.steps if s.source != d.target)
+        return EvalResult(result.defined, result.steps + foreign)
+
+    @property
+    def memoryless(self) -> bool:
+        return self.inner.memoryless
+
+
 @st.composite
 def generation_cases(draw):
     ars = draw(systems())
@@ -390,6 +411,6 @@ class TestGenerate:
     @given(generation_cases())
     def test_yields_the_support_in_order(self, case):
         ars, xi, depth, sources = case
-        for strategy in (xi, Scrambled(xi)):
+        for strategy in (xi, Scrambled(xi), Foreign(xi)):
             support = helpers.stepwise_support(strategy, ars, depth, sources)
             assert list(generate(strategy, ars, depth, sources)) == sorted(support, key=Derivation.sort_key)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from strat import (
     AcceptFiltered,
     Alternate,
@@ -418,3 +421,125 @@ class TestFrontEnd:
         monkeypatch.setattr(speclang, "Ars", refuse)
         doc = parse(CANONICAL)
         assert doc.steps == (("a", "l1", "b"), ("b", "l2", "a"))
+
+
+def _same_as_tokens(text: str) -> object:
+    """The outcome of parse, checked against the token loop's."""
+    outcome = helpers.parse_outcome(parse, text)
+    assert outcome == helpers.parse_outcome(helpers.parse_by_tokens, text)
+    return outcome
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\n    ", "\t", "\r\n  ", " \n"])
+EDITS = "(),;:#ao0l1_z \t\n\r\x0b\x0c\u00a0é"
+TAILS = ["", "strategy s = universal;\n", "ars { objects: o0; labels: l0; steps: (o0, l0, o0); }\n"]
+
+
+@st.composite
+def steps_documents(draw):
+    """A document whose steps list is laid out at random, with at most one
+    character inserted, deleted or replaced in or around that list."""
+    objects = [f"o{i}" for i in range(draw(st.integers(1, 4)))]
+    labels = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+    objs, labs = st.sampled_from(objects * 4 + ["zz"]), st.sampled_from(labels * 4 + ["o0"])
+
+    def sp() -> str:
+        return draw(SPACES)
+
+    triples = [
+        f"({sp()}{draw(objs)}{sp()},{sp()}{draw(labs)}{sp()},{sp()}{draw(objs)}{sp()})"
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    text = f"ars {{\n  objects: {', '.join(objects)};\n  labels: {', '.join(labels)};\n  "
+    start = len(text)
+    body = ""
+    for i, triple in enumerate(triples):
+        if i:
+            body += sp() + "," + draw(st.sampled_from(["", " # between\n"])) + sp()
+        body += triple
+    text += f"steps:{sp()}{body}{sp()};"
+    end = len(text)
+    text += "\n}\n" + draw(st.sampled_from(TAILS))
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit != "none":
+        at = draw(st.integers(max(0, start - 3), min(len(text) - 1, end + 3)))
+        char = draw(st.sampled_from(EDITS)) if edit != "delete" else ""
+        text = text[:at] + char + text[at + (edit != "insert") :]
+    return text
+
+
+class TestStepsReader:
+    """A well-formed run of steps is one lexer token; its steps give what the token loop gives."""
+
+    def test_a_well_formed_list_is_one_token(self):
+        kinds = [t.kind for t in speclang._lex_runs(MINI)]
+        assert kinds.count("steps") == 1 and kinds.count("punct") == 10
+        assert _same_as_tokens(MINI)[0].steps == (("a", "l1", "b"), ("b", "l2", "a"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps_documents())
+    def test_edited_documents_agree_with_the_token_loop(self, text):
+        _same_as_tokens(text)
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\u00a0"])
+    def test_space_the_lexer_rejects_inside_a_step(self, space):
+        text = f"ars {{ objects: a; labels: l;\n  steps: (a, l, a), (a,{space}l, a); }}"
+        assert _same_as_tokens(text) == [(f"2:24: error: unexpected character {space!r}", ())]
+
+    def test_comment_inside_the_list(self):
+        text = "ars { objects: a, b; labels: l;\n  steps: (a, l, b), # first\n  (b, l, a); }"
+        assert _same_as_tokens(text)[0].steps == (("a", "l", "b"), ("b", "l", "a"))
+
+    def test_crlf_and_tabs(self):
+        text = "ars {\r\n\tobjects: a, b;\r\n\tlabels: l;\r\n\tsteps:\r\n"
+        text += "\t\t(a,\tl, b),\r\n\t\t(b, l,\tzz);\r\n}\r\n"
+        assert _same_as_tokens(text) == [("6:10: error: unknown object 'zz'", ())]
+
+    def test_duplicate_and_clashing_steps(self):
+        text = "ars { objects: a, b; labels: l; steps: (a, l, b), (a, l, b), (a, l, a); }"
+        assert _same_as_tokens(text) == [
+            (f"1:{_col(text, '(a, l, a)')}: error: two steps from 'a' with label 'l' reach 'b' and 'a'", ())
+        ]
+        assert _same_as_tokens(text.replace(", (a, l, a)", ""))[0].steps == (("a", "l", "b"),)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_unknown_names_at_the_nth_step(self, n):
+        steps = ["(a, l, b)"] * 5
+        steps[n - 1] = "(zz, l, b)"
+        text = f"ars {{ objects: a, b; labels: l; steps: {', '.join(steps)}; }}"
+        assert _same_as_tokens(text) == [(f"1:{_col(text, 'zz')}: error: unknown object 'zz'", ())]
+        text = text.replace("(zz, l, b)", "(a, m, zz)")
+        assert _same_as_tokens(text) == [
+            (f"1:{_col(text, 'm,')}: error: unknown label 'm'", ()),
+            (f"1:{_col(text, 'zz')}: error: unknown object 'zz'", ()),
+        ]
+
+    def test_second_ars_section(self):
+        text = f"{MINI}\nars {{ objects: c; labels: k; steps: (c, k, c), (a, l1, b); }}"
+        assert _same_as_tokens(text) == [
+            ("2:1: error: document declares more than one ars section", ()),
+            ("2:38: error: unknown object 'c'", ()),
+            ("2:41: error: unknown label 'k'", ()),
+            ("2:44: error: unknown object 'c'", ()),
+        ]
+
+    def test_a_list_longer_than_one_match(self):
+        # the lexer matches a run 256 steps at a time; the steps after the
+        # comment are read token by token
+        steps = [f"(x{i}, l{i % 3}, x{(i + 1) % 1000})" for i in range(1000)]
+        steps[600] = "(zz, l0, x1)"
+        body = ",\n  ".join(steps[:900]) + ", # a comment\n" + ", ".join(steps[900:])
+        objects = ", ".join(f"x{i}" for i in range(1000))
+        text = f"ars {{ objects: {objects}; labels: l0, l1, l2;\n steps: {body}; }}"
+        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 1
+        assert _same_as_tokens(text) == [("602:4: error: unknown object 'zz'", ())]
+        text = text.replace("(zz, l0, x1)", "(x600, l0, x601)")
+        assert len(_same_as_tokens(text)[0].steps) == 1000
+
+    def test_empty_list(self):
+        assert _same_as_tokens("ars { objects: a; labels: l; steps: ; }")[0].steps == ()
+
+    def test_trailing_comma(self):
+        text = "ars { objects: a; labels: l; steps: (a, l, a),; }"
+        diag = f"1:{_col(text, ';', 3)}: error: expected '(', found ';'"
+        assert _same_as_tokens(text) == [(diag, ("(",))]
