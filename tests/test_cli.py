@@ -482,7 +482,7 @@ class TestSubprocess:
 
     def test_internal_error_is_one_line_and_exit_two(self, samples_dir):
         # a command that fails inside strat itself, not on its input
-        driver = (
+        script = (
             "import sys, strat.cli as cli\n"
             "def broken(args):\n"
             "    raise KeyError('inner')\n"
@@ -490,7 +490,7 @@ class TestSubprocess:
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
         argv = ["enumerate", "-f", sample(samples_dir, "a_c.ars"), "--depth", "1"]
-        proc = subprocess.run([sys.executable, "-c", driver, *argv], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "strat: error: internal error: KeyError('inner')\n"
 
