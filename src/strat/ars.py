@@ -56,38 +56,35 @@ class Ars:
     ) -> None:
         objects = tuple(objects)
         labels = tuple(labels)
-        obj_index = {name: i for i, name in enumerate(objects)}
-        lab_index = {name: i for i, name in enumerate(labels)}
-        for pool, index, kind in ((objects, obj_index, "object"), (labels, lab_index, "label")):
-            if len(index) < len(pool):
-                seen: set[str] = set()
-                name = next(name for name in pool if name in seen or seen.add(name))
-                raise ValueError(f"duplicate {kind} symbol {name!r}")
-        overlap = sorted(obj_index.keys() & lab_index.keys())
+        for pool, kind in ((objects, "object"), (labels, "label")):
+            seen: set[str] = set()
+            for name in pool:
+                if name in seen:
+                    raise ValueError(f"duplicate {kind} symbol {name!r}")
+                seen.add(name)
+        overlap = sorted(set(objects) & set(labels))
         if overlap:
             raise ObjectLabelOverlap(tuple(overlap))
 
-        # one pass checks and indexes the steps, each once; they are sorted only
-        # if they did not come in (source index, label index) order
+        obj_index = {name: i for i, name in enumerate(objects)}
+        lab_index = {name: i for i, name in enumerate(labels)}
+
+        # one pass checks and indexes the steps, keeping the first of equal ones
         lookup: dict[tuple[str, str], Step] = {}
         out: dict[str, list[Step]] = {name: [] for name in objects}
-        last, in_order, width = -1, True, len(labels)
         for raw in steps:
             step = raw if isinstance(raw, Step) else Step(*raw)
             source, label, target = step.source, step.label, step.target
             if not (source in obj_index and target in obj_index and label in lab_index):
                 raise UnknownSymbol(next((n for n in (source, target) if n not in obj_index), label))
-            prior = lookup.setdefault((source, label), step)
-            if prior is step:
+            prior = lookup.get((source, label))
+            if prior is None:
+                lookup[source, label] = step
                 out[source].append(step)
-                rank = obj_index[source] * width + lab_index[label]
-                in_order = in_order and last < rank
-                last = rank
             elif prior.target != target:
                 raise FunctionalityViolation(source, label, prior.target, target)
-        if not in_order:
-            for ss in out.values():
-                ss.sort(key=lambda s: lab_index[s.label])
+        for ss in out.values():
+            ss.sort(key=lambda s: lab_index[s.label])
 
         self.objects = objects
         self.labels = labels

@@ -29,13 +29,14 @@ documents parse(serialize(doc)) equals doc structurally and serialization is
 idempotent. Every parse failure raises SpecLangError carrying at least one
 Diagnostic with a 1-based line and column.
 
-The lexer reads a run of well-formed steps right after `steps:` as one
-token, whose steps the parser then reads with one compiled triple pattern: a
-large system costs one token, not seven per step. Whatever the run does not
-cover (a comment inside the list, a malformed step, a trailing comma) is
-lexed and read token by token. Both readers check each name, and each step
-against the earlier ones, by the same calls, so a diagnostic is the same and
-at the same line and column whichever reads the step.
+The lexer reads a run of well-formed steps right after `steps:` with one
+compiled pattern, one match per step, and emits the run as one token whose
+matches the parser reads: a large system costs one token and one match per
+step, not seven tokens per step. Whatever the run does not cover (a comment
+inside the list, a malformed step, a trailing comma) is lexed and read token
+by token. Both readers check each name, and each step against the earlier
+ones, by the same calls, so a diagnostic is the same and at the same line
+and column whichever reads the step.
 
 Each strategy, condition and query kind is defined once, by one node class:
 the `_node` decorator gives the class its keyword, its syntax template
@@ -123,14 +124,10 @@ _PATTERN = re.compile(
 )
 
 
-def _triple(name: str) -> str:
-    return rf"\({_SPACE}{name}{_SPACE},{_SPACE}{name}{_SPACE},{_SPACE}{name}{_SPACE}\)"
-
-
-_TRIPLE = re.compile(_triple(f"({_NAME})"))  # one step, its names in groups 1-3
-# up to 256 more steps, each after a comma: the matcher keeps about 700 bytes
-# per repetition until the match ends, so a run is matched a bounded part at a time
-_MORE = re.compile(rf"(?:{_SPACE},{_SPACE}{_triple(_NAME)}){{1,256}}")
+# one step with the space around it; groups: its '(', then its three names
+_STEP = re.compile(
+    rf"{_SPACE}(\(){_SPACE}({_NAME}){_SPACE},{_SPACE}({_NAME}){_SPACE},{_SPACE}({_NAME}){_SPACE}\){_SPACE}"
+)
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -150,15 +147,17 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
-def _lex_runs(text: str) -> list[Token]:
+def _lex_runs(text: str) -> tuple[list[Token], dict[int, list[re.Match]]]:
     """_lex's tokens, except that a run of well-formed steps right after `steps :`
-    is one "steps" token in place of its first '(' and the rest; the parser
-    reads its steps with _TRIPLE.
+    is one "steps" token in place of its first '(' and the rest, and the _STEP
+    matches of each run, by the offset of its token.
 
-    Lexing stays eager, so the first character the lexer rejects is still
-    reported before anything is parsed.
+    A run is matched one step at a time, each after a comma; it ends where no
+    comma and well-formed step follow. Lexing stays eager, so the first
+    character the lexer rejects is still reported before anything is parsed.
     """
     tokens: list[Token] = []
+    runs: dict[int, list[re.Match]] = {}
     end, pos = len(text), 0
     while pos is not None:
         matches, pos = _PATTERN.finditer(text, pos), None
@@ -172,18 +171,20 @@ def _lex_runs(text: str) -> list[Token]:
                 continue
             word, start = m.group(), m.start()
             if word == "(" and [t.text for t in tokens[-2:]] == ["steps", ":"]:
-                run = _TRIPLE.match(text, start)
-                if run is not None:
-                    pos = run.end()
-                    while more := _MORE.match(text, pos):
-                        pos = more.end()
+                run, step, match = [], _STEP.match(text, start), _STEP.match
+                while step is not None:
+                    run.append(step)
+                    pos = step.end()
+                    step = match(text, pos + 1) if text.startswith(",", pos) else None
+                if run:
+                    runs[start] = run
                     tokens.append(Token("steps", text[start:pos], start))
                     break
             tokens.append(Token(kind, word, start))
             if kind == "error":
                 raise _unexpected(text, tokens[-1])
     tokens.append(Token("eof", "", end))
-    return tokens
+    return tokens, runs
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -191,7 +192,8 @@ def _lex_runs(text: str) -> list[Token]:
 
 class _DocParser(rational.Grammar):
     def __init__(self, text: str):
-        super().__init__(_lex_runs(text))
+        tokens, self.runs = _lex_runs(text)
+        super().__init__(tokens)
         self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
@@ -344,12 +346,12 @@ class _DocParser(rational.Grammar):
         if run.kind == "steps":
             self.pos += 1
             objects, labels = self._object_set, self._label_index
-            for m in _TRIPLE.finditer(self.text, run.offset, run.offset + len(run.text)):
-                step = m.groups()
+            for m in self.runs[run.offset]:
+                step = m.group(2, 3, 4)
                 if not (step[0] in objects and step[1] in labels and step[2] in objects):
-                    for i, check in enumerate((self.check_object, self.check_label, self.check_object)):
-                        check(Token("ident", step[i], m.start(i + 1)))
-                self._add_step(into, targets, step, m.start())
+                    for i, check in enumerate((self.check_object, self.check_label, self.check_object), 2):
+                        check(Token("ident", m.group(i), m.start(i)))
+                self._add_step(into, targets, step, m.start(1))
             return
         open_tok = self.expect_punct("(")
         src = self.expect_ident("an object name")

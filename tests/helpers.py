@@ -406,7 +406,7 @@ def random_subsystem_set(rng: random.Random, ars: Ars) -> AbstractStrategy:
 
 def parse_by_tokens(text: str) -> speclang.SpecDocument:
     """speclang.parse with the plain lexer, so that the token loop reads every step."""
-    with mock.patch.object(speclang, "_lex_runs", speclang._lex):
+    with mock.patch.object(speclang, "_lex_runs", lambda text: (speclang._lex(text), {})):
         return speclang.parse(text)
 
 

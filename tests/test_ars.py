@@ -50,11 +50,17 @@ class TestConstruction:
             for l in labels
             if data.draw(st.booleans())
         ]
-        repeated = data.draw(st.lists(st.sampled_from(canonical))) if canonical else []
-        ars = Ars(objects, labels, data.draw(st.permutations(canonical + repeated)))
-        assert ars.steps == tuple(Step(*s) for s in canonical)
+        given_steps = [Step(*s) for s in canonical]
+        # repeats as equal tuples and as the very same Step objects
+        repeated = data.draw(st.lists(st.sampled_from(canonical + given_steps))) if canonical else []
+        ars = Ars(objects, labels, data.draw(st.permutations(given_steps + repeated)))
+        assert ars.steps == tuple(given_steps)
         for obj in objects:
             assert ars.out_steps(obj) == tuple(s for s in ars.steps if s.source == obj)
+        again = data.draw(st.lists(st.sampled_from(ars.steps))) if canonical else []
+        sub = ars.restrict(data.draw(st.permutations(list(ars.steps) + again)))
+        assert sub.steps == ars.steps
+        assert all(sub.out_steps(obj) == ars.out_steps(obj) for obj in objects)
 
     def test_steps_from_keeps_the_out_steps_among_the_given(self, alc):
         a1, a2, b4 = alc.step("a", "phi1"), alc.step("a", "phi2"), alc.step("b", "phi4")

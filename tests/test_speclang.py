@@ -472,7 +472,7 @@ class TestStepsReader:
     """A well-formed run of steps is one lexer token; its steps give what the token loop gives."""
 
     def test_a_well_formed_list_is_one_token(self):
-        kinds = [t.kind for t in speclang._lex_runs(MINI)]
+        kinds = [t.kind for t in speclang._lex_runs(MINI)[0]]
         assert kinds.count("steps") == 1 and kinds.count("punct") == 10
         assert _same_as_tokens(MINI)[0].steps == (("a", "l1", "b"), ("b", "l2", "a"))
 
@@ -482,9 +482,17 @@ class TestStepsReader:
         _same_as_tokens(text)
 
     @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\u00a0"])
-    def test_space_the_lexer_rejects_inside_a_step(self, space):
-        text = f"ars {{ objects: a; labels: l;\n  steps: (a, l, a), (a,{space}l, a); }}"
-        assert _same_as_tokens(text) == [(f"2:24: error: unexpected character {space!r}", ())]
+    @pytest.mark.parametrize("steps", ["(a, l, a),{}(a, l, a)", "(a, l, a), (a,{}l, a)", "(a, l, a){}, (a, l, a)"])
+    def test_space_the_lexer_rejects_in_or_between_steps(self, steps, space):
+        text = f"ars {{ objects: a; labels: l;\n  steps: {steps.format(space)}; }}"
+        col = text.index(space) - text.index("\n")
+        assert _same_as_tokens(text) == [(f"2:{col}: error: unexpected character {space!r}", ())]
+
+    @pytest.mark.parametrize("sep", [";", ":", "x", " "])
+    def test_steps_not_separated_by_a_comma(self, sep):
+        text = f"ars {{ objects: a; labels: l; steps: (a, l, a){sep}(a, l, a); }}"
+        (diag,) = _same_as_tokens(text)
+        assert "error: expected" in diag[0]
 
     def test_comment_inside_the_list(self):
         text = "ars { objects: a, b; labels: l;\n  steps: (a, l, b), # first\n  (b, l, a); }"
@@ -523,15 +531,14 @@ class TestStepsReader:
             ("2:44: error: unknown object 'c'", ()),
         ]
 
-    def test_a_list_longer_than_one_match(self):
-        # the lexer matches a run 256 steps at a time; the steps after the
-        # comment are read token by token
+    def test_a_long_list_with_a_comment(self):
+        # the run ends at the comment; the steps after it are read token by token
         steps = [f"(x{i}, l{i % 3}, x{(i + 1) % 1000})" for i in range(1000)]
         steps[600] = "(zz, l0, x1)"
         body = ",\n  ".join(steps[:900]) + ", # a comment\n" + ", ".join(steps[900:])
         objects = ", ".join(f"x{i}" for i in range(1000))
         text = f"ars {{ objects: {objects}; labels: l0, l1, l2;\n steps: {body}; }}"
-        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 1
+        assert [t.kind for t in speclang._lex_runs(text)[0]].count("steps") == 1
         assert _same_as_tokens(text) == [("602:4: error: unknown object 'zz'", ())]
         text = text.replace("(zz, l0, x1)", "(x600, l0, x601)")
         assert len(_same_as_tokens(text)[0].steps) == 1000
