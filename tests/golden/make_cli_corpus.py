@@ -7,10 +7,11 @@ tests/test_golden.py replays every record and demands the same outputs, so
 a refactoring that must keep the CLI's outputs byte for byte can be checked
 against a corpus taken before it.
 
-The invocations cover every sample and the traffic documents of queue
-bounds 1 and 2, under every command and every `--prop`, in text and with
-`--machine`, at depths up to 3 and horizons 2 and 4; the `traffic` scenario
-under each strategy and check; and usage and document errors. Documents are
+The invocations cover every sample, the traffic documents of queue bounds 1
+and 2 and a document of memoried strategies inside combinators (see
+memoried_document()), under every command and every `--prop`, in text and
+with `--machine`, at depths up to 3 and horizons 2 and 4; the `traffic`
+scenario under each strategy and check; and usage and document errors. Documents are
 named by fixed relative paths (see documents()); replay and generation both
 write them into a scratch directory and run from there.
 
@@ -40,6 +41,7 @@ from strat.traffic import traffic_document  # noqa: E402
 
 SAMPLES = ("a_c.ars", "a_lc.ars", "a_loop.ars", "eventual.ars", "union_pair.ars")
 TRAFFIC = {1: "traffic_1.ars", 2: "traffic_2.ars"}
+MEMORIED = "memoried.ars"
 PROPS = ("closed", "composition", "factor", "prefix")
 
 # documents for the error cases
@@ -50,11 +52,49 @@ BROKEN = {
 }
 
 
+def _nested_union(levels: int) -> str:
+    """unionC nested `levels` deep, over memoried and memoryless leaves in turn."""
+    leaves = ("restrict({x})", "alternate({x}; {y, z})", "maxlen(3)", "restrict({y, z})")
+    text = "unionC(restrict({z}), maxlen(2))"
+    for i in range(levels - 1):
+        text = f"unionC({leaves[i % len(leaves)]}, {text})"
+    return text
+
+
+def memoried_document() -> str:
+    """Memoried strategies (maxlen, alternate) under unionC, intersect, unionP
+    and accept, and a committed union nested 40 deep."""
+    return f"""# Memoried strategies inside combinators, and a deep committed union.
+ars {{
+  objects: a, b, c, d;
+  labels: x, y, z;
+  steps:
+    (a, x, b),
+    (a, y, c),
+    (b, y, a),
+    (b, z, d),
+    (c, x, a),
+    (c, z, c),
+    (d, x, d);
+}}
+order up {{
+  x < y;
+  y < z;
+}}
+strategy committed = unionC(alternate({{x}}; {{y, z}}), maxlen(3));
+strategy meet = intersect(greatmost(up), alternate({{x, z}}; {{y}}));
+strategy pointwise = unionP(greatmost(up), maxlen(3));
+strategy long = accept(unionC(alternate({{x}}; {{y, z}}), maxlen(3)), len >= 2);
+strategy deep = {_nested_union(40)};
+"""
+
+
 def documents() -> dict[str, bytes]:
     """Relative path -> bytes of every document an invocation names."""
     docs = {f"samples/{name}": (ROOT / "samples" / name).read_bytes() for name in SAMPLES}
     for q, name in TRAFFIC.items():
         docs[name] = traffic_document(q).encode("utf-8")
+    docs[MEMORIED] = memoried_document().encode("utf-8")
     docs.update(BROKEN)
     return docs
 
@@ -154,7 +194,7 @@ ERRORS = [
 def calls() -> list[list[str]]:
     docs = documents()
     out: list[list[str]] = []
-    for rel in [f"samples/{name}" for name in SAMPLES] + list(TRAFFIC.values()):
+    for rel in [f"samples/{name}" for name in SAMPLES] + list(TRAFFIC.values()) + [MEMORIED]:
         out.extend(_calls_for(rel, docs[rel].decode("utf-8")))
     return out + _scenario_calls() + ERRORS
 
