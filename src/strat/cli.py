@@ -1,15 +1,16 @@
 """The strat command line: enumerate, apply, check, witness, scenario.
 
 Commands read a .ars document, evaluate the named strategy up to a depth,
-and report results on standard output; diagnostics go to standard error.
-A count or a prefix verdict is decided by logic.layered_check without
-building the set; listings and apply read the accepted members one at a
-time, in order, as intensional.generate yields them; only the factor and
-composition checks materialise the set (logic.accepted). Exit codes let
-shells branch on verdicts: 0 for success or an affirmative verdict, 2 for
-usage errors and diagnostics, 3 for a negative verdict (a closure property
-that fails, a non-closedness witness found, a safety violation). An internal
-error is reported in one line and exits 2 as well, never as a traceback. With
+and report results on standard output; diagnostics go to standard error. A
+count or a prefix verdict is decided by logic.layered_check without building
+the set; listings and apply read the accepted members one at a time, in
+order, as intensional.generate yields them, acceptance read off the
+condition state it carries; only the factor and composition checks
+materialise the set (logic.accepted). Exit codes let shells branch on
+verdicts: 0 for success or an affirmative verdict, 2 for usage errors and
+diagnostics, 3 for a negative verdict (a closure property that fails, a
+non-closedness witness found, a safety violation). An internal error is
+reported in one line and exits 2 as well, never as a traceback. With
 --machine each invocation emits exactly one JSON record {kind, verdict,
 witness, count} in that key order; output is byte-deterministic for
 identical invocations.
@@ -156,10 +157,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _record("enumerate", "ok", None, layered_check(ls, ars, args.depth, sources)[0])
         return 0
     count = 0
-    for d in generate(ls.base, ars, args.depth, sources):
-        if ls.accept.accepts(d):
-            print(d.render())
-            count += 1
+    for d in generate(ls.base, ars, args.depth, sources, ls.accept):
+        print(d.render())
+        count += 1
     print(f"COUNT={count}")
     return 0
 
@@ -168,8 +168,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     ars.object_index(args.source)
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
-    members = generate(ls.base, ars, args.depth, (args.source,))
-    reached = {d.target for d in members if ls.accept.accepts(d)}
+    reached = {d.target for d in generate(ls.base, ars, args.depth, (args.source,), ls.accept)}
     if reached:
         rendered = "{" + ", ".join(sorted(reached, key=ars.object_index)) + "}"
         if _machine(args):

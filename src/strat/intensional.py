@@ -2,13 +2,16 @@
 
 A traced object is a history plus the current object; with a functional step
 relation that is exactly a Derivation, whose target is the current object. A
-Strategy maps the derivation so far to the set of steps it permits next,
-together with a definedness flag: Fail is undefined everywhere, which is not
-the same as being defined with no permitted steps. Strategies that read only
-the target are memoryless. generate yields the derivations a strategy
-generates up to a depth, in Derivation.sort_key order; finite_support (the
-set) and enumerate_derivations (every derivation, the universal strategy's)
-read it. lassos_of_memoryless witnesses the infinite derivations.
+Strategy gives the steps it permits next, with a definedness flag: Fail is
+undefined everywhere, which is not the same as being defined with no permitted
+steps. A strategy reads as an automaton over steps: a memory advanced by each
+step taken, and the steps permitted at an object under it. Each builtin keeps
+a finite memory, so none replays the history; a memoryless strategy keeps one
+memory, so it reads only the current object. generate walks derivations with
+their memories (transitions) and yields those a strategy generates up to a
+depth, in Derivation.sort_key order; finite_support (the set) and
+enumerate_derivations (every derivation, the universal strategy's) read it.
+lassos_of_memoryless witnesses the infinite derivations.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -21,7 +24,8 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from functools import cache, cached_property
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .ars import Ars, Derivation, Lasso, Step, shortest_paths, simple_cycles
 from .errors import (
@@ -48,7 +52,14 @@ UNDEFINED = EvalResult(False, ())
 
 
 class Strategy(abc.ABC):
-    """Interface of intensional strategies."""
+    """Interface of intensional strategies.
+
+    start, advance and at read a strategy as an automaton over steps: the
+    memory (hashable) starts at the source, advance updates it by each step
+    taken, and at gives the steps permitted next at an object. eval(d) reads
+    the whole derivation. A strategy that defines only eval keeps the memory
+    () when it is memoryless and the derivation otherwise.
+    """
 
     @abc.abstractmethod
     def eval(self, d: Derivation) -> EvalResult:
@@ -57,7 +68,32 @@ class Strategy(abc.ABC):
     @property
     @abc.abstractmethod
     def memoryless(self) -> bool:
-        """True when eval reads only the target of the derivation."""
+        """True when the memory never changes: the current object decides alone."""
+
+    def start(self, ars: Ars, obj: str) -> Hashable:
+        return () if self.memoryless else ars.empty_derivation(obj)
+
+    def advance(self, ars: Ars, memory, step: Step) -> Hashable:
+        return memory if self.memoryless else memory.extended(step.label)
+
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        return self.eval(ars.empty_derivation(obj) if self.memoryless else memory)
+
+
+class _Stepwise(Strategy):
+    """A strategy defined by start, advance and at; eval folds them over the
+    derivation. A memoryless one keeps the default memory ()."""
+
+    @abc.abstractmethod
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult: ...
+
+    def eval(self, d: Derivation) -> EvalResult:
+        memory = self.start(d.ars, d.source)
+        for step in d.steps:
+            memory = self.advance(d.ars, memory, step)
+        return self.at(d.ars, memory, d.target)
+
+    memoryless = True
 
 
 @dataclass(frozen=True)
@@ -95,31 +131,23 @@ class LabelOrder:
 
 
 @dataclass(frozen=True)
-class Universal(Strategy):
+class Universal(_Stepwise):
     """Permits every out-step; defined on every object."""
 
-    def eval(self, d: Derivation) -> EvalResult:
-        return EvalResult(True, d.ars.out_steps(d.target))
-
-    @property
-    def memoryless(self) -> bool:
-        return True
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        return EvalResult(True, ars.out_steps(obj))
 
 
 @dataclass(frozen=True)
-class Fail(Strategy):
+class Fail(_Stepwise):
     """Undefined everywhere; generates nothing."""
 
-    def eval(self, d: Derivation) -> EvalResult:
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
         return UNDEFINED
-
-    @property
-    def memoryless(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
-class Greatmost(Strategy):
+class Greatmost(_Stepwise):
     """Permits the steps whose labels are maximal among the out-labels.
 
     Defined exactly on objects with at least one out-step. With a total order
@@ -128,91 +156,78 @@ class Greatmost(Strategy):
 
     order: LabelOrder
 
-    def eval(self, d: Derivation) -> EvalResult:
-        outs = d.ars.out_steps(d.target)
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        outs = ars.out_steps(obj)
         if not outs:
             return UNDEFINED
-        keep = tuple(
-            s for s in outs if not any(self.order.less(s.label, o.label) for o in outs)
-        )
-        return EvalResult(True, keep)
-
-    @property
-    def memoryless(self) -> bool:
-        return True
+        keep = (s for s in outs if not any(self.order.less(s.label, o.label) for o in outs))
+        return EvalResult(True, tuple(keep))
 
 
 @dataclass(frozen=True)
-class MaxLen(Strategy):
-    """Cuts off extension once the history reaches bound - 1 steps."""
+class MaxLen(_Stepwise):
+    """Cuts off extension once the history reaches bound - 1 steps, as the memory counts."""
 
     bound: int
 
-    def eval(self, d: Derivation) -> EvalResult:
-        if len(d) < self.bound - 1:
-            return EvalResult(True, d.ars.out_steps(d.target))
-        return EvalResult(True, ())
+    def start(self, ars: Ars, obj: str) -> int:
+        return 0
 
-    @property
-    def memoryless(self) -> bool:
-        return False
+    def advance(self, ars: Ars, memory: int, step: Step) -> int:
+        return memory + (memory < self.bound - 1)
+
+    def at(self, ars: Ars, memory: int, obj: str) -> EvalResult:
+        return EvalResult(True, ars.out_steps(obj) if memory < self.bound - 1 else ())
+
+    memoryless = False
 
 
 @dataclass(frozen=True)
-class RestrictLabels(Strategy):
+class RestrictLabels(_Stepwise):
     """Permits only out-steps whose label lies in the allowed set."""
 
     allowed: frozenset[str]
 
-    def eval(self, d: Derivation) -> EvalResult:
-        keep = tuple(s for s in d.ars.out_steps(d.target) if s.label in self.allowed)
-        return EvalResult(True, keep)
-
-    @property
-    def memoryless(self) -> bool:
-        return True
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if s.label in self.allowed))
 
 
 @dataclass(frozen=True)
-class Alternate(Strategy):
+class Alternate(_Stepwise):
     """Alternates between two step sets, starting in the first.
 
     Empty history: steps from `first`. A history whose last step lies in
     `second` continues with `first` and vice versa; a last step in both allows
-    both; a last step in neither leaves the strategy undefined there.
+    both; a last step in neither leaves the strategy undefined there. The
+    memory says which sets the next step may come from: (first, second).
     """
 
     first: frozenset[Step]
     second: frozenset[Step]
 
-    def eval(self, d: Derivation) -> EvalResult:
-        outs = d.ars.out_steps(d.target)
-        if not d.labels:
-            return EvalResult(True, tuple(s for s in outs if s in self.first))
-        last = d.ars.step(d.targets[-2], d.labels[-1])
-        allowed: set[Step] = set()
-        defined = False
-        if last in self.second:
-            defined = True
-            allowed.update(s for s in outs if s in self.first)
-        if last in self.first:
-            defined = True
-            allowed.update(s for s in outs if s in self.second)
-        if not defined:
-            return UNDEFINED
-        return EvalResult(True, d.ars.sorted_steps(allowed))
+    def start(self, ars: Ars, obj: str) -> tuple[bool, bool]:
+        return True, False
 
-    @property
-    def memoryless(self) -> bool:
-        return False
+    def advance(self, ars: Ars, memory, step: Step) -> tuple[bool, bool]:
+        return step in self.second, step in self.first
+
+    def at(self, ars: Ars, memory: tuple[bool, bool], obj: str) -> EvalResult:
+        from_first, from_second = memory
+        if not (from_first or from_second):
+            return UNDEFINED
+        keep = (s for s in ars.out_steps(obj) if (from_first and s in self.first) or (from_second and s in self.second))
+        return EvalResult(True, tuple(keep))
+
+    memoryless = False
 
 
 @dataclass(frozen=True)
-class ColorAlternate(Strategy):
+class ColorAlternate(_Stepwise):
     """Alternates label colours: after a white-labelled step, only black.
 
     Any coloured first step is permitted on an empty history. A last step with
-    an uncoloured label leaves the strategy undefined after it.
+    an uncoloured label leaves the strategy undefined after it. The memory is
+    the set of labels the next step may carry, None where undefined.
     """
 
     white: frozenset[str]
@@ -222,43 +237,31 @@ class ColorAlternate(Strategy):
         if self.white & self.black:
             raise ValueError("a label cannot be both white and black")
 
-    def eval(self, d: Derivation) -> EvalResult:
-        outs = d.ars.out_steps(d.target)
-        if not d.labels:
-            coloured = self.white | self.black
-            return EvalResult(True, tuple(s for s in outs if s.label in coloured))
-        last_label = d.labels[-1]
-        if last_label in self.white:
-            want = self.black
-        elif last_label in self.black:
-            want = self.white
-        else:
-            return UNDEFINED
-        return EvalResult(True, tuple(s for s in outs if s.label in want))
+    def start(self, ars: Ars, obj: str) -> frozenset[str]:
+        return self.white | self.black
 
-    @property
-    def memoryless(self) -> bool:
-        return False
+    def advance(self, ars: Ars, memory, step: Step) -> frozenset[str] | None:
+        return self.black if step.label in self.white else self.white if step.label in self.black else None
+
+    def at(self, ars: Ars, memory: frozenset[str] | None, obj: str) -> EvalResult:
+        if memory is None:
+            return UNDEFINED
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if s.label in memory))
+
+    memoryless = False
 
 
 @dataclass(frozen=True)
-class Intersect(Strategy):
-    """Pointwise intersection; defined where all children are."""
+class _Combination(_Stepwise):
+    """A combinator over children; the memory is the tuple of their memories."""
 
     children: tuple[Strategy, ...]
 
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise ValueError("intersection needs at least one child")
+    def start(self, ars: Ars, obj: str) -> tuple:
+        return tuple(c.start(ars, obj) for c in self.children)
 
-    def eval(self, d: Derivation) -> EvalResult:
-        results = [c.eval(d) for c in self.children]
-        if not all(r.defined for r in results):
-            return UNDEFINED
-        common = set(results[0].steps)
-        for r in results[1:]:
-            common &= set(r.steps)
-        return EvalResult(True, d.ars.sorted_steps(common))
+    def advance(self, ars: Ars, memory: tuple, step: Step) -> tuple:
+        return tuple(c.advance(ars, m, step) for c, m in zip(self.children, memory))
 
     @property
     def memoryless(self) -> bool:
@@ -266,76 +269,60 @@ class Intersect(Strategy):
 
 
 @dataclass(frozen=True)
-class UnionPointwise(Strategy):
+class Intersect(_Combination):
+    """Pointwise intersection; defined where all children are."""
+
+    def __post_init__(self) -> None:
+        if not self.children:
+            raise ValueError("intersection needs at least one child")
+
+    def at(self, ars: Ars, memory: tuple, obj: str) -> EvalResult:
+        results = [c.at(ars, m, obj) for c, m in zip(self.children, memory)]
+        if not all(r.defined for r in results):
+            return UNDEFINED
+        return EvalResult(True, ars.sorted_steps(set.intersection(*(set(r.steps) for r in results))))
+
+
+@dataclass(frozen=True)
+class UnionPointwise(_Combination):
     """Pointwise union; defined where some child is.
 
     Its extension can be strictly larger than the union of the children's
     extensions: a derivation may swap between children mid-flight.
     """
 
-    children: tuple[Strategy, ...]
-
     def __post_init__(self) -> None:
         if len(self.children) < 2:
             raise ValueError("union needs at least two children")
 
-    def eval(self, d: Derivation) -> EvalResult:
-        results = [c.eval(d) for c in self.children]
+    def at(self, ars: Ars, memory: tuple, obj: str) -> EvalResult:
+        # without the children that a committed union has left
+        results = [c.at(ars, m, obj) for c, m in zip(self.children, memory) if m is not _LEFT]
         if not any(r.defined for r in results):
             return UNDEFINED
-        merged: set[Step] = set()
-        for r in results:
-            merged.update(r.steps)
-        return EvalResult(True, d.ars.sorted_steps(merged))
-
-    @property
-    def memoryless(self) -> bool:
-        return all(c.memoryless for c in self.children)
+        return EvalResult(True, ars.sorted_steps(s for r in results for s in r.steps))
 
 
-def _obeys(child: Strategy, d: Derivation) -> bool:
-    """Whether child permitted each step of d after the prefix before it."""
-    before = [d]  # d and its prefixes, longest first
-    while before[-1].labels:
-        before.append(before[-1].parent)
-    for step in d.steps:
-        if step not in child.eval(before.pop()).steps:
-            return False
-    return True
+_LEFT = object()  # the memory of a child that the history left
 
 
 @dataclass(frozen=True)
-class UnionCommitted(Strategy):
+class UnionCommitted(UnionPointwise):
     """Union that commits: once the history leaves a child, that child is out.
 
     Each child only contributes after derivations whose every step it
     permitted, so the generated set is exactly the union of the children's
-    generated sets.
+    generated sets. The memory holds each child's memory, or a marker for a
+    child that did not permit some step taken.
     """
 
-    children: tuple[Strategy, ...]
+    def advance(self, ars: Ars, memory: tuple, step: Step) -> tuple:
+        return tuple(
+            c.advance(ars, m, step) if m is not _LEFT and step in c.at(ars, m, step.source).steps else _LEFT
+            for c, m in zip(self.children, memory)
+        )
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
-            raise ValueError("union needs at least two children")
-
-    def eval(self, d: Derivation) -> EvalResult:
-        merged: set[Step] = set()
-        defined = False
-        for child in self.children:
-            if not _obeys(child, d):
-                continue
-            r = child.eval(d)
-            if r.defined:
-                defined = True
-                merged.update(r.steps)
-        if not defined:
-            return UNDEFINED
-        return EvalResult(True, d.ars.sorted_steps(merged))
-
-    @property
-    def memoryless(self) -> bool:
-        return False
+    memoryless = False
 
 
 @dataclass(frozen=True)
@@ -358,60 +345,66 @@ class TableEntry:
             if s.source != self.head:
                 raise ValueError(f"table step {s.render()} does not leave {self.head}")
 
-    def matches(self, d: Derivation) -> bool:
-        if d.target != self.head:
-            return False
-        if self.source is not None and d.source != self.source:
-            return False
-        word = d.labels
-        if self.wildcard:
-            return word[: len(self.word)] == self.word
-        return word == self.word
-
 
 @dataclass(frozen=True)
-class FromTable(Strategy):
+class FromTable(_Stepwise):
     """Finite mapping from derivation patterns to permitted step sets.
 
     Exact rows win over wildcard rows; among wildcard rows the longest stored
-    prefix wins. Undefined where no row matches.
+    prefix wins. Undefined where no row matches. The memory of a memoried
+    table is the source and the start of the label word that the rows can
+    tell apart.
     """
 
     entries: tuple[TableEntry, ...]
 
-    def eval(self, d: Derivation) -> EvalResult:
-        best: TableEntry | None = None
-        for entry in self.entries:
-            if not entry.matches(d):
-                continue
-            if not entry.wildcard:
-                return EvalResult(True, d.ars.sorted_steps(entry.steps))
-            if best is None or len(entry.word) > len(best.word):
-                best = entry
+    @cached_property
+    def _kept(self) -> int:
+        """Word labels a memory keeps: past them, no row tells two words apart."""
+        return max((len(e.word) + (not e.wildcard) for e in self.entries), default=0)
+
+    def start(self, ars: Ars, obj: str) -> Hashable:
+        return () if self.memoryless else (obj, ())
+
+    def advance(self, ars: Ars, memory, step: Step) -> Hashable:
+        if not memory or len(memory[1]) >= self._kept:
+            return memory
+        return memory[0], memory[1] + (step.label,)
+
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        source, word = memory or (None, ())
+        rows = [e for e in self.entries if e.head == obj and e.source in (None, source)]
+        exact = [e for e in rows if not e.wildcard and e.word == word]
+        prefixed = [e for e in rows if e.wildcard and word[: len(e.word)] == e.word]
+        best = exact[0] if exact else max(prefixed, key=lambda e: len(e.word), default=None)
         if best is None:
             return UNDEFINED
-        return EvalResult(True, d.ars.sorted_steps(best.steps))
+        return EvalResult(True, ars.sorted_steps(best.steps))
 
     @property
     def memoryless(self) -> bool:
-        return all(
-            e.wildcard and not e.word and e.source is None for e in self.entries
-        )
+        return all(e.wildcard and not e.word and e.source is None for e in self.entries)
 
 
 @dataclass(frozen=True)
-class AcceptFiltered(Strategy):
+class AcceptFiltered(_Stepwise):
     """A strategy plus an accepting condition over completed derivations.
 
-    The condition does not constrain stepping; it selects which generated
-    derivations count as accepted when the strategy is materialised.
+    The condition does not constrain stepping, and the memory is the child's;
+    it selects which generated derivations count as accepted.
     """
 
     child: Strategy
     condition: object
 
-    def eval(self, d: Derivation) -> EvalResult:
-        return self.child.eval(d)
+    def start(self, ars: Ars, obj: str) -> Hashable:
+        return self.child.start(ars, obj)
+
+    def advance(self, ars: Ars, memory, step: Step) -> Hashable:
+        return self.child.advance(ars, memory, step)
+
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        return self.child.at(ars, memory, obj)
 
     @property
     def memoryless(self) -> bool:
@@ -436,24 +429,47 @@ def union_committed(left: Strategy, right: Strategy) -> UnionCommitted:
 # -- generation ----------------------------------------------------------------
 
 
+def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], tuple[tuple[Step, Hashable], ...]]:
+    """The moves of xi: at a memory and an object, the steps xi permits there in
+    label order (Ars.steps_from), each with the memory after it. Each (memory,
+    object) pair is evaluated once per call of transitions."""
+
+    @cache
+    def moves(memory: Hashable, obj: str) -> tuple[tuple[Step, Hashable], ...]:
+        permitted = ars.steps_from(obj, xi.at(ars, memory, obj).steps)
+        return tuple((s, xi.advance(ars, memory, s)) for s in permitted)
+
+    return moves
+
+
 def generate(
-    xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
+    xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None, accept=None
 ) -> Iterator[Derivation]:
     """The derivations of length <= depth that xi generates, in Derivation.sort_key order.
 
     A derivation is generated when xi permits each of its steps after the
     prefix before it. Each layer extends the one before, in order, by the
-    steps xi permits among the out-steps of each target, in label order
-    (Ars.steps_from); from sources in object-index order every layer comes
-    out sorted, so nothing else is sorted.
+    moves of xi at each derivation's memory and target (transitions); from
+    sources in object-index order every layer comes out sorted, so nothing
+    else is sorted. With an accepting condition (start, advance, final over
+    steps), only the derivations it accepts, read off the state carried
+    along each.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
-    layer = [ars.empty_derivation(obj) for obj in starts]
+    moves = transitions(xi, ars)
+    layer = [
+        (ars.empty_derivation(obj), xi.start(ars, obj), None if accept is None else accept.start(ars, obj))
+        for obj in starts
+    ]
     for _ in range(depth):
-        layer = [d.extended(s.label) for d in layer for s in ars.steps_from(d.target, xi.eval(d).steps)]
-        yield from layer
+        layer = [
+            (d.extended(s.label), after, None if accept is None else accept.advance(state, s))
+            for d, memory, state in layer
+            for s, after in moves(memory, d.target)
+        ]
+        yield from (d for d, _, state in layer if accept is None or accept.final(state))
 
 
 def finite_support(
@@ -474,7 +490,7 @@ def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
         raise MemoryRequired("induced sub-system needs a memoryless strategy")
     chosen: set[Step] = set()
     for obj in ars.objects:
-        chosen.update(xi.eval(ars.empty_derivation(obj)).steps)
+        chosen.update(xi.at(ars, xi.start(ars, obj), obj).steps)
     return ars.sorted_steps(chosen)
 
 

@@ -1,10 +1,12 @@
 """Strategies described by logic: step predicates and accepting conditions.
 
-Both read a derivation, the paper's traced object. A characteristic predicate
-decides, per derivation so far and candidate label, whether the step is
-permitted; it is itself the intensional strategy it describes. An accepting
-condition selects which completed derivations count, so a logical strategy
-(base strategy plus condition) generates a set that need not be prefix-closed.
+A characteristic predicate decides, per derivation so far (the paper's traced
+object) and candidate label, whether the step is permitted; it is itself the
+intensional strategy it describes. An accepting condition selects which
+completed derivations count, so a logical strategy (base strategy plus
+condition) generates a set that need not be prefix-closed. A condition reads
+as an automaton over steps, as a strategy does: accepted and layered_check
+walk one product of objects, strategy memories and condition states.
 nonclosed_witness searches, up to a horizon, for a lasso whose finite
 truncations always remain extendable to accepted derivations without ever
 being accepted themselves: a finitely presented limit point outside the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 from . import rational
@@ -32,6 +34,7 @@ from .intensional import (
     generate,
     induced_steps,
     lassos_of_memoryless,
+    transitions,
 )
 
 # -- characteristic predicates ---------------------------------------------------
@@ -66,9 +69,7 @@ class FalsePredicate(Predicate):
     def holds(self, d: Derivation, label: str) -> bool:
         return False
 
-    @property
-    def memoryless(self) -> bool:
-        return True
+    memoryless = True
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,7 @@ class AlternatePredicate(Predicate):
             last in self.first and label in self.second
         )
 
-    @property
-    def memoryless(self) -> bool:
-        return False
+    memoryless = False
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,24 @@ class AcceptCondition(abc.ABC):
     """Decides whether a completed derivation is accepted.
 
     start, advance and final read the condition as an automaton over steps,
-    with hashable states: folding advance over a derivation's steps from
-    start at its source ends in a state that final accepts exactly when
-    accepts does. By default the state is the derivation itself.
+    with hashable states; accepts folds advance over a derivation's steps
+    from start at its source and asks final of the state it ends in.
     """
 
     @abc.abstractmethod
-    def accepts(self, d: Derivation) -> bool: ...
+    def start(self, ars: Ars, obj: str) -> Hashable: ...
 
-    def start(self, ars: Ars, obj: str) -> Hashable:
-        return ars.empty_derivation(obj)
+    @abc.abstractmethod
+    def advance(self, state, step: Step) -> Hashable: ...
 
-    def advance(self, state, step: Step) -> Hashable:
-        return state.extended(step.label)
+    @abc.abstractmethod
+    def final(self, state) -> bool: ...
 
-    def final(self, state) -> bool:
-        return self.accepts(state)
+    def accepts(self, d: Derivation) -> bool:
+        state = self.start(d.ars, d.source)
+        for step in d.steps:
+            state = self.advance(state, step)
+        return self.final(state)
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,6 @@ class LabelWordIn(AcceptCondition):
     @cached_property
     def nfa(self) -> rational.Nfa:
         return rational.compile_expr(self.expr)
-
-    def accepts(self, d: Derivation) -> bool:
-        return self.nfa.run(d.labels)
 
     def start(self, ars: Ars, obj: str) -> frozenset[int]:
         return rational.START
@@ -164,9 +162,6 @@ class _LenCondition(AcceptCondition):
     """A condition on the length alone; the state counts steps up to bound + 1."""
 
     bound: int
-
-    def accepts(self, d: Derivation) -> bool:
-        return self.final(len(d))
 
     def start(self, ars: Ars, obj: str) -> int:
         return 0
@@ -199,9 +194,6 @@ class AtObject(AcceptCondition):
 
     obj: str
 
-    def accepts(self, d: Derivation) -> bool:
-        return d.target == self.obj
-
     def start(self, ars: Ars, obj: str) -> str:
         return obj
 
@@ -214,10 +206,18 @@ class AtObject(AcceptCondition):
 
 @dataclass(frozen=True)
 class ExplicitTraceSet(AcceptCondition):
+    """The derivation is one of the given ones; the state is the derivation so far."""
+
     traces: frozenset[Derivation]
 
-    def accepts(self, d: Derivation) -> bool:
-        return d in self.traces
+    def start(self, ars: Ars, obj: str) -> Derivation:
+        return ars.empty_derivation(obj)
+
+    def advance(self, state: Derivation, step: Step) -> Derivation:
+        return state.extended(step.label)
+
+    def final(self, state: Derivation) -> bool:
+        return state in self.traces
 
 
 @dataclass(frozen=True)
@@ -235,18 +235,12 @@ class _Junction(AcceptCondition):
 
 @dataclass(frozen=True)
 class And(_Junction):
-    def accepts(self, d: Derivation) -> bool:
-        return all(p.accepts(d) for p in self.parts)
-
     def final(self, state: tuple) -> bool:
         return all(p.final(q) for p, q in zip(self.parts, state))
 
 
 @dataclass(frozen=True)
 class Or(_Junction):
-    def accepts(self, d: Derivation) -> bool:
-        return any(p.accepts(d) for p in self.parts)
-
     def final(self, state: tuple) -> bool:
         return any(p.final(q) for p, q in zip(self.parts, state))
 
@@ -256,9 +250,6 @@ class Not(AcceptCondition):
     """The complement; the state is the part's state."""
 
     part: AcceptCondition
-
-    def accepts(self, d: Derivation) -> bool:
-        return not self.part.accepts(d)
 
     def start(self, ars: Ars, obj: str) -> Hashable:
         return self.part.start(ars, obj)
@@ -304,8 +295,7 @@ def accepted(
     ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
 ) -> AbstractStrategy:
     """Members of the base's support (up to depth) that the condition accepts."""
-    kept = frozenset(d for d in generate(ls.base, ars, depth, sources) if ls.accept.accepts(d))
-    return AbstractStrategy(ars, kept)
+    return AbstractStrategy(ars, frozenset(generate(ls.base, ars, depth, sources, ls.accept)))
 
 
 def layered_check(
@@ -315,9 +305,10 @@ def layered_check(
     is_prefix_closed reports for it (None when it is prefix-closed), found
     without building the set.
 
-    A forward search over layers 1..depth of nodes (memory, condition state,
-    gap). The memory is the object for a memoryless base and the derivation
-    otherwise; gap says whether some non-empty strict prefix was not accepted.
+    A forward search over layers 1..depth of the product nodes (object, the
+    base's memory, condition state, gap), moving by the base's transitions;
+    gap says whether some non-empty strict prefix was not accepted. A
+    memoryless base keeps one memory, so its nodes are shared per object.
     Each node keeps its number of paths and its first arrival. Layers are
     expanded in first-arrival order with out-steps in label order, so a node's
     first arrival is its least path in Derivation.sort_key order, and the first
@@ -328,31 +319,22 @@ def layered_check(
         raise ValueError("depth must be at least 1")
     starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
     base, cond = ls.base, ls.accept
-
-    def evaluate(d: Derivation) -> tuple[Step, ...]:
-        return ars.steps_from(d.target, base.eval(d).steps)
-
-    if base.memoryless:  # each object reached is evaluated once, the others never
-        begin, move = (lambda obj: obj), (lambda obj, step: step.target)
-        steps = cache(lambda obj: evaluate(ars.empty_derivation(obj)))
-    else:
-        begin, steps, move = ars.empty_derivation, evaluate, (lambda d, step: d.extended(step.label))
-
+    moves = transitions(base, ars)
     # node -> [paths, first arrival (parent node, label) or the source, accepted]
-    layers = [{(begin(obj), cond.start(ars, obj), False): [1, obj, False] for obj in starts}]
+    layers = [{(obj, base.start(ars, obj), cond.start(ars, obj), False): [1, obj, False] for obj in starts}]
     count, found = 0, None
     while layers[-1] and len(layers) <= depth:
         grown: dict[tuple, list] = {}
         for node, (paths, _, final) in layers[-1].items():
-            memory, state, gap = node
+            obj, memory, state, gap = node
             gap = found is None and (gap or (len(layers) > 1 and not final))
-            for step in steps(memory):
-                nxt = (move(memory, step), cond.advance(state, step), gap)
+            for step, after in moves(memory, obj):
+                nxt = (step.target, after, cond.advance(state, step), gap)
                 if nxt in grown:
                     grown[nxt][0] += paths
                 else:
                     grown[nxt] = [paths, (node, step.label), False]
-        for (_, state, gap), entry in grown.items():
+        for (_, _, state, gap), entry in grown.items():
             entry[2] = cond.final(state)
             if entry[2]:
                 count += entry[0]

@@ -2,8 +2,10 @@
 
 The oracles here are deliberately independent of the implementations they
 check: support by filtering a raw enumeration (raw_derivations, which does
-not go through intensional.generate) step by step, regex matching by
-word derivatives, closedness by a limit-point scan over an ambient
+not go through intensional.generate) step by step, with each strategy read
+off the whole derivation (replayed_eval) rather than through its memory,
+acceptance by each condition's reading of the whole derivation
+(brute_accepts), regex matching by word derivatives, closedness by a limit-point scan over an ambient
 enumeration, factor and composition closure by building every factor and
 every composition, and the witness search by materialising every accepted
 derivation. The document parser's steps reader is checked against the token
@@ -19,22 +21,32 @@ from unittest import mock
 
 from strat import (
     AbstractStrategy,
+    AcceptCondition,
     AcceptFiltered,
     Alternate,
+    And,
     Ars,
+    AtObject,
     ClosureVerdict,
     ColorAlternate,
     Derivation,
+    EvalResult,
+    ExplicitTraceSet,
     Fail,
     FromTable,
     Greatmost,
     GreatmostPredicate,
     Intersect,
     LabelOrder,
+    LabelWordIn,
     Lasso,
+    LenAtLeast,
     LenAtMost,
+    LenEq,
     LogicalStrategy,
     MaxLen,
+    Not,
+    Or,
     RestrictLabels,
     Strategy,
     TableEntry,
@@ -140,21 +152,119 @@ def raw_derivations(ars: Ars, max_len: int) -> list[Derivation]:
     return out
 
 
+def _obeys(child: Strategy, d: Derivation) -> bool:
+    """Whether child permitted each step of d after the prefix before it."""
+    return all(
+        d.steps[j] in replayed_eval(child, Derivation(d.ars, d.source, d.labels[:j])).steps
+        for j in range(len(d))
+    )
+
+
+def replayed_eval(xi: Strategy, d: Derivation) -> EvalResult:
+    """The steps xi permits after d, read off the whole derivation: its length
+    for maxlen, the last step or label for the alternations, a replay of the
+    history through each child for unionC and a scan of the rows on d for
+    tables. Recurses through the combinators; any other strategy answers by
+    its own eval."""
+    ars, outs = d.ars, d.ars.out_steps(d.target)
+    undefined = EvalResult(False, ())
+    if isinstance(xi, MaxLen):
+        return EvalResult(True, outs if len(d) < xi.bound - 1 else ())
+    if isinstance(xi, Alternate):
+        if not d.labels:
+            return EvalResult(True, tuple(s for s in outs if s in xi.first))
+        last = d.steps[-1]
+        if last not in xi.first and last not in xi.second:
+            return undefined
+        allowed = {s for s in outs if (last in xi.second and s in xi.first) or (last in xi.first and s in xi.second)}
+        return EvalResult(True, ars.sorted_steps(allowed))
+    if isinstance(xi, ColorAlternate):
+        if not d.labels:
+            want = xi.white | xi.black
+        elif d.labels[-1] in xi.white:
+            want = xi.black
+        elif d.labels[-1] in xi.black:
+            want = xi.white
+        else:
+            return undefined
+        return EvalResult(True, tuple(s for s in outs if s.label in want))
+    if isinstance(xi, AcceptFiltered):
+        return replayed_eval(xi.child, d)
+    if isinstance(xi, Intersect):
+        results = [replayed_eval(c, d) for c in xi.children]
+        if not all(r.defined for r in results):
+            return undefined
+        common = set(results[0].steps)
+        for r in results[1:]:
+            common &= set(r.steps)
+        return EvalResult(True, ars.sorted_steps(common))
+    if isinstance(xi, (UnionPointwise, UnionCommitted)):
+        committed = isinstance(xi, UnionCommitted)
+        results = [replayed_eval(c, d) for c in xi.children if not committed or _obeys(c, d)]
+        if not any(r.defined for r in results):
+            return undefined
+        return EvalResult(True, ars.sorted_steps(s for r in results for s in r.steps))
+    if isinstance(xi, FromTable):
+        best = None
+        for entry in xi.entries:
+            if entry.head != d.target or entry.source not in (None, d.source):
+                continue
+            if not entry.wildcard:
+                if d.labels == entry.word:
+                    return EvalResult(True, ars.sorted_steps(entry.steps))
+            elif d.labels[: len(entry.word)] == entry.word and (best is None or len(entry.word) > len(best.word)):
+                best = entry
+        return undefined if best is None else EvalResult(True, ars.sorted_steps(best.steps))
+    return xi.eval(d)
+
+
 def stepwise_support(
     xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
 ) -> frozenset[Derivation]:
-    """Filter a raw enumeration by evaluating the strategy at every prefix."""
+    """Filter a raw enumeration by evaluating the strategy (replayed_eval) at every prefix."""
     allowed = set(ars.objects if sources is None else sources)
     kept = []
     for d in raw_derivations(ars, depth):
         if d.source not in allowed:
             continue
         if all(
-            d.steps[j] in xi.eval(Derivation(ars, d.source, d.labels[:j])).steps
+            d.steps[j] in replayed_eval(xi, Derivation(ars, d.source, d.labels[:j])).steps
             for j in range(len(d))
         ):
             kept.append(d)
     return frozenset(kept)
+
+
+def folded_memory(xi: Strategy, d: Derivation):
+    """xi's memory after d: advance folded over d's steps from start at its source."""
+    memory = xi.start(d.ars, d.source)
+    for step in d.steps:
+        memory = xi.advance(d.ars, memory, step)
+    return memory
+
+
+def brute_accepts(cond: AcceptCondition, d: Derivation) -> bool:
+    """Whether cond accepts d, read off the whole derivation by each kind of
+    condition; words are matched by brute_match."""
+    if isinstance(cond, LabelWordIn):
+        return brute_match(cond.expr, d.labels)
+    if isinstance(cond, LenAtLeast):
+        return len(d) >= cond.bound
+    if isinstance(cond, LenAtMost):
+        return len(d) <= cond.bound
+    if isinstance(cond, LenEq):
+        return len(d) == cond.bound
+    if isinstance(cond, AtObject):
+        return d.target == cond.obj
+    if isinstance(cond, ExplicitTraceSet):
+        return d in cond.traces
+    if isinstance(cond, And):
+        return all(brute_accepts(p, d) for p in cond.parts)
+    if isinstance(cond, Or):
+        return any(brute_accepts(p, d) for p in cond.parts)
+    if isinstance(cond, Not):
+        return not brute_accepts(cond.part, d)
+    raise TypeError(cond)
 
 
 def walks(ars: Ars, max_len: int, sources: Iterable[str] | None = None) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from strat import (
+    ACCEPT_ALL,
     AbstractStrategy,
     Ars,
     AcceptFiltered,
@@ -24,13 +25,19 @@ from strat import (
     NotFactorClosed,
     NotPrefixClosed,
     CyclicOrder,
+    EvalResult,
+    LogicalStrategy,
     RestrictLabels,
+    Strategy,
     TableEntry,
     UnionCommitted,
     UnionPointwise,
     Universal,
+    enumerate_derivations,
     finite_support,
+    generate,
     induced_steps,
+    layered_check,
     lassos_of_memoryless,
     memoried_from,
     memoryless_from,
@@ -159,6 +166,51 @@ class TestCombinators:
             finite_support(wrapped, alc, 4).finite_part
             == finite_support(plain, alc, 4).finite_part
         )
+
+
+class CountedRestrict(Strategy):
+    """Permits the out-steps with allowed labels, counting its evaluations."""
+
+    memoryless = True
+
+    def __init__(self, allowed: frozenset[str], calls: list[int]) -> None:
+        self.allowed, self.calls = allowed, calls
+
+    def eval(self, d):
+        self.calls[0] += 1
+        return EvalResult(True, tuple(s for s in d.ars.out_steps(d.target) if s.label in self.allowed))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("system", ["alc", "ac", "aloop", "union_ars", "eventual_ars"])
+    def test_memoryless_strategies_keep_one_memory(self, system):
+        ars = getattr(helpers, system)()
+        derivations = [ars.empty_derivation(obj) for obj in ars.objects] + enumerate_derivations(ars, 4)
+        for name, xi in helpers.strategy_pool(ars):
+            if xi.memoryless:
+                assert len({helpers.folded_memory(xi, d) for d in derivations}) == 1, name
+
+    def test_nested_committed_unions_evaluate_their_leaves_at_most_quadratically(self):
+        # a committed union no longer replays the history through each child at
+        # every prefix: doubling the nesting at most quadruples the leaf
+        # evaluations (the replay gave about x6 from 16 to 32 levels)
+        ars = Ars(
+            ("a", "b", "c"),
+            ("x", "y", "z"),
+            [("a", "x", "b"), ("a", "y", "c"), ("b", "y", "a"), ("b", "z", "c"), ("c", "x", "a"), ("c", "z", "c")],
+        )
+        label_sets = [frozenset(s) for s in ({"x"}, {"y", "z"}, {"x", "y"}, {"z"})]
+
+        def leaf_evaluations(levels: int) -> int:
+            calls = [0]
+            xi = UnionCommitted((CountedRestrict(label_sets[0], calls), CountedRestrict(label_sets[1], calls)))
+            for i in range(levels - 1):
+                xi = UnionCommitted((CountedRestrict(label_sets[i % len(label_sets)], calls), xi))
+            members = list(generate(xi, ars, 3))
+            assert layered_check(LogicalStrategy(xi, ACCEPT_ALL), ars, 3) == (len(members), None)
+            return calls[0]
+
+        assert leaf_evaluations(32) <= 4 * leaf_evaluations(16)
 
 
 class TestFromTable:

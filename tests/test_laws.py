@@ -9,7 +9,9 @@ less, then checks:
 - a support is prefix-closed;
 - the support of an intersection is the intersection of the supports;
 - a committed union generates exactly the union of its children;
-- memoried_from rebuilds a strategy whose support is the set it was given.
+- memoried_from rebuilds a strategy whose support is the set it was given;
+- a memoryless strategy's memory, folded over any derivation up to depth 4,
+  is one and the same.
 
 A second family draws a system (6 objects or fewer, 3 labels or fewer), a
 horizon from 2 to 6, a `universal` or `restrict` base and a condition tree
@@ -18,8 +20,9 @@ over word, len, at, and, or, not and explicit derivation sets, then checks:
 - the witness search on the product graph returns what the search over
   materialised accepted sets returns, and its horizon-bounded lassos are the
   short ones of the unbounded search;
-- folding a condition's start, advance and final over a derivation agrees
-  with accepts.
+- folding a condition's start, advance and final over a derivation, and
+  accepts, agree with each condition's reading of the whole derivation
+  (helpers.brute_accepts).
 
 A third family draws a system (6 objects or fewer), a strategy tree of every
 kind, in half of the examples wrapped so that its eval also returns the steps
@@ -201,6 +204,15 @@ class TestGenerationLaws:
         assert union.finite_part == s1 | s2
         assert finite_support(memoried_from(z1), ars, depth, sources).finite_part == s1
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cases())
+    def test_memoryless_strategies_keep_one_memory(self, case):
+        ars, x1, x2, _, _ = case
+        derivations = [ars.empty_derivation(obj) for obj in ars.objects] + helpers.raw_derivations(ars, 4)
+        for xi in (x1, x2, Intersect((x1, x2)), UnionPointwise((x1, x2))):
+            if xi.memoryless:
+                assert len({helpers.folded_memory(xi, d) for d in derivations}) == 1
+
 
 def _expr(draw, labels: tuple[str, ...], levels: int):
     kind = draw(st.sampled_from(("sym",) + (("cat", "alt", "star", "plus", "opt") if levels else ())))
@@ -268,7 +280,7 @@ class TestWitnessSearch:
             state = cond.start(ars, d.source)
             for step in d.steps:
                 state = cond.advance(state, step)
-            assert cond.final(state) == cond.accepts(d)
+            assert cond.final(state) == cond.accepts(d) == helpers.brute_accepts(cond, d)
 
 
 @st.composite

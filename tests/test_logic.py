@@ -29,11 +29,15 @@ from strat import (
     Not,
     Or,
     TruePredicate,
+    RestrictLabels,
+    UnionCommitted,
     Universal,
     accepted,
     as_logical,
     finite_support,
     is_prefix_closed,
+    layered_check,
+    memoried_from,
     nonclosed_witness,
     rational,
     strategy_from_predicate,
@@ -150,6 +154,27 @@ class TestAccepted:
         acc = accepted(ls, eventual, 3)
         assert len(acc.finite_part) == 1
         assert not is_prefix_closed(acc).holds
+
+
+class TestLayeredCheck:
+    @pytest.mark.parametrize("kind", ["maxlen", "alternate", "union_of_restricts", "union_of_tables"])
+    def test_builds_no_derivation_on_memoried_bases(self, alc, kind):
+        # a builtin keeps a finite memory: the search builds only the missing
+        # prefix it returns, where the set is not prefix-closed
+        restricts = (RestrictLabels(frozenset({"phi1", "phi3"})), RestrictLabels(frozenset({"phi2", "phi4"})))
+        base = {
+            "maxlen": MaxLen(3),
+            "alternate": Alternate(frozenset(alc.steps[:2]), frozenset(alc.steps[2:])),
+            "union_of_restricts": UnionCommitted(restricts),
+            "union_of_tables": UnionCommitted(tuple(memoried_from(finite_support(r, alc, 4)) for r in restricts)),
+        }[kind]
+        for cond in (ACCEPT_ALL, Not(LenEq(2))):
+            ls = LogicalStrategy(base, cond)
+            with helpers.counting_builds() as built:
+                count, missing = layered_check(ls, alc, 4)
+            assert built == ([] if missing is None else [missing])
+            z = accepted(ls, alc, 4)
+            assert (count, missing) == (z.size(), is_prefix_closed(z).missing)
 
 
 class TestNonclosedWitness:
