@@ -215,8 +215,8 @@ class Alternate(_Stepwise):
         from_first, from_second = memory
         if not (from_first or from_second):
             return UNDEFINED
-        keep = (s for s in ars.out_steps(obj) if (from_first and s in self.first) or (from_second and s in self.second))
-        return EvalResult(True, tuple(keep))
+        allowed = (self.first if from_first else set()) | (self.second if from_second else set())
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if s in allowed))
 
     memoryless = False
 
@@ -241,7 +241,9 @@ class ColorAlternate(_Stepwise):
         return self.white | self.black
 
     def advance(self, ars: Ars, memory, step: Step) -> frozenset[str] | None:
-        return self.black if step.label in self.white else self.white if step.label in self.black else None
+        if step.label in self.white:
+            return self.black
+        return self.white if step.label in self.black else None
 
     def at(self, ars: Ars, memory: frozenset[str] | None, obj: str) -> EvalResult:
         if memory is None:
@@ -429,7 +431,7 @@ def union_committed(left: Strategy, right: Strategy) -> UnionCommitted:
 # -- generation ----------------------------------------------------------------
 
 
-def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], tuple[tuple[Step, Hashable], ...]]:
+def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], tuple]:
     """The moves of xi: at a memory and an object, the steps xi permits there in
     label order (Ars.steps_from), each with the memory after it. Each (memory,
     object) pair is evaluated once per call of transitions."""
