@@ -6,7 +6,7 @@ Strategy gives the steps it permits next, with a definedness flag: Fail is
 undefined everywhere, which is not the same as being defined with no permitted
 steps. A strategy reads as an automaton over steps: a memory advanced by each
 step taken, and the steps permitted at an object under it. Each builtin keeps
-a finite memory, so none replays the history; a memoryless strategy keeps one
+a small memory, so none replays the history; a memoryless strategy keeps one
 memory, so it reads only the current object. generate walks derivations with
 their memories (transitions) and yields those a strategy generates up to a
 depth, in Derivation.sort_key order; finite_support (the set) and
@@ -241,9 +241,7 @@ class ColorAlternate(_Stepwise):
         return self.white | self.black
 
     def advance(self, ars: Ars, memory, step: Step) -> frozenset[str] | None:
-        if step.label in self.white:
-            return self.black
-        return self.white if step.label in self.black else None
+        return self.black if step.label in self.white else self.white if step.label in self.black else None
 
     def at(self, ars: Ars, memory: frozenset[str] | None, obj: str) -> EvalResult:
         if memory is None:
@@ -347,6 +345,10 @@ class TableEntry:
             if s.source != self.head:
                 raise ValueError(f"table step {s.render()} does not leave {self.head}")
 
+    def matches(self, word: tuple[str, ...]) -> bool:
+        """Whether the row's word is the label word (for a wildcard row, its start)."""
+        return (word[: len(self.word)] if self.wildcard else word) == self.word
+
 
 @dataclass(frozen=True)
 class FromTable(_Stepwise):
@@ -354,36 +356,32 @@ class FromTable(_Stepwise):
 
     Exact rows win over wildcard rows; among wildcard rows the longest stored
     prefix wins. Undefined where no row matches. The memory of a memoried
-    table is the source and the start of the label word that the rows can
-    tell apart.
+    table is the source and the label word.
     """
 
     entries: tuple[TableEntry, ...]
 
     @cached_property
-    def _kept(self) -> int:
-        """Word labels a memory keeps: past them, no row tells two words apart."""
-        return max((len(e.word) + (not e.wildcard) for e in self.entries), default=0)
+    def _rows(self) -> dict[str, list[TableEntry]]:
+        rows: dict[str, list[TableEntry]] = {}
+        for entry in self.entries:
+            rows.setdefault(entry.head, []).append(entry)
+        return rows
 
     def start(self, ars: Ars, obj: str) -> Hashable:
         return () if self.memoryless else (obj, ())
 
     def advance(self, ars: Ars, memory, step: Step) -> Hashable:
-        if not memory or len(memory[1]) >= self._kept:
-            return memory
-        return memory[0], memory[1] + (step.label,)
+        return memory if self.memoryless else (memory[0], memory[1] + (step.label,))
 
     def at(self, ars: Ars, memory, obj: str) -> EvalResult:
         source, word = memory or (None, ())
-        rows = [e for e in self.entries if e.head == obj and e.source in (None, source)]
-        exact = [e for e in rows if not e.wildcard and e.word == word]
-        prefixed = [e for e in rows if e.wildcard and word[: len(e.word)] == e.word]
-        best = exact[0] if exact else max(prefixed, key=lambda e: len(e.word), default=None)
-        if best is None:
-            return UNDEFINED
-        return EvalResult(True, ars.sorted_steps(best.steps))
+        rows = [e for e in self._rows.get(obj, ()) if e.source in (None, source) and e.matches(word)]
+        # exact rows win, then the longest prefix; max keeps the first of equal rows
+        best = max(rows, key=lambda e: (not e.wildcard, len(e.word)), default=None)
+        return UNDEFINED if best is None else EvalResult(True, ars.sorted_steps(best.steps))
 
-    @property
+    @cached_property
     def memoryless(self) -> bool:
         return all(e.wildcard and not e.word and e.source is None for e in self.entries)
 
