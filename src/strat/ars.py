@@ -18,9 +18,8 @@ keeps the graph searches.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     FunctionalityViolation,
@@ -29,10 +28,10 @@ from .errors import (
     UndefinedStep,
     UnknownSymbol,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One labelled reduction step."""
 
     source: str
@@ -163,23 +162,33 @@ class Ars:
         return f"Ars({len(self.objects)} objects, {len(self.labels)} labels, {len(self.steps)} steps)"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """A composable sequence of steps, identified by source and label word.
 
-    The target sequence is forced by functionality and cached. The empty
-    derivation at an object is a legal value (neutral for composition) but is
-    never a strategy member.
+    The target sequence is forced by functionality and cached, and target is
+    its last object. The empty derivation at an object is a legal value
+    (neutral for composition) but is never a strategy member.
     """
 
     ars: Ars
     source: str
     labels: tuple[str, ...]
-    target: str = field(init=False, repr=False, compare=False)  # the last of targets
+
+    def __init__(self, ars: Ars, source: str, labels: tuple[str, ...]) -> None:
+        self.__dict__.update(ars=ars, source=source, labels=labels)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # walk once, eagerly, so invalid derivations never exist
-        object.__setattr__(self, "target", self.targets[-1])
+        self.__dict__["target"] = self.targets[-1]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.source == other.source and self.ars is other.ars
+
+    def __hash__(self) -> int:
+        return hash((self.ars, self.source, self.labels))
 
     @cached_property
     def targets(self) -> tuple[str, ...]:
@@ -242,11 +251,8 @@ class Derivation:
     ) -> "Derivation":
         """A derivation of this system whose targets are known, so not walked again."""
         d = object.__new__(Derivation)
-        # set as the constructor sets them, so that instances share one key table
-        object.__setattr__(d, "ars", self.ars)
-        object.__setattr__(d, "source", source)
-        object.__setattr__(d, "labels", labels)
-        d.__dict__["targets"] = targets
+        # in the constructor's order, so that instances share one key table
+        d.__dict__.update(ars=self.ars, source=source, labels=labels, targets=targets)
         d.__post_init__()
         return d
 
@@ -304,22 +310,23 @@ class Derivation:
         return f"<{self.render()}>"
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Value):
     """stem . cycle^omega: a finitely presented infinite derivation."""
 
     stem: Derivation
     cycle: Derivation
 
-    def __post_init__(self) -> None:
-        if self.cycle.ars is not self.stem.ars:
+    def __init__(self, stem: Derivation, cycle: Derivation) -> None:
+        if cycle.ars is not stem.ars:
             raise ValueError("stem and cycle belong to different systems")
-        if self.cycle.is_empty:
+        if cycle.is_empty:
             raise ValueError("lasso cycle must be non-empty")
-        if self.stem.target != self.cycle.source:
-            raise NotComposable(self.stem.target, self.cycle.source)
-        if self.cycle.target != self.cycle.source:
-            raise NotComposable(self.cycle.target, self.cycle.source)
+        if stem.target != cycle.source:
+            raise NotComposable(stem.target, cycle.source)
+        if cycle.target != cycle.source:
+            raise NotComposable(cycle.target, cycle.source)
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "cycle", cycle)
 
     @property
     def ars(self) -> Ars:

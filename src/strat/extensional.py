@@ -26,11 +26,11 @@ scanning every member's factors in order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .ars import Ars, Derivation, Lasso
 from .errors import UnknownObject
+from .value import Value
 
 
 class ApplicationStatus(enum.Enum):
@@ -39,8 +39,7 @@ class ApplicationStatus(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class ApplicationResult:
+class ApplicationResult(Value):
     """Outcome of applying a strategy to an object."""
 
     status: ApplicationStatus
@@ -52,8 +51,7 @@ class ApplicationResult:
         return self.status is ApplicationStatus.APPLIES
 
 
-@dataclass(frozen=True)
-class AbstractStrategy:
+class AbstractStrategy(Value):
     """A set of non-empty derivations over one reduction system."""
 
     ars: Ars
@@ -110,8 +108,7 @@ class AbstractStrategy:
         return len(self.finite_part) + len(self.lasso_part)
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(Value):
     """Result of a closure check; falsy iff a counterexample was found."""
 
     holds: bool

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
@@ -41,6 +40,7 @@ from .extensional import (
     is_factor_closed,
     is_prefix_closed,
 )
+from .value import Value
 
 
 class EvalResult(NamedTuple):
@@ -80,7 +80,7 @@ class Strategy(abc.ABC):
         return self.eval(ars.empty_derivation(obj) if self.memoryless else memory)
 
 
-class _Stepwise(Strategy):
+class _Stepwise(Strategy, Value):
     """A strategy defined by start, advance and at; eval folds them over the
     derivation. A memoryless one keeps the default memory ()."""
 
@@ -96,8 +96,7 @@ class _Stepwise(Strategy):
     memoryless = True
 
 
-@dataclass(frozen=True)
-class LabelOrder:
+class LabelOrder(Value):
     """A strict partial order on labels, stored transitively closed."""
 
     relation: frozenset[tuple[str, str]]
@@ -130,7 +129,6 @@ class LabelOrder:
         )
 
 
-@dataclass(frozen=True)
 class Universal(_Stepwise):
     """Permits every out-step; defined on every object."""
 
@@ -138,7 +136,6 @@ class Universal(_Stepwise):
         return EvalResult(True, ars.out_steps(obj))
 
 
-@dataclass(frozen=True)
 class Fail(_Stepwise):
     """Undefined everywhere; generates nothing."""
 
@@ -146,7 +143,6 @@ class Fail(_Stepwise):
         return UNDEFINED
 
 
-@dataclass(frozen=True)
 class Greatmost(_Stepwise):
     """Permits the steps whose labels are maximal among the out-labels.
 
@@ -164,7 +160,6 @@ class Greatmost(_Stepwise):
         return EvalResult(True, tuple(keep))
 
 
-@dataclass(frozen=True)
 class MaxLen(_Stepwise):
     """Cuts off extension once the history reaches bound - 1 steps, as the memory counts."""
 
@@ -182,7 +177,6 @@ class MaxLen(_Stepwise):
     memoryless = False
 
 
-@dataclass(frozen=True)
 class RestrictLabels(_Stepwise):
     """Permits only out-steps whose label lies in the allowed set."""
 
@@ -192,7 +186,6 @@ class RestrictLabels(_Stepwise):
         return EvalResult(True, tuple(s for s in ars.out_steps(obj) if s.label in self.allowed))
 
 
-@dataclass(frozen=True)
 class Alternate(_Stepwise):
     """Alternates between two step sets, starting in the first.
 
@@ -221,7 +214,6 @@ class Alternate(_Stepwise):
     memoryless = False
 
 
-@dataclass(frozen=True)
 class ColorAlternate(_Stepwise):
     """Alternates label colours: after a white-labelled step, only black.
 
@@ -251,7 +243,6 @@ class ColorAlternate(_Stepwise):
     memoryless = False
 
 
-@dataclass(frozen=True)
 class _Combination(_Stepwise):
     """A combinator over children; the memory is the tuple of their memories."""
 
@@ -268,7 +259,6 @@ class _Combination(_Stepwise):
         return all(c.memoryless for c in self.children)
 
 
-@dataclass(frozen=True)
 class Intersect(_Combination):
     """Pointwise intersection; defined where all children are."""
 
@@ -283,7 +273,6 @@ class Intersect(_Combination):
         return EvalResult(True, ars.sorted_steps(set.intersection(*(set(r.steps) for r in results))))
 
 
-@dataclass(frozen=True)
 class UnionPointwise(_Combination):
     """Pointwise union; defined where some child is.
 
@@ -306,7 +295,6 @@ class UnionPointwise(_Combination):
 _LEFT = object()  # the memory of a child that the history left
 
 
-@dataclass(frozen=True)
 class UnionCommitted(UnionPointwise):
     """Union that commits: once the history leaves a child, that child is out.
 
@@ -325,8 +313,7 @@ class UnionCommitted(UnionPointwise):
     memoryless = False
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Value):
     """One row of an explicit strategy table.
 
     Exact rows match derivations with precisely this label word (and source,
@@ -350,7 +337,6 @@ class TableEntry:
         return (word[: len(self.word)] if self.wildcard else word) == self.word
 
 
-@dataclass(frozen=True)
 class FromTable(_Stepwise):
     """Finite mapping from derivation patterns to permitted step sets.
 
@@ -386,7 +372,6 @@ class FromTable(_Stepwise):
         return all(e.wildcard and not e.word and e.source is None for e in self.entries)
 
 
-@dataclass(frozen=True)
 class AcceptFiltered(_Stepwise):
     """A strategy plus an accepting condition over completed derivations.
 

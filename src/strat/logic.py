@@ -16,7 +16,6 @@ accepted set.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
@@ -36,6 +35,7 @@ from .intensional import (
     lassos_of_memoryless,
     transitions,
 )
+from .value import Value
 
 # -- characteristic predicates ---------------------------------------------------
 
@@ -64,34 +64,41 @@ LenLess = MaxLen
 GreatmostPredicate = Greatmost
 
 
-@dataclass(frozen=True)
-class FalsePredicate(Predicate):
+class FalsePredicate(Predicate, Value):
     def holds(self, d: Derivation, label: str) -> bool:
         return False
 
     memoryless = True
 
 
-@dataclass(frozen=True)
-class AlternatePredicate(Predicate):
-    """Label-set alternation, starting in the first set."""
+class AlternatePredicate(Predicate, Value):
+    """Label-set alternation, starting in the first set; the memory is the last label."""
 
     first: frozenset[str]
     second: frozenset[str]
 
     def holds(self, d: Derivation, label: str) -> bool:
-        if not d.labels:
+        return self.follows(d.labels[-1] if d.labels else None, label)
+
+    def follows(self, last: str | None, label: str) -> bool:
+        """Whether label may come after the label last (None before the first step)."""
+        if last is None:
             return label in self.first
-        last = d.labels[-1]
-        return (last in self.second and label in self.first) or (
-            last in self.first and label in self.second
-        )
+        return (last in self.second and label in self.first) or (last in self.first and label in self.second)
+
+    def start(self, ars: Ars, obj: str) -> None:
+        return None
+
+    def advance(self, ars: Ars, memory: str | None, step: Step) -> str:
+        return step.label
+
+    def at(self, ars: Ars, memory: str | None, obj: str) -> EvalResult:
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if self.follows(memory, s.label)))
 
     memoryless = False
 
 
-@dataclass(frozen=True)
-class CustomPredicate(Predicate):
+class CustomPredicate(Predicate, Value):
     """Wraps a callable over (label word, target object, candidate label)."""
 
     fn: Callable[[tuple[str, ...], str, str], bool]
@@ -137,8 +144,7 @@ class AcceptCondition(abc.ABC):
         return self.final(state)
 
 
-@dataclass(frozen=True)
-class LabelWordIn(AcceptCondition):
+class LabelWordIn(AcceptCondition, Value):
     """The derivation's label word lies in a rational language; the state is the automaton's state set."""
 
     expr: object
@@ -157,8 +163,7 @@ class LabelWordIn(AcceptCondition):
         return self.nfa.accepts(state)
 
 
-@dataclass(frozen=True)
-class _LenCondition(AcceptCondition):
+class _LenCondition(AcceptCondition, Value):
     """A condition on the length alone; the state counts steps up to bound + 1."""
 
     bound: int
@@ -170,26 +175,22 @@ class _LenCondition(AcceptCondition):
         return min(state + 1, self.bound + 1)
 
 
-@dataclass(frozen=True)
 class LenAtLeast(_LenCondition):
     def final(self, state: int) -> bool:
         return state >= self.bound
 
 
-@dataclass(frozen=True)
 class LenAtMost(_LenCondition):
     def final(self, state: int) -> bool:
         return state <= self.bound
 
 
-@dataclass(frozen=True)
 class LenEq(_LenCondition):
     def final(self, state: int) -> bool:
         return state == self.bound
 
 
-@dataclass(frozen=True)
-class AtObject(AcceptCondition):
+class AtObject(AcceptCondition, Value):
     """The derivation ends at the given object; the state is the current object."""
 
     obj: str
@@ -204,8 +205,7 @@ class AtObject(AcceptCondition):
         return state == self.obj
 
 
-@dataclass(frozen=True)
-class ExplicitTraceSet(AcceptCondition):
+class ExplicitTraceSet(AcceptCondition, Value):
     """The derivation is one of the given ones; the state is the derivation so far."""
 
     traces: frozenset[Derivation]
@@ -220,8 +220,7 @@ class ExplicitTraceSet(AcceptCondition):
         return state in self.traces
 
 
-@dataclass(frozen=True)
-class _Junction(AcceptCondition):
+class _Junction(AcceptCondition, Value):
     """And and Or; the state is the tuple of the parts' states."""
 
     parts: tuple[AcceptCondition, ...]
@@ -233,20 +232,17 @@ class _Junction(AcceptCondition):
         return tuple(p.advance(q, step) for p, q in zip(self.parts, state))
 
 
-@dataclass(frozen=True)
 class And(_Junction):
     def final(self, state: tuple) -> bool:
         return all(p.final(q) for p, q in zip(self.parts, state))
 
 
-@dataclass(frozen=True)
 class Or(_Junction):
     def final(self, state: tuple) -> bool:
         return any(p.final(q) for p, q in zip(self.parts, state))
 
 
-@dataclass(frozen=True)
-class Not(AcceptCondition):
+class Not(AcceptCondition, Value):
     """The complement; the state is the part's state."""
 
     part: AcceptCondition
@@ -267,8 +263,7 @@ ACCEPT_ALL: AcceptCondition = LenAtLeast(0)
 # -- logical strategies -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogicalStrategy:
+class LogicalStrategy(Value):
     base: Strategy
     accept: AcceptCondition
 

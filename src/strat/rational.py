@@ -10,11 +10,11 @@ symbol occurrences), and matching is whole-word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StratError
+from .value import Value
 
 
 class ParseError(StratError):
@@ -31,33 +31,27 @@ class UnknownLabel(StratError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Value):
     label: str
 
 
-@dataclass(frozen=True)
-class Concat:
+class Concat(Value):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(Value):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Value):
     item: object
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(Value):
     item: object
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(Value):
     item: object
 
 
@@ -234,20 +228,22 @@ def render(node, prec: int = _PREC_ALT) -> str:
 # -- compilation (position automaton) --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Value):
     """Epsilon-free automaton: states 0..state_count-1, 0 is the start."""
 
     state_count: int
     transitions: tuple[tuple[int, str, int], ...]
     accepting: frozenset[int]
-    _subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def step_map(self) -> dict[tuple[int, str], frozenset[int]]:
         table: dict[tuple[int, str], set[int]] = {}
         for src, label, dst in self.transitions:
             table.setdefault((src, label), set()).add(dst)
         return {k: frozenset(v) for k, v in table.items()}
+
+    @cached_property
+    def _subsets(self) -> dict[tuple[frozenset[int], str], frozenset[int]]:
+        return {}
 
     @cached_property
     def table(self) -> dict[tuple[int, str], frozenset[int]]:

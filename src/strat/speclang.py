@@ -49,7 +49,7 @@ writing and building all walk that template: adding a kind is adding a class.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from functools import cached_property
 from operator import methodcaller
 from typing import Callable, NamedTuple
 
@@ -82,12 +82,12 @@ from .logic import (
     Or,
 )
 from .rational import Token
+from .value import Value
 
 MAX_NESTING = 100  # strategy and condition levels of one section, named accepts included
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     """One positioned problem; positions are 1-based."""
 
     line: int
@@ -650,10 +650,9 @@ def _node(table: dict, keyword: str, *syntax, build: Callable | None = None):
     """Class decorator: a frozen node of keyword, read and written by syntax, built by build."""
 
     def define(cls: type) -> type:
-        cls = dataclass(frozen=True)(cls)
         kinds = [piece for piece in _flat(syntax) if not isinstance(piece, str)]
         cls.keyword, cls.syntax, cls.build, cls.reads = keyword, syntax, build, _reads(syntax)
-        cls.arguments = tuple(zip([f.name for f in fields(cls)], kinds, strict=True))
+        cls.arguments = tuple(zip(cls.__match_args__, kinds, strict=True))
         table[keyword] = cls
         return cls
 
@@ -664,38 +663,38 @@ def _node(table: dict, keyword: str, *syntax, build: Callable | None = None):
 
 
 @_node(_STRATEGIES, "universal", build=Universal)
-class SUniversal:
+class SUniversal(Value):
     pass
 
 
 @_node(_STRATEGIES, "fail", build=Fail)
-class SFail:
+class SFail(Value):
     pass
 
 
 @_node(_STRATEGIES, "greatmost", "(", ORDER, ")", build=Greatmost)
-class SGreatmost:
+class SGreatmost(Value):
     order: str
 
 
 @_node(_STRATEGIES, "maxlen", "(", INTEGER, ")", build=MaxLen)
-class SMaxLen:
+class SMaxLen(Value):
     bound: int
 
 
 @_node(_STRATEGIES, "alternate", "(", STEP_SET, ";", STEP_SET, ")", build=Alternate)
-class SAlternate:
+class SAlternate(Value):
     first: tuple[str, ...]
     second: tuple[str, ...]
 
 
 @_node(_STRATEGIES, "restrict", "(", LABEL_SET, ")", build=RestrictLabels)
-class SRestrict:
+class SRestrict(Value):
     labels: tuple[str, ...]
 
 
 @_node(_STRATEGIES, "intersect", "(", STRATEGIES, ")", build=Intersect)
-class SIntersect:
+class SIntersect(Value):
     children: tuple[object, ...]
 
 
@@ -703,7 +702,7 @@ class SIntersect:
     _STRATEGIES, "unionP", "(", STRATEGY, ",", STRATEGY, ")",
     build=lambda left, right: UnionPointwise((left, right)),
 )
-class SUnionP:
+class SUnionP(Value):
     left: object
     right: object
 
@@ -712,19 +711,19 @@ class SUnionP:
     _STRATEGIES, "unionC", "(", STRATEGY, ",", STRATEGY, ")",
     build=lambda left, right: UnionCommitted((left, right)),
 )
-class SUnionC:
+class SUnionC(Value):
     left: object
     right: object
 
 
 @_node(_STRATEGIES, "accept", "(", STRATEGY, ",", CONDITION, ")", build=AcceptFiltered)
-class SAccept:
+class SAccept(Value):
     child: object
     condition: object
 
 
 @_node(_CONDITIONS, "word", "(", WORD, ")", build=LabelWordIn)
-class AWord:
+class AWord(Value):
     expr: object
 
     def __post_init__(self) -> None:
@@ -732,33 +731,32 @@ class AWord:
 
 
 @_node(_CONDITIONS, "len", COMPARISON, INTEGER, build=lambda op, bound: _LENGTHS[op](bound))
-class ALen:
+class ALen(Value):
     op: str
     bound: int
 
 
 @_node(_CONDITIONS, "at", "(", OBJECT, ")", build=AtObject)
-class AAt:
+class AAt(Value):
     obj: str
 
 
 @_node(_CONDITIONS, "and", "(", CONDITIONS, ")", build=And)
-class AAnd:
+class AAnd(Value):
     parts: tuple[object, ...]
 
 
 @_node(_CONDITIONS, "or", "(", CONDITIONS, ")", build=Or)
-class AOr:
+class AOr(Value):
     parts: tuple[object, ...]
 
 
 @_node(_CONDITIONS, "not", "(", CONDITION, ")", build=Not)
-class ANot:
+class ANot(Value):
     part: object
 
 
-@dataclass(frozen=True)
-class ARef:
+class ARef(Value):
     """The name of an earlier accept, where a condition goes."""
 
     name: str
@@ -767,28 +765,28 @@ class ARef:
 @_node(
     _QUERIES, "enumerate", _Optional((STRATEGY_NAME,)), "depth", DEPTH, _Optional(("from", OBJECT))
 )
-class QEnumerate:
+class QEnumerate(Value):
     strategy: str | None
     depth: int
     source: str | None
 
 
 @_node(_QUERIES, "apply", STRATEGY_NAME, "from", OBJECT, "depth", DEPTH)
-class QApply:
+class QApply(Value):
     strategy: str
     source: str
     depth: int
 
 
 @_node(_QUERIES, "check", PROPERTY, STRATEGY_NAME, "depth", DEPTH)
-class QCheck:
+class QCheck(Value):
     prop: str
     strategy: str
     depth: int
 
 
 @_node(_QUERIES, "witness", STRATEGY_NAME, "horizon", HORIZON)
-class QWitness:
+class QWitness(Value):
     strategy: str
     horizon: int
 
@@ -814,8 +812,7 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(Value):
     """A parsed, validated document in canonical shape."""
 
     objects: tuple[str, ...]
@@ -825,7 +822,11 @@ class SpecDocument:
     accepts: tuple[tuple[str, object], ...]
     strategies: tuple[tuple[str, object], ...]
     queries: tuple[object, ...]
-    positions: dict = field(compare=False, repr=False, default_factory=dict)
+
+    @cached_property
+    def positions(self) -> dict:
+        """(line, column) of each section of a parsed document, by its key; not a field."""
+        return {}
 
     def get_order(self, name: str) -> tuple[tuple[str, str], ...]:
         return _named(self.orders, name)
@@ -874,7 +875,7 @@ def _canonical(p: _DocParser) -> SpecDocument:
         )
     )
     strategies = tuple(sorted(p.strategies, key=lambda kv: kv[0]))
-    return SpecDocument(
+    doc = SpecDocument(
         objects=tuple(p.objects),
         labels=tuple(p.labels),
         steps=tuple(sorted(set(p.steps), key=lambda s: (oi[s[0]], li(s[1])))),
@@ -882,8 +883,9 @@ def _canonical(p: _DocParser) -> SpecDocument:
         accepts=tuple(p.accepts),
         strategies=strategies,
         queries=tuple(p.queries),
-        positions=p.positions,
     )
+    doc.__dict__["positions"] = p.positions
+    return doc
 
 
 # -- serialization ----------------------------------------------------------------

@@ -12,20 +12,19 @@ starves the waiting car while staying extendable to fair traces forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import rational, speclang
 from .ars import Ars, Derivation, Lasso, reaching_objects, shortest_path_to
 from .errors import NoWitnessUpToHorizon
 from .intensional import FromTable, Strategy, TableEntry, Universal, induced_steps
 from .logic import AcceptCondition, And, LabelWordIn, LogicalStrategy, nonclosed_witness
+from .value import Value
 
 LABELS = ("car1", "car2", "signal1", "signal2", "cross1", "cross2")
 _SIGNALS = ("signal1", "signal2")
 
 
-@dataclass(frozen=True)
-class TrafficState:
+class TrafficState(Value):
     """Queue lengths and signal states of the two directions."""
 
     q1: int

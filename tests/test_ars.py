@@ -164,6 +164,20 @@ class TestDerivation:
             d,
         }
 
+    def test_every_way_of_building_is_counted(self, alc):
+        # the benchmark's tracer counts builds by replacing Derivation.__post_init__
+        d = alc.derivation("a", "phi1", "phi3")  # built without a parent link
+        for build, count in [
+            (lambda: [Derivation(alc, "a", ("phi1",))], 1),
+            (lambda: [d.extended("phi2")], 1),
+            (lambda: [d.parent], 1),
+            (lambda: d.factors(), 3),
+        ]:
+            with helpers.counting_builds() as built:
+                made = build()
+            assert len(built) == count
+            assert sorted(built, key=Derivation.sort_key) == made
+
     def test_prefixes_follow_parent_links(self, alc):
         d = alc.empty_derivation("b").extended("phi3").extended("phi1").extended("phi4")
         assert d.parent.parent == alc.derivation("b", "phi3")

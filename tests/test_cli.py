@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import strat
 from strat import induced_steps, speclang
 from strat.cli import build_parser, main
 from strat.traffic import build_traffic_ars, good_starts, never_both_green, traffic_document
@@ -493,6 +495,17 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "strat: error: internal error: KeyError('inner')\n"
+
+    def test_import_loads_no_code_generation(self):
+        # a fresh call pays for every module strat imports: dataclasses, with the
+        # inspect module it loads, generates and compiles methods for each class
+        script = "import sys; sys.path.insert(0, sys.argv[1]); import strat.cli; print(*sys.modules)"
+        src = os.path.dirname(os.path.dirname(strat.__file__))
+        proc = subprocess.run([sys.executable, "-I", "-c", script, src], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "strat.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 class TestCachedParser:

@@ -13,6 +13,7 @@ from strat import (
     And,
     AtObject,
     CustomPredicate,
+    Derivation,
     ExplicitTraceSet,
     FalsePredicate,
     Greatmost,
@@ -35,6 +36,7 @@ from strat import (
     accepted,
     as_logical,
     finite_support,
+    generate,
     is_prefix_closed,
     layered_check,
     memoried_from,
@@ -83,6 +85,15 @@ class TestPredicateLifting:
             frozenset({ac.step("a", "phi1")}), frozenset({ac.step("a", "phi2")})
         )
         assert _support(strategy_from_predicate(pred), ac) == _support(builtin, ac)
+
+    def test_alternate_predicate_builds_each_derivation_once(self, alc):
+        # the memory is the last label, so generation builds no second derivation beside its own
+        pred = AlternatePredicate(frozenset({"phi1", "phi2"}), frozenset({"phi3", "phi4"}))
+        with helpers.counting_builds() as built:
+            z = finite_support(pred, alc, 6)
+        assert len(z.finite_part) == 12
+        assert len(built) <= 16
+        assert list(generate(pred, alc, 6)) == sorted(helpers.stepwise_support(pred, alc, 6), key=Derivation.sort_key)
 
     def test_custom_predicate(self, alc):
         only_phi1 = CustomPredicate(lambda word, head, label: label == "phi1", trace_free=True)
