@@ -64,7 +64,10 @@ def _cases():
     ]
 
 
-@pytest.mark.parametrize("cls, defaults, calls, own_repr", _cases(), ids=lambda v: getattr(v, "__name__", None))
+CASES = _cases()
+
+
+@pytest.mark.parametrize("cls, defaults, calls, own_repr", CASES, ids=[case[0].__name__ for case in CASES])
 class TestAgainstDataclass:
     def test_equality_and_hash(self, cls, defaults, calls, own_repr):
         other = twin(cls, defaults)
