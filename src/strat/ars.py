@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import groupby, repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -42,6 +44,31 @@ class Step(NamedTuple):
         return f"{self.source} -{self.label}-> {self.target}"
 
 
+_SOURCE, _LABEL, _TARGET = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def by_index(steps: Sequence[tuple], obj_index: dict, lab_index: dict) -> tuple:
+    """The steps sorted by (source index, label index), one per source and label:
+    the last of those that share both. The sort keys are built by map, with no
+    Python call per step."""
+    keys = map(mul, map(obj_index.__getitem__, map(_SOURCE, steps)), repeat(len(lab_index)))
+    by_key = dict(zip(map(add, keys, map(lab_index.__getitem__, map(_LABEL, steps))), steps))
+    return tuple(map(by_key.__getitem__, sorted(by_key)))
+
+
+def _raise_first_fault(steps: list, obj_index: dict, lab_index: dict) -> None:
+    """Raises for the first step, in order, with an unknown symbol or whose source
+    and label an earlier step takes to another target."""
+    targets: dict[tuple[str, str], str] = {}
+    for step in steps:
+        source, label, target = Step(*step)
+        if not (source in obj_index and target in obj_index and label in lab_index):
+            raise UnknownSymbol(next((n for n in (source, target) if n not in obj_index), label))
+        prior = targets.setdefault((source, label), target)
+        if prior != target:
+            raise FunctionalityViolation(source, label, prior, target)
+
+
 class Ars:
     """A finite abstract reduction system with a functional step relation."""
 
@@ -55,43 +82,46 @@ class Ars:
     ) -> None:
         objects = tuple(objects)
         labels = tuple(labels)
-        for pool, kind in ((objects, "object"), (labels, "label")):
-            seen: set[str] = set()
-            for name in pool:
-                if name in seen:
-                    raise ValueError(f"duplicate {kind} symbol {name!r}")
-                seen.add(name)
-        overlap = sorted(set(objects) & set(labels))
+        object_set, label_set = set(objects), set(labels)
+        if len(object_set) < len(objects) or len(label_set) < len(labels):
+            for pool, kind in ((objects, "object"), (labels, "label")):
+                seen: set[str] = set()
+                for name in pool:
+                    if name in seen:
+                        raise ValueError(f"duplicate {kind} symbol {name!r}")
+                    seen.add(name)
+        overlap = sorted(object_set & label_set)
         if overlap:
             raise ObjectLabelOverlap(tuple(overlap))
 
         obj_index = {name: i for i, name in enumerate(objects)}
         lab_index = {name: i for i, name in enumerate(labels)}
 
-        # one pass checks and indexes the steps, keeping the first of equal ones
-        lookup: dict[tuple[str, str], Step] = {}
-        out: dict[str, list[Step]] = {name: [] for name in objects}
-        for raw in steps:
-            step = raw if isinstance(raw, Step) else Step(*raw)
-            source, label, target = step.source, step.label, step.target
-            if not (source in obj_index and target in obj_index and label in lab_index):
-                raise UnknownSymbol(next((n for n in (source, target) if n not in obj_index), label))
-            prior = lookup.get((source, label))
-            if prior is None:
-                lookup[source, label] = step
-                out[source].append(step)
-            elif prior.target != target:
-                raise FunctionalityViolation(source, label, prior.target, target)
-        for ss in out.values():
-            ss.sort(key=lambda s: lab_index[s.label])
+        # checked and indexed in bulk; the ordered scan runs only to name the first fault.
+        # Steps given as Step objects are kept, not copied: a sub-system built by
+        # restrict then shares them, and set and dict lookups match them by identity.
+        steps = list(steps)
+        if not {Step}.issuperset(map(type, steps)):
+            steps = list(map(tuple.__new__, repeat(Step), steps))
+        if not (
+            set(map(len, steps)) <= {3}
+            and object_set.issuperset(map(_SOURCE, steps))
+            and label_set.issuperset(map(_LABEL, steps))
+            and object_set.issuperset(map(_TARGET, steps))
+            and len(ordered := by_index(steps[::-1], obj_index, lab_index)) == len(set(steps))
+        ):
+            _raise_first_fault(steps, obj_index, lab_index)
+        out = dict.fromkeys(objects, ())
+        for source, group in groupby(ordered, _SOURCE):
+            out[source] = tuple(group)
 
         self.objects = objects
         self.labels = labels
-        self.steps = tuple(s for ss in out.values() for s in ss)
+        self.steps = ordered
         self._obj_index = obj_index
         self._lab_index = lab_index
-        self._out = {name: tuple(ss) for name, ss in out.items()}
-        self._lookup = lookup
+        self._out = out
+        self._lookup = dict(zip(map(itemgetter(0, 1), ordered), ordered))
 
     # -- symbol table -----------------------------------------------------
 

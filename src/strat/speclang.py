@@ -29,14 +29,22 @@ documents parse(serialize(doc)) equals doc structurally and serialization is
 idempotent. Every parse failure raises SpecLangError carrying at least one
 Diagnostic with a 1-based line and column.
 
-The lexer reads a run of well-formed steps right after `steps:` with one
-compiled pattern, one match per step, and emits the run as one token whose
-matches the parser reads: a large system costs one token and one match per
-step, not seven tokens per step. Whatever the run does not cover (a comment
-inside the list, a malformed step, a trailing comma) is lexed and read token
-by token. Both readers check each name, and each step against the earlier
-ones, by the same calls, so a diagnostic is the same and at the same line
-and column whichever reads the step.
+The lexer reads a run of well-formed steps right after `steps:`, and a run
+of names right after `objects:` or `labels:`, as one token. It matches a run
+in chunks: the first step or name, then up to 64 more after commas per
+match, as often as one follows. The bound matters: sre keeps a backtracking
+record per repetition of a group, so one match of a group repeated without
+bound holds memory that grows with the run (about 2 MiB per 3,000 steps),
+and the possessive repeat that would not is Python 3.11 syntax. The parser
+splits a run's text into its names (three per step), and checks them with
+set operations: every name declared, none reserved, none declared twice or
+both as an object and as a label, no two steps from one source by one label
+to different targets. Only when a check fails does it put the run back as
+the tokens the plain lexer makes of it, and read them one name or step at a
+time, as it reads whatever a run does not cover (a comment inside the list,
+a malformed step, a trailing comma): so there is one validator, and a
+diagnostic is the same, in the same order and at the same line and column,
+as without runs.
 
 Each strategy, condition and query kind is defined once, by one node class:
 the `_node` decorator gives the class its keyword, its syntax template
@@ -54,7 +62,7 @@ from operator import methodcaller
 from typing import Callable, NamedTuple
 
 from . import rational
-from .ars import Ars
+from .ars import Ars, by_index
 from .errors import StratError, UnknownSymbol
 from .intensional import (
     AcceptFiltered,
@@ -124,10 +132,24 @@ _PATTERN = re.compile(
 )
 
 
-# one step with the space around it; groups: its '(', then its three names
-_STEP = re.compile(
-    rf"{_SPACE}(\(){_SPACE}({_NAME}){_SPACE},{_SPACE}({_NAME}){_SPACE},{_SPACE}({_NAME}){_SPACE}\){_SPACE}"
-)
+# one well-formed step with the space around it, then up to 64 more after
+# commas; and up to 64 more names after commas (bounded: see the module docstring).
+# Compiled through re's cache when the first run is read, not at import.
+_STEP = rf"{_SPACE}\({_SPACE}(?:{_NAME}{_SPACE},{_SPACE}){{2}}{_NAME}{_SPACE}\){_SPACE}"
+_MORE_STEPS = rf"(?:,{_STEP}){{1,64}}"
+_MORE_NAMES = rf"(?:{_SPACE},{_SPACE}{_NAME}){{1,64}}"
+# the lists read as runs: (word before ':', kind of the first token) -> (run kind,
+# pattern of the first item or None if it is that token, pattern of more)
+_RUNS = {
+    ("steps", "punct"): ("steps", _STEP, _MORE_STEPS),
+    ("objects", "ident"): ("names", None, _MORE_NAMES),
+    ("labels", "ident"): ("names", None, _MORE_NAMES),
+}
+
+
+def _run_names(run: Token) -> list[str]:
+    """The names of a run, in order: its text holds only names, space, commas and parentheses."""
+    return run.text.replace("(", " ").replace(")", " ").replace(",", " ").split()
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -147,17 +169,17 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
-def _lex_runs(text: str) -> tuple[list[Token], dict[int, list[re.Match]]]:
-    """_lex's tokens, except that a run of well-formed steps right after `steps :`
-    is one "steps" token in place of its first '(' and the rest, and the _STEP
-    matches of each run, by the offset of its token.
+def _lex_runs(text: str) -> list[Token]:
+    """_lex's tokens, except that a run of well-formed steps right after `steps :`,
+    or of names right after `objects :` or `labels :`, is one "steps" or
+    "names" token in place of its first '(' or name and the rest.
 
-    A run is matched one step at a time, each after a comma; it ends where no
-    comma and well-formed step follow. Lexing stays eager, so the first
-    character the lexer rejects is still reported before anything is parsed.
+    A run is matched in bounded chunks, each of up to 64 steps or names after
+    a comma; it ends where no comma and well-formed step or name follow.
+    Lexing stays eager, so the first character the lexer rejects is still
+    reported before anything is parsed.
     """
     tokens: list[Token] = []
-    runs: dict[int, list[re.Match]] = {}
     end, pos = len(text), 0
     while pos is not None:
         matches, pos = _PATTERN.finditer(text, pos), None
@@ -169,22 +191,28 @@ def _lex_runs(text: str) -> tuple[list[Token], dict[int, list[re.Match]]]:
                 if m.end() == len(text):
                     end = m.start()
                 continue
-            word, start = m.group(), m.start()
-            if word == "(" and [t.text for t in tokens[-2:]] == ["steps", ":"]:
-                run, step, match = [], _STEP.match(text, start), _STEP.match
-                while step is not None:
-                    run.append(step)
-                    pos = step.end()
-                    step = match(text, pos + 1) if text.startswith(",", pos) else None
-                if run:
-                    runs[start] = run
-                    tokens.append(Token("steps", text[start:pos], start))
+            start = m.start()
+            if len(tokens) > 1 and tokens[-1].text == ":" and tokens[-2].kind == "ident":
+                run = _RUNS.get((tokens[-2].text, kind))
+                pos = run and _run_end(text, m, *run[1:])
+                if pos:
+                    tokens.append(Token(run[0], text[start:pos], start))
                     break
-            tokens.append(Token(kind, word, start))
+            tokens.append(Token(kind, m.group(), start))
             if kind == "error":
                 raise _unexpected(text, tokens[-1])
     tokens.append(Token("eof", "", end))
-    return tokens, runs
+    return tokens
+
+
+def _run_end(text: str, m: re.Match, first: str | None, more: str) -> int | None:
+    """Where the run that starts at m's token ends, or None if no well-formed item starts there."""
+    if first is not None and (m := re.compile(first).match(text, m.start())) is None:
+        return None
+    pos, more = m.end(), re.compile(more).match
+    while (chunk := more(text, pos)) is not None:
+        pos = chunk.end()
+    return pos
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -192,8 +220,7 @@ def _lex_runs(text: str) -> tuple[list[Token], dict[int, list[re.Match]]]:
 
 class _DocParser(rational.Grammar):
     def __init__(self, text: str):
-        tokens, self.runs = _lex_runs(text)
-        super().__init__(tokens)
+        super().__init__(_lex_runs(text))
         self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
@@ -255,6 +282,13 @@ class _DocParser(rational.Grammar):
         if level > MAX_NESTING:
             raise self.too_deep()
         self.deepest = max(self.deepest, level)
+
+    def unrun(self) -> None:
+        """Puts the tokens the plain lexer makes of the run at the cursor in its place."""
+        run = self.tokens[self.pos]
+        found = _PATTERN.finditer(self.text, run.offset, run.offset + len(run.text))
+        plain = [Token(m.lastgroup, m.group(), m.start()) for m in found if m.lastgroup != "skip"]
+        self.tokens[self.pos : self.pos + 1] = plain
 
     # name handling
 
@@ -318,18 +352,33 @@ class _DocParser(rational.Grammar):
             self.positions[("ars",)] = self.where(head)
 
     def _id_list(self, keyword: str, desc: str, clashes: set[str]) -> list[str]:
-        """`keyword: name, ...;` with each name declared once."""
+        """`keyword: name, ...;` with each name declared once.
+
+        A run of names that the lexer made one token is split into its names
+        and checked with set operations; if a check fails, the run is put back
+        as the plain lexer's tokens, and read name by name like the rest.
+        """
         self.expect_keyword(keyword)
         self.expect_punct(":")
         names: dict[str, None] = {}  # in declaration order
         while True:
-            tok = self.declared_name(desc)
-            if tok.text in names:
-                self.diag(tok, f"duplicate symbol {tok.text!r}")
-            elif tok.text in clashes:
-                self.diag(tok, f"{tok.text!r} is declared both as an object and as a label")
+            run = self.peek()
+            if run.kind == "names":
+                fresh = dict.fromkeys(_run_names(run))  # a run comes first: names is empty
+                once = len(fresh) == run.text.count(",") + 1
+                if not (once and KEYWORDS.isdisjoint(fresh) and clashes.isdisjoint(fresh)):
+                    self.unrun()
+                    continue
+                names = fresh
+                self.pos += 1
             else:
-                names[tok.text] = None
+                tok = self.declared_name(desc)
+                if tok.text in names:
+                    self.diag(tok, f"duplicate symbol {tok.text!r}")
+                elif tok.text in clashes:
+                    self.diag(tok, f"{tok.text!r} is declared both as an object and as a label")
+                else:
+                    names[tok.text] = None
             if not self.at_punct(","):
                 break
             self.take()
@@ -339,20 +388,28 @@ class _DocParser(rational.Grammar):
     def _steps(self, into: list[tuple[str, str, str]], targets: dict[tuple[str, str], str]) -> None:
         """One step, or the run of well-formed steps that the lexer made one token.
 
-        Both are checked by the same calls, in the same order: each name as
-        it is read, then the step against the earlier ones (_add_step).
+        A run is split into its names, three per step, and checked with set
+        operations; if a check fails, the run is put back as the plain lexer's
+        tokens, and read step by step like the rest: each name as it is read,
+        then the step against the earlier ones (_add_step).
         """
         run = self.peek()
         if run.kind == "steps":
-            self.pos += 1
-            objects, labels = self._object_set, self._label_index
-            for m in self.runs[run.offset]:
-                step = m.group(2, 3, 4)
-                if not (step[0] in objects and step[1] in labels and step[2] in objects):
-                    for i, check in enumerate((self.check_object, self.check_label, self.check_object), 2):
-                        check(Token("ident", m.group(i), m.start(i)))
-                self._add_step(into, targets, step, m.start(1))
-            return
+            names = _run_names(run)
+            sources, labels, ends = names[0::3], names[1::3], names[2::3]
+            steps = list(zip(sources, labels, ends))
+            target_of = dict(zip(zip(sources, labels), ends))  # a run comes first: targets is empty
+            if (
+                self._object_set.issuperset(sources)
+                and self._object_set.issuperset(ends)
+                and self._label_index.keys() >= set(labels)
+                and len(target_of) == len(set(steps))
+            ):
+                self.pos += 1
+                into += steps
+                targets.update(target_of)
+                return
+            self.unrun()
         open_tok = self.expect_punct("(")
         src = self.expect_ident("an object name")
         self.check_object(src)
@@ -878,7 +935,7 @@ def _canonical(p: _DocParser) -> SpecDocument:
     doc = SpecDocument(
         objects=tuple(p.objects),
         labels=tuple(p.labels),
-        steps=tuple(sorted(set(p.steps), key=lambda s: (oi[s[0]], li(s[1])))),
+        steps=by_index(list(set(p.steps)), oi, p._label_index),
         orders=orders,
         accepts=tuple(p.accepts),
         strategies=strategies,

@@ -33,6 +33,7 @@ from strat import (
     EvalResult,
     ExplicitTraceSet,
     Fail,
+    FunctionalityViolation,
     FromTable,
     Greatmost,
     GreatmostPredicate,
@@ -48,12 +49,14 @@ from strat import (
     Not,
     Or,
     RestrictLabels,
+    Step,
     Strategy,
     TableEntry,
     TruePredicate,
     UnionCommitted,
     UnionPointwise,
     Universal,
+    UnknownSymbol,
     accepted,
     induced_steps,
     rotate_cycle,
@@ -514,9 +517,33 @@ def random_subsystem_set(rng: random.Random, ars: Ars) -> AbstractStrategy:
     return AbstractStrategy(ars, members)
 
 
+def stepwise_index(objects: tuple[str, ...], labels: tuple[str, ...], steps) -> tuple[tuple, dict, dict]:
+    """(steps, out steps by object, step by source and label) of an Ars over these
+    symbols, built by checking and indexing one step at a time, keeping the
+    first of equal steps; raises what Ars raises for the first bad step."""
+    obj_index = {name: i for i, name in enumerate(objects)}
+    lab_index = {name: i for i, name in enumerate(labels)}
+    lookup: dict[tuple[str, str], Step] = {}
+    out: dict[str, list[Step]] = {name: [] for name in objects}
+    for raw in steps:
+        step = raw if isinstance(raw, Step) else Step(*raw)
+        source, label, target = step.source, step.label, step.target
+        if not (source in obj_index and target in obj_index and label in lab_index):
+            raise UnknownSymbol(next((n for n in (source, target) if n not in obj_index), label))
+        prior = lookup.get((source, label))
+        if prior is None:
+            lookup[source, label] = step
+            out[source].append(step)
+        elif prior.target != target:
+            raise FunctionalityViolation(source, label, prior.target, target)
+    for ss in out.values():
+        ss.sort(key=lambda s: lab_index[s.label])
+    return tuple(s for ss in out.values() for s in ss), {o: tuple(ss) for o, ss in out.items()}, lookup
+
+
 def parse_by_tokens(text: str) -> speclang.SpecDocument:
     """speclang.parse with the plain lexer, so that the token loop reads every step."""
-    with mock.patch.object(speclang, "_lex_runs", lambda text: (speclang._lex(text), {})):
+    with mock.patch.object(speclang, "_lex_runs", speclang._lex):
         return speclang.parse(text)
 
 

@@ -29,6 +29,27 @@ from strat import (
 )
 
 
+OBJECTS, LABELS = ("a", "b", "c", "d"), ("l", "m", "n")
+
+
+@st.composite
+def step_lists(draw):
+    """Steps of a functional relation over OBJECTS and LABELS, repeated both as
+    equal tuples and as the same Step objects, with a few steps that name an
+    unknown symbol ("z", "y") or clash with the relation mixed in."""
+    objs, labs = st.sampled_from(OBJECTS), st.sampled_from(LABELS)
+    table = draw(st.dictionaries(st.tuples(objs, labs), objs, max_size=12))
+    keys = draw(st.lists(st.sampled_from(sorted(table)), max_size=14)) if table else []
+    steps = [Step(*key, table[key]) for key in keys]
+    steps += draw(st.lists(st.sampled_from(steps), max_size=4)) if steps else []
+    steps = [s if draw(st.booleans()) else tuple(s) for s in steps]
+    fault = st.tuples(st.sampled_from((*OBJECTS, "z")), st.sampled_from((*LABELS, "y")), objs)
+    faults = draw(st.lists(fault, max_size=2))
+    for fault in faults:
+        steps.insert(draw(st.integers(0, len(steps))), fault)
+    return steps
+
+
 class TestConstruction:
     def test_symbols_keep_declaration_order(self, alc):
         assert alc.objects == ("a", "b", "c", "d")
@@ -84,12 +105,33 @@ class TestConstruction:
         with pytest.raises(UnknownSymbol):
             Ars(("a",), ("l",), [("a", "zz", "a")])
 
+    @pytest.mark.parametrize("bad", [("a", "l"), ("a", "l", "a", "a")])
+    def test_steps_must_be_triples(self, bad):
+        with pytest.raises(TypeError):
+            Ars(("a",), ("l",), [("a", "l", "a"), bad])
+
     def test_functionality_enforced(self):
         with pytest.raises(FunctionalityViolation):
             Ars(("a", "b", "c"), ("l",), [("a", "l", "b"), ("a", "l", "c")])
         # an exact duplicate is merely redundant
         ars = Ars(("a", "b"), ("l",), [("a", "l", "b"), ("a", "l", "b")])
         assert len(ars.steps) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_lists())
+    def test_bulk_index_agrees_with_the_stepwise_one(self, steps):
+        try:
+            want_steps, want_out, want_lookup = helpers.stepwise_index(OBJECTS, LABELS, steps)
+        except Exception as err:
+            with pytest.raises(type(err)) as got:
+                Ars(OBJECTS, LABELS, iter(steps))
+            assert got.value.args == err.args
+            return
+        ars = Ars(OBJECTS, LABELS, iter(steps))
+        assert ars.steps == want_steps
+        assert {o: ars.out_steps(o) for o in OBJECTS} == want_out
+        pairs = [(o, lab) for o in (*OBJECTS, "z") for lab in (*LABELS, "y")]
+        assert [ars.step(o, lab) for o, lab in pairs] == [want_lookup.get(pair) for pair in pairs]
 
     def test_restrict_checks_membership(self, alc):
         sub = alc.restrict([alc.step("a", "phi1")])

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -468,12 +472,135 @@ def steps_documents(draw):
     return text
 
 
+@st.composite
+def names_documents(draw):
+    """A document whose objects and labels lists are laid out at random, some of
+    their names repeated, reserved or on both lists, with at most one character
+    inserted, deleted or replaced in or around those lists."""
+
+    def name_list(keyword: str, pool: list[str]) -> str:
+        names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        body = ""
+        for i, name in enumerate(names):
+            if i:
+                body += draw(SPACES) + "," + draw(st.sampled_from(["", " # between\n"])) + draw(SPACES)
+            body += name
+        return f"{keyword}:{draw(SPACES)}{body}{draw(SPACES)};"
+
+    objects = name_list("objects", ["o0", "o1", "o2", "o_3", "o0", "l0", "steps", "depth"])
+    labels = name_list("labels", ["l0", "l1", "l0", "o1", "universal", "l_2"])
+    text = f"ars {{\n  {objects}\n  {labels}"
+    start, end = len("ars {\n  "), len(text)
+    text += "\n  steps: (o0, l0, o1), (o1, l1, o0);\n}\n" + draw(st.sampled_from(TAILS))
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit != "none":
+        at = draw(st.integers(max(0, start - 3), min(len(text) - 1, end + 3)))
+        char = draw(st.sampled_from(EDITS)) if edit != "delete" else ""
+        text = text[:at] + char + text[at + (edit != "insert") :]
+    return text
+
+
+class TestNamesReader:
+    """A well-formed run of names is one lexer token; its names give what the token loop gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(names_documents())
+    def test_edited_documents_agree_with_the_token_loop(self, text):
+        _same_as_tokens(text)
+
+    def test_reserved_word_in_the_objects_list(self):
+        text = "ars { objects: a, depth, b; labels: l; steps: ; }"
+        diag = f"1:{_col(text, 'depth')}: error: reserved word 'depth' cannot be used as a name"
+        assert _same_as_tokens(text) == [(diag, ())]
+
+    def test_duplicate_name(self):
+        text = "ars { objects: a, b, a; labels: l, m, l; steps: ; }"
+        assert _same_as_tokens(text) == [
+            (f"1:{_col(text, 'a;')}: error: duplicate symbol 'a'", ()),
+            (f"1:{_col(text, 'l;')}: error: duplicate symbol 'l'", ()),
+        ]
+
+    def test_name_both_object_and_label(self):
+        text = "ars { objects: a, b; labels: l, b; steps: ; }"
+        diag = f"1:{_col(text, 'b;', 2)}: error: 'b' is declared both as an object and as a label"
+        assert _same_as_tokens(text) == [(diag, ())]
+
+    def test_comment_inside_the_list(self):
+        # the run ends at the comment; the names after it are read token by token
+        text = "ars { objects: a, b, # first two\n  c, a; labels: l; steps: ; }"
+        kinds = [t.kind for t in speclang._lex_runs(text)]
+        assert kinds.count("names") == 2
+        assert _same_as_tokens(text) == [("2:6: error: duplicate symbol 'a'", ())]
+        assert _same_as_tokens(text.replace("c, a;", "c;"))[0].objects == ("a", "b", "c")
+
+    def test_empty_list(self):
+        text = "ars { objects: ; labels: l; steps: ; }"
+        diag = f"1:{_col(text, ';')}: error: expected an object name, found ';'"
+        assert _same_as_tokens(text) == [(diag, ())]
+
+    def test_trailing_comma(self):
+        text = "ars { objects: a, b,; labels: l; steps: ; }"
+        diag = f"1:{_col(text, ';')}: error: expected an object name, found ';'"
+        assert _same_as_tokens(text) == [(diag, ())]
+
+    def test_missing_semicolon_before_steps(self):
+        # the run takes `steps` as a name; the ':' after it ends the list
+        text = "ars { objects: a,\n  steps: (a, l, a); }"
+        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 0
+        assert _same_as_tokens(text) == [
+            ("2:3: error: reserved word 'steps' cannot be used as a name", ()),
+            ("2:8: error: expected ';', found ':'", (";",)),
+        ]
+
+    def test_a_long_list_is_one_token(self):
+        objects = ", ".join(f"x{i}" for i in range(1000))
+        text = f"ars {{ objects: {objects}; labels: l0, l1; steps: (x0, l0, x999); }}"
+        kinds = [t.kind for t in speclang._lex_runs(text)]
+        assert kinds.count("names") == 2 and kinds.count("ident") == 4
+        doc = _same_as_tokens(text)[0]
+        assert len(doc.objects) == 1000 and doc.labels == ("l0", "l1")
+        text = text.replace("x500,", "x499,")
+        assert _same_as_tokens(text) == [(f"1:{_col(text, 'x499', 2)}: error: duplicate symbol 'x499'", ())]
+
+
+_RUN_MEMORY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from strat import speclang
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+text = "ars { objects: " + "o, " * 9999 + "o; labels: l;\\n  steps: " + "(o, l, o), " * 29999 + "(o, l, o); }"
+speclang._lex_runs("ars { objects: a, b; labels: l; steps: (a, l, a), (b, l, b); }")
+before = peak_kib()
+kinds = [t.kind for t in speclang._lex_runs(text)]
+print(peak_kib() - before, kinds.count("names"), kinds.count("steps"))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak resident size from /proc")
+def test_long_runs_are_lexed_in_bounded_memory():
+    # sre keeps a backtracking record per repetition of a group repeated without
+    # bound, about 2 MiB per 3,000 steps in one match; the runs are matched in
+    # chunks of at most 64 items, so lexing 30,000 steps adds next to nothing.
+    # The peak is the process's own (VmHWM): its ru_maxrss would start at the
+    # peak of the test process that started it, which Linux folds in at exec.
+    src = os.path.dirname(os.path.dirname(speclang.__file__))
+    proc = subprocess.run([sys.executable, "-I", "-c", _RUN_MEMORY, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    growth_kib, names, steps = map(int, proc.stdout.split())
+    assert (names, steps) == (2, 1)
+    assert growth_kib < 4096
+
+
 class TestStepsReader:
     """A well-formed run of steps is one lexer token; its steps give what the token loop gives."""
 
     def test_a_well_formed_list_is_one_token(self):
-        kinds = [t.kind for t in speclang._lex_runs(MINI)[0]]
-        assert kinds.count("steps") == 1 and kinds.count("punct") == 10
+        kinds = [t.kind for t in speclang._lex_runs(MINI)]
+        assert kinds.count("steps") == 1 and kinds.count("names") == 2 and kinds.count("punct") == 8
         assert _same_as_tokens(MINI)[0].steps == (("a", "l1", "b"), ("b", "l2", "a"))
 
     @settings(max_examples=300, deadline=None)
@@ -538,7 +665,7 @@ class TestStepsReader:
         body = ",\n  ".join(steps[:900]) + ", # a comment\n" + ", ".join(steps[900:])
         objects = ", ".join(f"x{i}" for i in range(1000))
         text = f"ars {{ objects: {objects}; labels: l0, l1, l2;\n steps: {body}; }}"
-        assert [t.kind for t in speclang._lex_runs(text)[0]].count("steps") == 1
+        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 1
         assert _same_as_tokens(text) == [("602:4: error: unknown object 'zz'", ())]
         text = text.replace("(zz, l0, x1)", "(x600, l0, x601)")
         assert len(_same_as_tokens(text)[0].steps) == 1000
