@@ -12,7 +12,9 @@ are interned with stable integer indices (declaration order) and every set
 produced by the module is emitted sorted by (source index, label indices) so
 identical inputs give byte-identical renderings. Derivations are grown from
 a strategy, the universal one included, by intensional.generate; this module
-keeps the graph searches.
+keeps the graph searches. shortest_steps and cycle_steps give paths and
+cycles as step tuples; shortest_paths, shortest_path_to and simple_cycles
+build Derivations from them.
 """
 
 from __future__ import annotations
@@ -439,32 +441,44 @@ def reaching_objects(ars: Ars, targets: Iterable[str]) -> set[str]:
     return seen
 
 
-def shortest_paths(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:
-    """A shortest path from source to each object it reaches, in BFS discovery order.
+def shortest_steps(
+    ars: Ars, source: str, max_len: int | None = None
+) -> Iterator[tuple[str, tuple[Step, ...]]]:
+    """A shortest path from source to each object it reaches, as (object, steps),
+    in BFS discovery order; the empty path to source comes first.
 
     Ties are broken by step order; with max_len, only paths of that length or
     less are searched.
     """
     ars.object_index(source)
-    first = ars.empty_derivation(source)
+    first = (source, ())
     yield first
     queue = deque([first])
     seen = {source}
     while queue:
-        d = queue.popleft()
-        if max_len is not None and len(d) >= max_len:
+        obj, steps = queue.popleft()
+        if max_len is not None and len(steps) >= max_len:
             continue
-        for step in ars.out_steps(d.target):
+        for step in ars._out[obj]:
             if step.target not in seen:
                 seen.add(step.target)
-                grown = d.extended(step.label)
+                grown = (step.target, (*steps, step))
                 yield grown
                 queue.append(grown)
 
 
+def shortest_paths(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:
+    """shortest_steps' paths as derivations."""
+    for _, steps in shortest_steps(ars, source, max_len):
+        yield Derivation(ars, source, tuple(s.label for s in steps))
+
+
 def shortest_path_to(ars: Ars, source: str, targets: set[str]) -> Derivation | None:
     """BFS path (ties broken by step order) from source into targets."""
-    return next((d for d in shortest_paths(ars, source) if d.target in targets), None)
+    for obj, steps in shortest_steps(ars, source):
+        if obj in targets:
+            return Derivation(ars, source, tuple(s.label for s in steps))
+    return None
 
 
 def reaches_cycle(ars: Ars, source: str) -> bool:
@@ -489,42 +503,60 @@ def reaches_cycle(ars: Ars, source: str) -> bool:
     return False
 
 
-def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
-    """All vertex-simple cycles, as derivations with source == target.
+def cycle_steps(ars: Ars, max_len: int | None = None) -> Iterator[tuple[str, tuple[Step, ...]]]:
+    """All vertex-simple cycles, as (root, steps), root first and in depth-first order.
 
     Each cycle appears once, rooted at its minimum-index object. Parallel
     steps count as distinct cycles (two self-loops give two cycles). With
-    max_len, the search cuts each path at max_len steps, so it visits only
-    the cycles of that length or less. The search keeps an explicit stack,
-    so a cycle may be longer than the recursion limit.
+    max_len, only the cycles of that length or less. A path from the root
+    to v is extended only while the least number of steps from v back to
+    the root, through objects above the root, fits in the steps left (one
+    backward search per root, after Johnson's circuit search), so every
+    extended path closes into a cycle within the bound. The search keeps an
+    explicit stack, so a cycle may be longer than the recursion limit.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
-    longest_open = len(ars.objects) if max_len is None else max_len - 1
-    found: list[Derivation] = []
+    bound = len(ars.objects) if max_len is None else max_len
+    index, out = ars._obj_index, ars._out
+    into: dict[str, list[str]] = {}
+    for step in ars.steps:
+        into.setdefault(step.target, []).append(step.source)
     for root in ars.objects:
-        floor = ars.object_index(root)
-        labels: list[str] = []  # labels of the path from root, one fewer than `path`
-        path = [root]
+        floor = index[root]
+        back = {root: 0}  # object -> least steps to root through objects above it
+        frontier = [root]
+        for dist in range(1, bound):
+            grown = []
+            for obj in frontier:
+                for source in into.get(obj, ()):
+                    if source not in back and index[source] > floor:
+                        back[source] = dist
+                        grown.append(source)
+            frontier = grown
+        steps: list[Step] = []  # the path from root
         on_path = {root}
-        stack = [iter(ars.out_steps(root))]  # the out-steps still to try at each object of path
+        stack = [iter(out[root])]  # the out-steps still to try at each object of the path
         while stack:
             step = next(stack[-1], None)
             if step is None:
                 stack.pop()
-                on_path.remove(path.pop())
-                del labels[-1:]
+                if steps:
+                    on_path.remove(steps.pop().target)
             elif step.target == root:
-                found.append(Derivation(ars, root, (*labels, step.label)))
-            elif (
-                len(labels) < longest_open
-                and ars.object_index(step.target) > floor
-                and step.target not in on_path
-            ):
+                yield root, (*steps, step)
+            elif back.get(step.target, bound) < bound - len(steps) and step.target not in on_path:
                 on_path.add(step.target)
-                path.append(step.target)
-                labels.append(step.label)
-                stack.append(iter(ars.out_steps(step.target)))
+                steps.append(step)
+                stack.append(iter(out[step.target]))
+
+
+def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
+    """All vertex-simple cycles, as derivations with source == target, in
+    Derivation.sort_key order: cycle_steps' cycles. With max_len, the search
+    extends a path only while it can still close within max_len steps (the
+    least distance back to the root, from one backward search per root)."""
+    found = [Derivation(ars, root, tuple(s.label for s in steps)) for root, steps in cycle_steps(ars, max_len)]
     found.sort(key=Derivation.sort_key)
     return found
 

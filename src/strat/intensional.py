@@ -11,7 +11,10 @@ memory, so it reads only the current object. generate walks derivations with
 their memories (transitions) and yields those a strategy generates up to a
 depth, in Derivation.sort_key order; finite_support (the set) and
 enumerate_derivations (every derivation, the universal strategy's) read it.
-lassos_of_memoryless witnesses the infinite derivations.
+lassos_of_memoryless witnesses the infinite derivations. Its candidates
+(lasso_candidates) are tuples of steps under an integer sort key, so a
+search that tries them (logic.nonclosed_witness) builds no Derivation or
+Lasso for a candidate it rejects.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -26,7 +29,7 @@ import itertools
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
-from .ars import Ars, Derivation, Lasso, Step, shortest_paths, simple_cycles
+from .ars import Ars, Derivation, Lasso, Step, cycle_steps, shortest_steps
 from .errors import (
     CyclicOrder,
     MemoryRequired,
@@ -479,46 +482,71 @@ def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
     return ars.sorted_steps(chosen)
 
 
+def lasso_candidates(
+    sub: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
+) -> list[tuple[tuple, str, tuple[Step, ...], tuple[Step, ...]]]:
+    """The lassos of a system as (sort key, source, stem steps, cycle steps), sorted.
+
+    One lasso per (source object, simple cycle) pair, with a shortest stem from
+    the source to the cycle. One BFS per source gives the stems: a cycle is
+    entered, and rotated to start, at the object of it that the BFS discovers
+    first. The sort key orders as Lasso.sort_key: (|stem| + |cycle|, (|stem|,
+    source index, stem label indices), (|cycle|, entry index, cycle label
+    indices)). With max_len, only the lassos with |stem| + |cycle| <= max_len,
+    and cycles and stems are searched up to that length. Nothing is built but
+    tuples.
+    """
+    cycles = list(cycle_steps(sub, max_len))
+    # object -> length -> the cycles of that length through it
+    through: dict[str, dict[int, set[int]]] = {obj: {} for obj in sub.objects}
+    for k, (_, steps) in enumerate(cycles):
+        for step in steps:
+            through[step.target].setdefault(len(steps), set()).add(k)
+    rank = {step: sub.label_index(step.label) for step in sub.steps}
+    loops: dict[tuple[int, str], tuple] = {}  # (cycle, object on it) -> (key, cycle started there)
+    out = []
+    for src in sorted(set(sub.objects if sources is None else sources), key=sub.object_index):
+        src_index = sub.object_index(src)
+        met: set[int] = set()
+        for entry, stem in shortest_steps(sub, src, None if max_len is None else max_len - 1):
+            # a cycle too long for this stem is too long for every later one, so
+            # leaving it unmet changes nothing
+            room = len(sub.objects) if max_len is None else max_len - len(stem)
+            fresh = [k for length, ks in through[entry].items() if length <= room for k in ks - met]
+            if not fresh:
+                continue
+            met.update(fresh)
+            stem_key = (len(stem), src_index, tuple(map(rank.__getitem__, stem)))
+            for k in fresh:
+                if (k, entry) not in loops:
+                    steps = cycles[k][1]
+                    i = [s.source for s in steps].index(entry)
+                    loop = steps[i:] + steps[:i]
+                    key = (len(loop), sub.object_index(entry), tuple(map(rank.__getitem__, loop)))
+                    loops[k, entry] = key, loop
+                loop_key, loop = loops[k, entry]
+                out.append(((len(stem) + len(loop), stem_key, loop_key), src, stem, loop))
+    out.sort()
+    return out
+
+
 def lassos_of_memoryless(
     xi: Strategy, ars: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[Lasso]:
-    """Witnesses for the infinite derivations a memoryless strategy generates.
+    """Witnesses for the infinite derivations a memoryless strategy generates:
+    the lassos of its induced sub-system (lasso_candidates), built over ars.
 
-    One lasso per (source object, simple cycle) pair of the induced
-    sub-system, with a shortest stem from the source to the cycle. One BFS
-    per source gives the stems: a cycle is entered at the object of it that
-    the BFS discovers first. With max_len, only the lassos with |stem| +
-    |cycle| <= max_len, and cycles and stems are searched up to that length.
     Raises MemoryRequired for memoried strategies, where the sub-system view
     is not available.
     """
     sub = ars.restrict(induced_steps(xi, ars))
-    cycles = simple_cycles(sub, max_len)
-    through: dict[str, list[int]] = {}  # object -> the cycles through it
-    for k, cycle in enumerate(cycles):
-        for obj in cycle.targets[1:]:
-            through.setdefault(obj, []).append(k)
-    loops: dict[tuple[int, str], Derivation] = {}  # (cycle, object on it) -> cycle started there
-    out: list[Lasso] = []
-    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
-        met: set[int] = set()
-        for stem in shortest_paths(sub, src, None if max_len is None else max_len - 1):
-            entry = stem.target
-            fresh = [k for k in through.get(entry, ()) if k not in met]
-            if not fresh:
-                continue
-            met.update(fresh)
-            home = Derivation(ars, src, stem.labels)
-            for k in fresh:
-                cycle = cycles[k]
-                if max_len is not None and len(stem) + len(cycle) > max_len:
-                    continue
-                if (k, entry) not in loops:
-                    i = cycle.targets.index(entry)
-                    loops[k, entry] = Derivation(ars, entry, cycle.labels[i:] + cycle.labels[:i])
-                out.append(Lasso(home, loops[k, entry]))
-    out.sort(key=Lasso.sort_key)
-    return out
+    return [
+        Lasso(
+            Derivation(ars, src, tuple(s.label for s in stem)),
+            Derivation(ars, loop[0].source, tuple(s.label for s in loop)),
+        )
+        for _, src, stem, loop in lasso_candidates(sub, sources, max_len)
+    ]
 
 
 # -- rebuilding strategies from derivation sets ---------------------------------

@@ -10,7 +10,8 @@ walk one product of objects, strategy memories and condition states.
 nonclosed_witness searches, up to a horizon, for a lasso whose finite
 truncations always remain extendable to accepted derivations without ever
 being accepted themselves: a finitely presented limit point outside the
-accepted set.
+accepted set. It advances the condition over each candidate's step tuples
+and builds the Lasso only for the witness it returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .intensional import (
     Universal,
     generate,
     induced_steps,
-    lassos_of_memoryless,
+    lasso_candidates,
     transitions,
 )
 from .value import Value
@@ -364,7 +365,12 @@ def nonclosed_witness(
     product of the induced sub-system with the condition's states: the
     truncation p qualifies exactly when a state the condition accepts is
     reachable from (p's target, p's condition state) in 1..D-|p| product
-    steps. Each such answer is kept for the rest of the call.
+    steps. D-|p| never exceeds the horizon, so one breadth-first search per
+    (object, condition state) finds its least distance to acceptance, up to
+    the horizon, and is kept for the rest of the call. The candidates are
+    lasso_candidates' step tuples, in Lasso.sort_key order; their cycle
+    search is pruned by the distance back to each cycle's root (see
+    ars.cycle_steps). Only the returned witness is built as a Lasso.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -372,44 +378,50 @@ def nonclosed_witness(
         raise MemoryRequired("witness search needs a memoryless base strategy")
     sub = ars.restrict(induced_steps(ls.base, ars))
     cond = ls.accept
-    answers: dict[tuple, bool] = {}
+    distance: dict[tuple, int] = {}
 
     def extendable(obj: str, state: Hashable, budget: int) -> bool:
-        key = (obj, state, budget)
-        if key not in answers:
-            answers[key] = _reaches_final(sub, cond, obj, state, budget)
-        return answers[key]
+        key = (obj, state)
+        if key not in distance:
+            distance[key] = _steps_to_final(sub, cond, obj, state, horizon)
+        return distance[key] <= budget
 
-    for lasso in lassos_of_memoryless(ls.base, ars, sources, horizon):
-        depth = horizon + len(lasso.stem) + len(lasso.cycle)
-        state = cond.start(ars, lasso.source)
-        for step in lasso.stem.steps:
+    for _, src, stem, loop in lasso_candidates(sub, sources, horizon):
+        depth = horizon + len(stem) + len(loop)
+        state = cond.start(ars, src)
+        for step in stem:
             state = cond.advance(state, step)
-        length = len(lasso.stem)
-        for _ in range(max(1, horizon // len(lasso.cycle))):
-            for step in lasso.cycle.steps:
+        length = len(stem)
+        entry = loop[0].source
+        for _ in range(max(1, horizon // len(loop))):
+            for step in loop:
                 state = cond.advance(state, step)
-            length += len(lasso.cycle)
-            if cond.final(state) or not extendable(lasso.cycle.source, state, depth - length):
+            length += len(loop)
+            if cond.final(state) or not extendable(entry, state, depth - length):
                 break
         else:
-            return lasso
+            return Lasso(
+                Derivation(ars, src, tuple(s.label for s in stem)),
+                Derivation(ars, entry, tuple(s.label for s in loop)),
+            )
     return None
 
 
-def _reaches_final(sub: Ars, cond: AcceptCondition, obj: str, state: Hashable, budget: int) -> bool:
-    """Whether a product state that cond accepts lies 1..budget steps from (obj, state)."""
+def _steps_to_final(sub: Ars, cond: AcceptCondition, obj: str, state: Hashable, limit: int) -> int:
+    """The least number of steps, 1..limit, from (obj, state) to a product state
+    that cond accepts, or limit + 1 when none is that near: one breadth-first
+    search."""
     frontier = [(obj, state)]
     seen = set(frontier)
-    for _ in range(budget):
+    for dist in range(1, limit + 1):
         grown = []
         for o, q in frontier:
             for step in sub.out_steps(o):
                 nxt = (step.target, cond.advance(q, step))
                 if cond.final(nxt[1]):
-                    return True
+                    return dist
                 if nxt not in seen:
                     seen.add(nxt)
                     grown.append(nxt)
         frontier = grown
-    return False
+    return limit + 1

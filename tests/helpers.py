@@ -7,9 +7,13 @@ off the whole derivation (replayed_eval) rather than through its memory,
 acceptance by each condition's reading of the whole derivation
 (brute_accepts), regex matching by word derivatives, closedness by a limit-point scan over an ambient
 enumeration, factor and composition closure by building every factor and
-every composition, and the witness search by materialising every accepted
-derivation. The document parser's steps reader is checked against the token
-loop it stands in for (parse_by_tokens).
+every composition, simple cycles by filtering a raw enumeration (brute_cycles),
+and the witness search by materialising every accepted derivation. The
+lasso candidates are also checked against the Derivation-built search they
+replace (derivation_lassos), and the witness search's least distance to
+acceptance against one search per budget (reaches_final). The document
+parser's steps reader is checked against the token loop it stands in for
+(parse_by_tokens).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from strat import (
     induced_steps,
     rotate_cycle,
     shortest_path_to,
+    shortest_paths,
     simple_cycles,
     strategy_from_predicate,
 )
@@ -96,6 +101,19 @@ def union_ars() -> Ars:
 
 def eventual_ars() -> Ars:
     return Ars(("a", "b"), ("loop", "exit"), [("a", "loop", "a"), ("a", "exit", "b")])
+
+
+def loop_with_exit(ring: int) -> Ars:
+    """A ring of `ring` objects with one exit to a sink, after a trap of cycles
+    (object t_i steps to t_2i and t_2i+1, mod 4) from which the sink cannot be
+    reached; the trap comes first, so its lassos are tried first."""
+    trap = [f"t{i}" for i in range(4)]
+    ring_objects = [f"c{i}" for i in range(ring)]
+    steps = [(c, "step", ring_objects[(i + 1) % ring]) for i, c in enumerate(ring_objects)]
+    steps.append(("c0", "out", "sink"))
+    steps += [(t, "side", trap[2 * i % 4]) for i, t in enumerate(trap)]
+    steps += [(t, "back", trap[(2 * i + 1) % 4]) for i, t in enumerate(trap)]
+    return Ars(trap + ring_objects + ["sink"], ("step", "side", "back", "out"), steps)
 
 
 def chain_order(labels: Iterable[str]) -> LabelOrder:
@@ -431,6 +449,22 @@ def brute_composition_closed(z: AbstractStrategy) -> ClosureVerdict:
     return ClosureVerdict(True)
 
 
+# -- oracle: cycles by filtering a raw enumeration -------------------------------------
+
+
+def brute_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
+    """The vertex-simple cycles of length <= max_len (any length when None), each
+    rooted at its least-index object, in Derivation.sort_key order: the closed,
+    simple derivations among raw_derivations."""
+    return [
+        d
+        for d in raw_derivations(ars, len(ars.objects) if max_len is None else max_len)
+        if d.target == d.source
+        and len(set(d.targets)) == len(d)
+        and ars.object_index(d.source) == min(map(ars.object_index, d.targets))
+    ]
+
+
 # -- oracle: the witness search over materialised accepted sets ----------------------
 
 
@@ -449,6 +483,59 @@ def brute_lassos(xi: Strategy, ars: Ars, sources: Iterable[str] | None = None) -
                 )
     out.sort(key=Lasso.sort_key)
     return out
+
+
+def derivation_lassos(
+    xi: Strategy, ars: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
+) -> list[Lasso]:
+    """lassos_of_memoryless as it was before it kept candidates as step tuples:
+    every lasso built from Derivations, then sorted by Lasso.sort_key."""
+    sub = ars.restrict(induced_steps(xi, ars))
+    cycles = simple_cycles(sub, max_len)
+    through: dict[str, list[int]] = {}  # object -> the cycles through it
+    for k, cycle in enumerate(cycles):
+        for obj in cycle.targets[1:]:
+            through.setdefault(obj, []).append(k)
+    loops: dict[tuple[int, str], Derivation] = {}  # (cycle, object on it) -> cycle started there
+    out: list[Lasso] = []
+    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
+        met: set[int] = set()
+        for stem in shortest_paths(sub, src, None if max_len is None else max_len - 1):
+            entry = stem.target
+            fresh = [k for k in through.get(entry, ()) if k not in met]
+            if not fresh:
+                continue
+            met.update(fresh)
+            home = Derivation(ars, src, stem.labels)
+            for k in fresh:
+                cycle = cycles[k]
+                if max_len is not None and len(stem) + len(cycle) > max_len:
+                    continue
+                if (k, entry) not in loops:
+                    i = cycle.targets.index(entry)
+                    loops[k, entry] = Derivation(ars, entry, cycle.labels[i:] + cycle.labels[:i])
+                out.append(Lasso(home, loops[k, entry]))
+    out.sort(key=Lasso.sort_key)
+    return out
+
+
+def reaches_final(sub: Ars, cond: AcceptCondition, obj: str, state, budget: int) -> bool:
+    """Whether a product state that cond accepts lies 1..budget steps from (obj, state):
+    one breadth-first search per question."""
+    frontier = [(obj, state)]
+    seen = set(frontier)
+    for _ in range(budget):
+        grown = []
+        for o, q in frontier:
+            for step in sub.out_steps(o):
+                nxt = (step.target, cond.advance(q, step))
+                if cond.final(nxt[1]):
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    grown.append(nxt)
+        frontier = grown
+    return False
 
 
 def brute_nonclosed_witness(

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,7 @@ from strat import (
     LenEq,
     LogicalStrategy,
     MaxLen,
+    MemoryRequired,
     Not,
     Or,
     RestrictLabels,
@@ -95,15 +97,18 @@ from strat import (
     enumerate_derivations,
     finite_support,
     generate,
+    induced_steps,
     is_composition_closed,
     is_factor_closed,
     is_prefix_closed,
     lassos_of_memoryless,
     layered_check,
+    logic,
     memoried_from,
     memoryless_from,
     nonclosed_witness,
     rational,
+    simple_cycles,
 )
 
 # the leaves that generate on most systems come three times as often, so
@@ -281,6 +286,65 @@ class TestWitnessSearch:
             for step in d.steps:
                 state = cond.advance(state, step)
             assert cond.final(state) == cond.accepts(d) == helpers.brute_accepts(cond, d)
+
+
+@st.composite
+def candidate_cases(draw):
+    ars = draw(systems(max_objects=6))
+    base = _tree(draw, ars, draw(st.integers(0, 1)))
+    sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
+    max_len = draw(st.none() | st.integers(2, 6))
+    horizon = max_len or draw(st.integers(2, 6))
+    # the witness oracle materialises every derivation up to twice the horizon
+    while horizon > 2 and helpers.walks(ars, 2 * horizon) > 20_000:
+        horizon -= 1
+    return ars, LogicalStrategy(base, _condition(draw, ars, 2)), sources, max_len, horizon
+
+
+class TestLassoCandidates:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(candidate_cases())
+    def test_tuple_candidates_agree_with_derivation_search(self, case):
+        ars, ls, sources, max_len, horizon = case
+        if not ls.base.memoryless:
+            for search in (lassos_of_memoryless, helpers.derivation_lassos):
+                with pytest.raises(MemoryRequired):
+                    search(ls.base, ars, sources, max_len)
+            with pytest.raises(MemoryRequired):
+                nonclosed_witness(ls, ars, horizon, sources)
+            return
+        lassos = lassos_of_memoryless(ls.base, ars, sources, max_len)
+        assert lassos == helpers.derivation_lassos(ls.base, ars, sources, max_len)
+        assert lassos == [
+            l
+            for l in helpers.brute_lassos(ls.base, ars, sources)
+            if max_len is None or len(l.stem) + len(l.cycle) <= max_len
+        ]
+        assert nonclosed_witness(ls, ars, horizon, sources) == helpers.brute_nonclosed_witness(
+            ls, ars, horizon, sources
+        )
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(systems(max_objects=6))
+    def test_pruned_cycle_search_finds_every_simple_cycle(self, ars):
+        for bound in range(1, 7):
+            assert simple_cycles(ars, bound) == helpers.brute_cycles(ars, bound)
+        assert simple_cycles(ars) == helpers.brute_cycles(ars)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(witness_cases())
+    def test_least_distance_agrees_with_a_search_per_budget(self, case):
+        ars, ls, horizon, _ = case
+        sub = ars.restrict(induced_steps(ls.base, ars))
+        cond = ls.accept
+        for d in [ars.empty_derivation(obj) for obj in ars.objects] + enumerate_derivations(ars, 1):
+            state = cond.start(ars, d.source)
+            for step in d.steps:
+                state = cond.advance(state, step)
+            distance = logic._steps_to_final(sub, cond, d.target, state, horizon)
+            assert 1 <= distance <= horizon + 1
+            for budget in range(horizon + 1):
+                assert (distance <= budget) == helpers.reaches_final(sub, cond, d.target, state, budget)
 
 
 @st.composite

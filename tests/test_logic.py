@@ -44,6 +44,7 @@ from strat import (
     rational,
     strategy_from_predicate,
 )
+from strat.traffic import STARVATION_START, build_traffic_ars, fairness_nonclosed_witness
 
 
 def _support(xi, ars, depth=6):
@@ -242,3 +243,25 @@ class TestNonclosedWitness:
             pumped = witness.unroll(i)
             assert pumped not in members
             assert any(pumped.is_prefix_of(m) for m in members)
+
+    def test_builds_no_derivation_without_a_witness(self):
+        # every trap and ring lasso is tried, and each fails a pump on tuples
+        ars = helpers.loop_with_exit(5)
+        for cond, horizon in ((AtObject("sink"), 4), (ACCEPT_ALL, 6), (LenEq(1), 6)):
+            ls = LogicalStrategy(Universal(), cond)
+            with helpers.counting_builds() as built:
+                assert nonclosed_witness(ls, ars, horizon) is None
+            assert built == []
+
+    def test_builds_only_the_returned_lasso(self):
+        ring = helpers.loop_with_exit(3)
+        ls = LogicalStrategy(Universal(), LabelWordIn(rational.parse("(step | side | back)* out")))
+        with helpers.counting_builds() as built:
+            witness = nonclosed_witness(ls, ring, 4)
+        assert witness == Lasso(ring.empty_derivation("c0"), ring.derivation("c0", "step", "step", "step"))
+        assert built == [witness.stem, witness.cycle]
+        traffic = build_traffic_ars(1)
+        with helpers.counting_builds() as built:
+            witness = fairness_nonclosed_witness(traffic, 4)
+        assert witness.source == STARVATION_START
+        assert built == [witness.stem, witness.cycle]
