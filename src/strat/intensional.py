@@ -496,36 +496,29 @@ def lasso_candidates(
     and cycles and stems are searched up to that length. Nothing is built but
     tuples.
     """
-    cycles = list(cycle_steps(sub, max_len))
-    # object -> length -> the cycles of that length through it
-    through: dict[str, dict[int, set[int]]] = {obj: {} for obj in sub.objects}
-    for k, (_, steps) in enumerate(cycles):
-        for step in steps:
-            through[step.target].setdefault(len(steps), set()).add(k)
     rank = {step: sub.label_index(step.label) for step in sub.steps}
-    loops: dict[tuple[int, str], tuple] = {}  # (cycle, object on it) -> (key, cycle started there)
+    # object -> length -> cycle -> (its key, the cycle started at the object)
+    through: dict[str, dict[int, dict[int, tuple]]] = {obj: {} for obj in sub.objects}
+    for k, (_, steps) in enumerate(cycle_steps(sub, max_len)):
+        for i, step in enumerate(steps):
+            loop = steps[i:] + steps[:i]
+            key = (len(loop), sub.object_index(step.source), tuple(map(rank.__getitem__, loop)))
+            through[step.source].setdefault(len(loop), {})[k] = key, loop
     out = []
     for src in sorted(set(sub.objects if sources is None else sources), key=sub.object_index):
         src_index = sub.object_index(src)
         met: set[int] = set()
         for entry, stem in shortest_steps(sub, src, None if max_len is None else max_len - 1):
+            stem_key = (len(stem), src_index, tuple(map(rank.__getitem__, stem)))
             # a cycle too long for this stem is too long for every later one, so
             # leaving it unmet changes nothing
             room = len(sub.objects) if max_len is None else max_len - len(stem)
-            fresh = [k for length, ks in through[entry].items() if length <= room for k in ks - met]
-            if not fresh:
-                continue
-            met.update(fresh)
-            stem_key = (len(stem), src_index, tuple(map(rank.__getitem__, stem)))
-            for k in fresh:
-                if (k, entry) not in loops:
-                    steps = cycles[k][1]
-                    i = [s.source for s in steps].index(entry)
-                    loop = steps[i:] + steps[:i]
-                    key = (len(loop), sub.object_index(entry), tuple(map(rank.__getitem__, loop)))
-                    loops[k, entry] = key, loop
-                loop_key, loop = loops[k, entry]
-                out.append(((len(stem) + len(loop), stem_key, loop_key), src, stem, loop))
+            for length, loops in through[entry].items():
+                if length <= room:
+                    for k in loops.keys() - met:
+                        met.add(k)
+                        loop_key, loop = loops[k]
+                        out.append(((len(stem) + length, stem_key, loop_key), src, stem, loop))
     out.sort()
     return out
 
