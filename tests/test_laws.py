@@ -49,6 +49,19 @@ and come in any order, and checks that generate yields the support in
 Derivation.sort_key order, once each, also for a strategy whose eval returns
 its steps reversed and repeated, and for one whose eval also returns the steps
 of other objects: a step that does not leave the target is never taken.
+
+A seventh family draws a system (6 objects or fewer), a strategy tree of up to
+one level, optional sources, a length bound (none, or 2 to 6) and a condition,
+then checks that:
+
+- the lassos built from the step-tuple candidates are those of the
+  Derivation-built search they replace and the short ones of the unbounded
+  search, and the witness search answers as the materialised one (a memoried
+  base raises MemoryRequired in all three);
+- the pruned cycle search finds exactly the vertex-simple cycles among the raw
+  derivations, at every bound from 1 to 6 and without one;
+- the least distance to acceptance answers every budget up to the horizon as
+  one search per budget does.
 """
 
 from __future__ import annotations
