@@ -2,11 +2,11 @@
 
 Commands read a .ars document, evaluate the named strategy up to a depth,
 and report results on standard output; diagnostics go to standard error. A
-count or a prefix verdict is decided by logic.layered_check without building
-the set; listings and apply read the accepted members one at a time, in
-order, as intensional.generate yields them, acceptance read off the
-condition state it carries; only the factor and composition checks
-materialise the set (logic.accepted). Exit codes let shells branch on
+count and every closure verdict are decided on the product walk of logic
+(layered_check, factor_check, composition_check) without building the set;
+listings and apply read the accepted members one at a time, in order, as
+intensional.generate yields them, acceptance read off the condition state it
+carries. No command materialises the set. Exit codes let shells branch on
 verdicts: 0 for success or an affirmative verdict, 2 for usage errors and
 diagnostics, 3 for a negative verdict (a closure property that fails, a
 non-closedness witness found, a safety violation). An internal error is
@@ -32,13 +32,13 @@ from typing import Sequence
 from . import speclang
 from .ars import Ars, reaches_cycle
 from .errors import NoWitnessUpToHorizon, StratError
-from .extensional import is_composition_closed, is_factor_closed
 from .intensional import Universal, generate, induced_steps
 from .logic import (
     ACCEPT_ALL,
     LogicalStrategy,
-    accepted,
     as_logical,
+    composition_check,
+    factor_check,
     layered_check,
     nonclosed_witness,
 )
@@ -50,10 +50,9 @@ from .traffic import (
     safety_violation,
 )
 
-# factor and composition closure are checked on the materialised set, by key
-# lookups that build none of its factors or compositions; prefix closure, and
-# closedness, which is the same on lasso-free sets, by layered_check
-_CHECKS = {"factor": is_factor_closed, "composition": is_composition_closed}
+# factor and composition closure, each by its own walk of the product; prefix
+# closure, and closedness, which is the same on lasso-free sets, by layered_check
+_CHECKS = {"factor": factor_check, "composition": composition_check}
 
 
 def _at_least(minimum: int, what: str):
@@ -193,8 +192,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
     if args.prop in _CHECKS:
-        z = accepted(ls, ars, args.depth)
-        count, missing = z.size(), _CHECKS[args.prop](z).missing
+        count, verdict = _CHECKS[args.prop](ls, ars, args.depth)
+        missing = verdict.missing
     else:
         count, missing = layered_check(ls, ars, args.depth)
     witness = None if missing is None else missing.render()

@@ -5,8 +5,11 @@ object) and candidate label, whether the step is permitted; it is itself the
 intensional strategy it describes. An accepting condition selects which
 completed derivations count, so a logical strategy (base strategy plus
 condition) generates a set that need not be prefix-closed. A condition reads
-as an automaton over steps, as a strategy does: accepted and layered_check
-walk one product of objects, strategy memories and condition states.
+as an automaton over steps, as a strategy does, so one product of objects,
+strategy memories and condition states is walked: accepted collects its
+members, and layered_check, factor_check and composition_check count them and
+decide prefix, factor and composition closure there, building only the
+derivations they report.
 nonclosed_witness searches, up to a horizon, for a lasso whose finite
 truncations always remain extendable to accepted derivations without ever
 being accepted themselves: a finitely presented limit point outside the
@@ -17,13 +20,13 @@ and builds the Lasso only for the witness it returns.
 from __future__ import annotations
 
 import abc
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable
 
 from . import rational
 from .ars import Ars, Derivation, Lasso, Step
 from .errors import MemoryRequired
-from .extensional import AbstractStrategy
+from .extensional import AbstractStrategy, ClosureVerdict
 from .intensional import (
     AcceptFiltered,
     EvalResult,
@@ -100,13 +103,23 @@ class AlternatePredicate(Predicate, Value):
 
 
 class CustomPredicate(Predicate, Value):
-    """Wraps a callable over (label word, target object, candidate label)."""
+    """Wraps a callable over (label word, target object, candidate label); the
+    memory is the label word, or () when trace_free says the callable ignores it."""
 
     fn: Callable[[tuple[str, ...], str, str], bool]
     trace_free: bool = False
 
     def holds(self, d: Derivation, label: str) -> bool:
         return self.fn(d.labels, d.target, label)
+
+    def start(self, ars: Ars, obj: str) -> tuple[str, ...]:
+        return ()
+
+    def advance(self, ars: Ars, memory: tuple[str, ...], step: Step) -> tuple[str, ...]:
+        return memory if self.trace_free else memory + (step.label,)
+
+    def at(self, ars: Ars, memory: tuple[str, ...], obj: str) -> EvalResult:
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if self.fn(memory, obj, s.label)))
 
     @property
     def memoryless(self) -> bool:
@@ -302,50 +315,187 @@ def layered_check(
     without building the set.
 
     A forward search over layers 1..depth of the product nodes (object, the
-    base's memory, condition state, gap), moving by the base's transitions;
-    gap says whether some non-empty strict prefix was not accepted. A
-    memoryless base keeps one memory, so its nodes are shared per object.
-    Each node keeps its number of paths and its first arrival. Layers are
-    expanded in first-arrival order with out-steps in label order, so a node's
-    first arrival is its least path in Derivation.sort_key order, and the first
-    accepted node with a gap in the first layer that has one is the first
-    member with a missing prefix.
+    base's memory, condition state, gap, track), moving by the base's
+    transitions; gap says whether some non-empty strict prefix was not
+    accepted, and the track is kept by factor_check and composition_check
+    alone. A memoryless base keeps one memory, so its nodes are shared per
+    object. Each node keeps its number of paths and its first arrival. Layers
+    are expanded in first-arrival order with out-steps in label order, so a
+    node's first arrival is its least path in Derivation.sort_key order, and
+    the first accepted node with a gap in the first layer that has one is the
+    first member with a missing prefix.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
-    base, cond = ls.base, ls.accept
-    moves = transitions(base, ars)
-    # node -> [paths, first arrival (parent node, label) or the source, accepted]
-    layers = [{(obj, base.start(ars, obj), cond.start(ars, obj), False): [1, obj, False] for obj in starts}]
-    count, found = 0, None
-    while layers[-1] and len(layers) <= depth:
-        grown: dict[tuple, list] = {}
-        for node, (paths, _, final) in layers[-1].items():
-            obj, memory, state, gap = node
-            gap = found is None and (gap or (len(layers) > 1 and not final))
-            for step, after in moves(memory, obj):
-                nxt = (step.target, after, cond.advance(state, step), gap)
-                if nxt in grown:
-                    grown[nxt][0] += paths
-                else:
-                    grown[nxt] = [paths, (node, step.label), False]
-        for (_, _, state, gap), entry in grown.items():
-            entry[2] = cond.final(state)
-            if entry[2]:
-                count += entry[0]
-                if gap and found is None:
-                    found = (len(layers), entry)
-        layers.append(grown)
+    walk = _Walk(ls, ars, depth, sources)
+    layers, count, found = walk.run(walk.roots(False, None))
     if found is None:
         return count, None
-    k, entry = found
-    path = [entry]  # the entries along the member's first arrival, layer k down to 0
+    path = _first_arrival(layers, *found)
+    shortest = next(j for j in range(1, len(path)) if not path[j][2])
+    return count, _derivation(ars, path[: shortest + 1])
+
+
+def factor_check(
+    ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
+) -> tuple[int, ClosureVerdict]:
+    """The size of accepted(ls, ars, depth, sources) and the verdict that
+    is_factor_closed gives for it, found without building the set.
+
+    The least member with a missing strict factor is the least member whose
+    one-step-shorter prefix or suffix is not a member (see extensional). The
+    walk of layered_check finds it: the gap says the prefix is missing, and
+    the track, started after the first step, follows the suffix with its own
+    memory and condition state until the base stops permitting it. Only that
+    member is built, and its factors, to name the first one that is not a
+    member.
+    """
+    walk = _Walk(ls, ars, depth, sources)
+    final = walk.cond.final
+    layers, count, found = walk.run(
+        walk.roots(False, _FRESH), lambda node, k: k > 1 and not (node[4] and final(node[4][1]))
+    )
+    if found is None:
+        return count, ClosureVerdict(True)
+    d = _derivation(ars, _first_arrival(layers, *found))
+    return count, ClosureVerdict(False, (d,), next(f for f in d.factors() if not walk.member(f)))
+
+
+def composition_check(
+    ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
+) -> tuple[int, ClosureVerdict]:
+    """The size of accepted(ls, ars, depth, sources) and the verdict that
+    is_composition_closed gives for it, found without building the set.
+
+    Whether a member d1 has a partner d2 whose composition is not a member
+    depends only on d1's node (target, memory and condition state after it)
+    and |d1|, so the partners are searched once per such class: a walk from
+    d1's target over the members d2, whose track follows d1 . d2 under d1's
+    memory and condition state. A partner fails when the track dies, ends
+    unaccepted or runs past depth - |d1| steps. The least d1, in the walk's
+    first-arrival order, and its least failing partner are the pair that
+    scanning the members in order finds; only they and their composition are
+    built.
+    """
+    walk = _Walk(ls, ars, depth, sources)
+    final = walk.cond.final
+    partners: dict[tuple, tuple | None] = {}  # (node of d1, |d1|) -> its partner walk, if one fails
+
+    def fails(node: tuple, k: int) -> bool:
+        if (node, k) not in partners:
+            partners[node, k] = None
+            obj, memory, state = node[:3]
+            if obj in walk.sourced:  # else obj starts no member
+                roots = walk.roots(None, (memory, state), (obj,))
+                lost = lambda n, j: j > depth - k or not (n[4] and final(n[4][1]))
+                layers, _, found = walk.run(roots, lost, counting=False)
+                if found is not None:
+                    partners[node, k] = layers, *found
+        return partners[node, k] is not None
+
+    layers, count, found = walk.run(walk.roots(None, None), fails)
+    if found is None:
+        return count, ClosureVerdict(True)
+    d1 = _derivation(ars, _first_arrival(layers, *found))
+    d2 = _derivation(ars, _first_arrival(*partners[found[1], found[0]]))
+    return count, ClosureVerdict(False, (d1, d2), d1.compose(d2))
+
+
+_FRESH, _DEAD = True, False  # a track that starts after the next step; one the base stopped permitting
+
+
+class _Walk:
+    """The product walk of a logical strategy's base and condition, up to depth.
+
+    A node is (object, memory, condition state, gap, track). gap is None when
+    it is not kept. A track is None when it is not kept, else the base's
+    memory and the condition's state on another derivation along the same
+    steps: _FRESH starts it at the object after the next step, and it turns
+    _DEAD once the base does not permit a step from its memory.
+    """
+
+    def __init__(self, ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None):
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        self.ars, self.depth, self.base, self.cond = ars, depth, ls.base, ls.accept
+        self.starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
+        self.sourced = frozenset(self.starts)
+        self.moves = transitions(self.base, ars)
+        self.permits = cache(lambda memory, obj: dict(self.moves(memory, obj)))
+
+    def roots(self, gap: bool | None, track, starts: Iterable[str] | None = None) -> dict:
+        """Layer 0: node -> [paths, first arrival (the source), accepted]."""
+        base, cond, ars = self.base, self.cond, self.ars
+        return {
+            (obj, base.start(ars, obj), cond.start(ars, obj), gap, track): [1, obj, False]
+            for obj in (self.starts if starts is None else starts)
+        }
+
+    def begin(self, obj: str):
+        """A track of the empty derivation at obj: _DEAD unless obj is a source."""
+        if obj not in self.sourced:
+            return _DEAD
+        return self.base.start(self.ars, obj), self.cond.start(self.ars, obj)
+
+    def follow(self, track, step: Step):
+        """The track moved along step."""
+        if track is _FRESH:
+            return self.begin(step.target)
+        memory, state = track
+        after = self.permits(memory, step.source).get(step)
+        return _DEAD if after is None else (after, self.cond.advance(state, step))
+
+    def member(self, d: Derivation) -> bool:
+        """Whether d, no longer than depth, is a member of the accepted set."""
+        track = self.begin(d.source)
+        for step in d.steps:
+            track = track and self.follow(track, step)
+        return bool(track) and self.cond.final(track[1])
+
+    def run(self, roots: dict, lost: Callable[[tuple, int], bool] | None = None, counting: bool = True):
+        """The layers 0..depth from roots, the number of accepted paths in layers
+        1..depth, and (layer, node) of the first accepted node, in the least
+        layer that has one, whose gap is set or that lost says fails (None if
+        there is none). From the layer after it, gaps and tracks are dropped, so
+        nodes merge and the walk only counts; unless counting, it ends there.
+        """
+        moves, advance, final, follow = self.moves, self.cond.advance, self.cond.final, self.follow
+        layers = [roots]
+        count, found = 0, None
+        while layers[-1] and len(layers) <= self.depth and (counting or found is None):
+            k = len(layers)
+            grown: dict[tuple, list] = {}
+            for node, (paths, _, accepted_here) in layers[-1].items():
+                obj, memory, state, gap, track = node
+                if found is not None:
+                    gap = track = None
+                elif gap is not None:
+                    gap = gap or (k > 1 and not accepted_here)
+                for step, after in moves(memory, obj):
+                    nxt = (step.target, after, advance(state, step), gap, track and follow(track, step))
+                    if nxt in grown:
+                        grown[nxt][0] += paths
+                    else:
+                        grown[nxt] = [paths, (node, step.label), False]
+            for node, entry in grown.items():
+                if final(node[2]):
+                    entry[2] = True
+                    count += entry[0]
+                    if found is None and (node[3] or (lost is not None and lost(node, k))):
+                        found = k, node
+            layers.append(grown)
+        return layers, count, found
+
+
+def _first_arrival(layers: list[dict], k: int, node: tuple) -> list[list]:
+    """The entries along the first arrival at node in layer k, from layer 0."""
+    path = [layers[k][node]]
     for layer in reversed(layers[:k]):
         path.append(layer[path[-1][1][0]])
     path.reverse()
-    shortest = next(j for j in range(1, k) if not path[j][2])
-    return count, ars.derivation(path[0][1], *(e[1][1] for e in path[1 : shortest + 1]))
+    return path
+
+
+def _derivation(ars: Ars, path: list[list]) -> Derivation:
+    return ars.derivation(path[0][1], *(entry[1][1] for entry in path[1:]))
 
 
 def nonclosed_witness(

@@ -16,10 +16,14 @@ named by fixed relative paths (see documents()); replay and generation both
 write them into a scratch directory and run from there.
 
 Run from anywhere:  python tests/golden/make_cli_corpus.py
+Replay without regenerating:  python tests/golden/make_cli_corpus.py --check
+(the standard library alone; it prints the argv of each invocation whose
+outputs differ and exits 1 if any do).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -221,6 +225,22 @@ def load() -> tuple[dict, list[dict]]:
     return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
 
 
+def differing(records: list[dict]) -> list[list[str]]:
+    """The argv of each record whose replay gives other outputs."""
+    with tempfile.TemporaryDirectory() as scratch, replaying(Path(scratch)):
+        return [r["argv"] for r in records if record(r["argv"]) != r]
+
+
+def check() -> int:
+    """Replay cli.jsonl and print each invocation whose outputs differ; 1 if any do."""
+    _, records = load()
+    differ = differing(records)
+    for argv in differ:
+        print(json.dumps(argv))
+    print(f"{len(differ)} of {len(records)} invocations differ")
+    return 1 if differ else 0
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -241,4 +261,8 @@ def generate() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record, or with --check replay, the CLI corpus.")
+    parser.add_argument("--check", action="store_true", help="replay cli.jsonl instead of writing it")
+    if parser.parse_args().check:
+        raise SystemExit(check())
     generate()

@@ -177,6 +177,32 @@ class TestFactorAndCompositionRecords:
         )
 
 
+    @pytest.mark.parametrize("strategy", ["all", "fair_runs"])
+    def test_checks_build_only_what_they_report(self, run, tmp_path, strategy):
+        # at depth 6 the set has 39,250 members under `all` and 12,042 under
+        # `fair_runs`; a factor check builds the least failing member and its
+        # factors, a composition check its two parts and their composition
+        text = traffic_document(1)
+        doc = tmp_path / "t1.ars"
+        doc.write_text(text)
+        spec = speclang.parse(text)
+        ars = speclang.build_ars(spec)
+        ls = strat.as_logical(speclang.build_strategy(spec, strategy, ars))
+        for prop, check in (("factor", strat.factor_check), ("composition", strat.composition_check)):
+            verdict = check(ls, ars, 6)[1]
+            if verdict.holds:
+                reported = []
+            elif prop == "factor":
+                reported = [verdict.culprits[0], *verdict.culprits[0].factors()]
+            else:
+                reported = [*verdict.culprits, verdict.missing]
+            with helpers.counting_builds() as built:
+                code, out, _ = run("--machine", "check", "-f", str(doc), "-s", strategy, "--prop", prop, "--depth", "6")
+            assert code == (0 if verdict.holds else 3)
+            assert json.loads(out)["witness"] == (None if verdict.holds else verdict.missing.render())
+            assert sorted((d.source, d.labels) for d in built) == sorted((d.source, d.labels) for d in reported)
+
+
 class TestWitness:
     def test_found(self, run, samples_dir):
         code, out, _ = run(

@@ -29,7 +29,10 @@ kind, in half of the examples wrapped so that its eval also returns the steps
 of other objects, a condition tree and optional sources, then checks at every
 depth from 1 to 5, for the condition and for its complement, that the layered
 search counts the accepted set and finds its first missing prefix as
-materialising the set and checking prefix closure do.
+materialising the set and checking prefix closure do, and at every depth
+from 1 to 4 that the factor and composition walks give the count and the
+verdict (culprits and missing derivation) that is_factor_closed and
+is_composition_closed give on the materialised set.
 
 A fourth family draws a system (6 objects or fewer, 3 labels or fewer, with
 cycles or acyclic) and a set of derivations of length 4 or less: a random
@@ -107,7 +110,9 @@ from strat import (
     UnionPointwise,
     Universal,
     accepted,
+    composition_check,
     enumerate_derivations,
+    factor_check,
     finite_support,
     generate,
     induced_steps,
@@ -385,6 +390,16 @@ class TestLayeredCheck:
                     z.size(),
                     is_prefix_closed(z).missing,
                 )
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layered_cases())
+    def test_factor_and_composition_agree_with_the_materialised_set(self, case):
+        ars, ls, sources = case
+        for logical in (ls, LogicalStrategy(ls.base, Not(ls.accept))):
+            for depth in range(1, 5):
+                z = accepted(logical, ars, depth, sources)
+                assert factor_check(logical, ars, depth, sources) == (z.size(), is_factor_closed(z))
+                assert composition_check(logical, ars, depth, sources) == (z.size(), is_composition_closed(z))
 
 
 @st.composite

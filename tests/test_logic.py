@@ -104,6 +104,17 @@ class TestPredicateLifting:
         parity = CustomPredicate(lambda word, head, label: len(word) % 2 == 0)
         assert not strategy_from_predicate(parity).memoryless
 
+    def test_custom_predicate_builds_each_derivation_once(self, alc):
+        # the memory is the label word, so generation builds no derivation
+        # beyond the members and the empty one at each source, as universal does
+        anything = CustomPredicate(lambda word, head, label: True)
+        for xi in (anything, Universal()):
+            with helpers.counting_builds() as built:
+                z = finite_support(xi, alc, 6)
+            assert (len(z.finite_part), len(built)) == (24, 28)
+        parity = CustomPredicate(lambda word, head, label: (len(word) + int(label[-1])) % 2 == 0)
+        assert list(generate(parity, alc, 6)) == sorted(helpers.stepwise_support(parity, alc, 6), key=Derivation.sort_key)
+
 
 class TestAcceptConditions:
     def test_length_bounds(self, alc):
