@@ -130,9 +130,6 @@ class Ars:
     def has_object(self, name: str) -> bool:
         return name in self._obj_index
 
-    def has_label(self, name: str) -> bool:
-        return name in self._lab_index
-
     def object_index(self, name: str) -> int:
         try:
             return self._obj_index[name]

@@ -379,7 +379,9 @@ class AcceptFiltered(_Stepwise):
     """A strategy plus an accepting condition over completed derivations.
 
     The condition does not constrain stepping, and the memory is the child's;
-    it selects which generated derivations count as accepted.
+    it selects which generated derivations count as accepted. Only the chain of
+    accepts at the top of a strategy is folded so (as_logical): inside a
+    combinator, an AcceptFiltered steps as its child and its condition is never read.
     """
 
     child: Strategy

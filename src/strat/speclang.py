@@ -36,15 +36,14 @@ match, as often as one follows. The bound matters: sre keeps a backtracking
 record per repetition of a group, so one match of a group repeated without
 bound holds memory that grows with the run (about 2 MiB per 3,000 steps),
 and the possessive repeat that would not is Python 3.11 syntax. The parser
-splits a run's text into its names (three per step), and checks them with
-set operations: every name declared, none reserved, none declared twice or
-both as an object and as a label, no two steps from one source by one label
-to different targets. Only when a check fails does it put the run back as
-the tokens the plain lexer makes of it, and read them one name or step at a
-time, as it reads whatever a run does not cover (a comment inside the list,
-a malformed step, a trailing comma): so there is one validator, and a
-diagnostic is the same, in the same order and at the same line and column,
-as without runs.
+takes a run's names, three per step, as they are, and checks a run of names
+only for a reserved word or a name given twice; the rest is checked by the
+Ars that parse builds once from the lists (which sorts the steps) and keeps
+on the document. If this fast read fails in any way, parse reads the text
+once more with the plain lexer, one name or step at a time, as it reads
+whatever a run does not cover (a comment inside the list, a malformed step,
+a trailing comma): so there is one validator, and a diagnostic is the same,
+in the same order and at the same line and column, as without runs.
 
 Each strategy, condition and query kind is defined once, by one node class:
 the `_node` decorator gives the class its keyword, its syntax template
@@ -62,7 +61,7 @@ from operator import methodcaller
 from typing import Callable, NamedTuple
 
 from . import rational
-from .ars import Ars, by_index
+from .ars import Ars
 from .errors import StratError, UnknownSymbol
 from .intensional import (
     AcceptFiltered,
@@ -219,8 +218,8 @@ def _run_end(text: str, m: re.Match, first: str | None, more: str) -> int | None
 
 
 class _DocParser(rational.Grammar):
-    def __init__(self, text: str):
-        super().__init__(_lex_runs(text))
+    def __init__(self, text: str, lex: Callable[[str], list[Token]]):
+        super().__init__(lex(text))
         self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
@@ -282,13 +281,6 @@ class _DocParser(rational.Grammar):
         if level > MAX_NESTING:
             raise self.too_deep()
         self.deepest = max(self.deepest, level)
-
-    def unrun(self) -> None:
-        """Puts the tokens the plain lexer makes of the run at the cursor in its place."""
-        run = self.tokens[self.pos]
-        found = _PATTERN.finditer(self.text, run.offset, run.offset + len(run.text))
-        plain = [Token(m.lastgroup, m.group(), m.start()) for m in found if m.lastgroup != "skip"]
-        self.tokens[self.pos : self.pos + 1] = plain
 
     # name handling
 
@@ -355,8 +347,8 @@ class _DocParser(rational.Grammar):
         """`keyword: name, ...;` with each name declared once.
 
         A run of names that the lexer made one token is split into its names
-        and checked with set operations; if a check fails, the run is put back
-        as the plain lexer's tokens, and read name by name like the rest.
+        and checked only for a reserved word or a name given twice: a name on
+        both lists is left to Ars. Either fault ends the fast read.
         """
         self.expect_keyword(keyword)
         self.expect_punct(":")
@@ -364,12 +356,9 @@ class _DocParser(rational.Grammar):
         while True:
             run = self.peek()
             if run.kind == "names":
-                fresh = dict.fromkeys(_run_names(run))  # a run comes first: names is empty
-                once = len(fresh) == run.text.count(",") + 1
-                if not (once and KEYWORDS.isdisjoint(fresh) and clashes.isdisjoint(fresh)):
-                    self.unrun()
-                    continue
-                names = fresh
+                names = dict.fromkeys(_run_names(run))  # a run comes first: names is empty
+                if len(names) <= run.text.count(",") or not KEYWORDS.isdisjoint(names):
+                    raise ValueError("a reserved or repeated name")
                 self.pos += 1
             else:
                 tok = self.declared_name(desc)
@@ -388,28 +377,17 @@ class _DocParser(rational.Grammar):
     def _steps(self, into: list[tuple[str, str, str]], targets: dict[tuple[str, str], str]) -> None:
         """One step, or the run of well-formed steps that the lexer made one token.
 
-        A run is split into its names, three per step, and checked with set
-        operations; if a check fails, the run is put back as the plain lexer's
-        tokens, and read step by step like the rest: each name as it is read,
-        then the step against the earlier ones (_add_step).
+        A run is split into its names, three per step, and taken as it is: the
+        Ars that parse builds checks its symbols and functionality. A step read
+        token by token has each name checked as it is read, then is checked
+        against the earlier steps read that way (_add_step).
         """
         run = self.peek()
         if run.kind == "steps":
             names = _run_names(run)
-            sources, labels, ends = names[0::3], names[1::3], names[2::3]
-            steps = list(zip(sources, labels, ends))
-            target_of = dict(zip(zip(sources, labels), ends))  # a run comes first: targets is empty
-            if (
-                self._object_set.issuperset(sources)
-                and self._object_set.issuperset(ends)
-                and self._label_index.keys() >= set(labels)
-                and len(target_of) == len(set(steps))
-            ):
-                self.pos += 1
-                into += steps
-                targets.update(target_of)
-                return
-            self.unrun()
+            into += zip(names[0::3], names[1::3], names[2::3])
+            self.pos += 1
+            return
         open_tok = self.expect_punct("(")
         src = self.expect_ident("an object name")
         self.check_object(src)
@@ -885,6 +863,11 @@ class SpecDocument(Value):
         """(line, column) of each section of a parsed document, by its key; not a field."""
         return {}
 
+    @cached_property
+    def ars(self) -> Ars:
+        """The document's system, built once; parse keeps the one it checked the document with."""
+        return Ars(self.objects, self.labels, self.steps)
+
     def get_order(self, name: str) -> tuple[tuple[str, str], ...]:
         return _named(self.orders, name)
 
@@ -906,10 +889,20 @@ def _named(pairs: tuple, name: str) -> object:
 
 
 def parse(text: str) -> SpecDocument:
-    """Parse and validate a document; raises SpecLangError with diagnostics."""
+    """Parse and validate a document; raises SpecLangError with diagnostics.
+    A fast read (_lex_runs) that fails in any way is read again by tokens (_lex)."""
+    try:
+        return _read(text, _lex_runs)
+    except (StratError, ValueError):
+        pass
+    return _read(text, _lex)
+
+
+def _read(text: str, lex: Callable[[str], list[Token]]) -> SpecDocument:
+    """One reading of the document with the tokens of lex."""
     parser: _DocParser | None = None
     try:
-        parser = _DocParser(text)
+        parser = _DocParser(text, lex)
         parser.parse_document()
     except _SyntaxFail as fail:
         diags = parser.diags if parser is not None else []
@@ -920,7 +913,7 @@ def parse(text: str) -> SpecDocument:
 
 
 def _canonical(p: _DocParser) -> SpecDocument:
-    oi = {name: i for i, name in enumerate(p.objects)}
+    ars = Ars(p.objects, p.labels, p.steps)
     li = p._label_index.__getitem__
     orders = tuple(
         sorted(
@@ -933,15 +926,15 @@ def _canonical(p: _DocParser) -> SpecDocument:
     )
     strategies = tuple(sorted(p.strategies, key=lambda kv: kv[0]))
     doc = SpecDocument(
-        objects=tuple(p.objects),
-        labels=tuple(p.labels),
-        steps=by_index(list(set(p.steps)), oi, p._label_index),
+        objects=ars.objects,
+        labels=ars.labels,
+        steps=ars.steps,
         orders=orders,
         accepts=tuple(p.accepts),
         strategies=strategies,
         queries=tuple(p.queries),
     )
-    doc.__dict__["positions"] = p.positions
+    doc.__dict__.update(positions=p.positions, ars=ars)
     return doc
 
 
@@ -978,7 +971,7 @@ def serialize(doc: SpecDocument) -> str:
 
 
 def build_ars(doc: SpecDocument) -> Ars:
-    return Ars(doc.objects, doc.labels, doc.steps)
+    return doc.ars
 
 
 def build_order(doc: SpecDocument, name: str) -> LabelOrder:

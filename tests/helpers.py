@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from typing import Iterable, Iterator
-from unittest import mock
 
 from strat import (
     AbstractStrategy,
@@ -629,9 +628,9 @@ def stepwise_index(objects: tuple[str, ...], labels: tuple[str, ...], steps) -> 
 
 
 def parse_by_tokens(text: str) -> speclang.SpecDocument:
-    """speclang.parse with the plain lexer, so that the token loop reads every step."""
-    with mock.patch.object(speclang, "_lex_runs", speclang._lex):
-        return speclang.parse(text)
+    """speclang.parse's reading with the plain lexer, so that the token loop reads
+    every name and step: the reading a failed fast read falls back on."""
+    return speclang._read(text, speclang._lex)
 
 
 def parse_outcome(parse, text: str) -> object:

@@ -18,6 +18,7 @@ from strat import (
     FalsePredicate,
     Greatmost,
     GreatmostPredicate,
+    Intersect,
     LabelWordIn,
     Lasso,
     LenAtLeast,
@@ -42,6 +43,7 @@ from strat import (
     memoried_from,
     nonclosed_witness,
     rational,
+    speclang,
     strategy_from_predicate,
 )
 from strat.traffic import STARVATION_START, build_traffic_ars, fairness_nonclosed_witness
@@ -153,6 +155,21 @@ class TestAsLogical:
         assert ls.accept == And((outer, inner))
         single = as_logical(AcceptFiltered(Universal(), inner))
         assert single.accept == inner
+
+    def test_an_accept_inside_a_combinator_is_not_read(self, samples_dir):
+        # only the chain of accepts at the top folds; below a combinator an
+        # accept steps as its child, so the intersection counts what universal does
+        text = (samples_dir / "a_lc.ars").read_text()
+        text += "strategy inner = intersect(accept(universal, to_c), universal);\n"
+        doc = speclang.parse(text)
+        inner = speclang.build_strategy(doc, "inner")
+        assert inner == Intersect((AcceptFiltered(Universal(), speclang.build_accept(doc, "to_c")), Universal()))
+        assert as_logical(inner) == LogicalStrategy(inner, ACCEPT_ALL)
+        counts = {
+            name: layered_check(as_logical(speclang.build_strategy(doc, name)), doc.ars, 3)[0]
+            for name in ("inner", "eventually_c", "all")
+        }
+        assert counts == {"inner": 12, "eventually_c": 2, "all": 12}
 
     def test_accepted_equals_support_under_accept_all(self, alc):
         for depth in (1, 3, 5):

@@ -15,6 +15,7 @@ from strat import (
     AcceptFiltered,
     Alternate,
     And,
+    Ars,
     AtObject,
     Fail,
     Greatmost,
@@ -33,6 +34,7 @@ from strat import (
     UnknownSymbol,
     speclang,
 )
+from strat.cli import main
 from strat.speclang import (
     ALen,
     ARef,
@@ -418,13 +420,38 @@ class TestFrontEnd:
         doc = parse("ars { objects: a; labels: l; steps: (a, l, a), (a, l, a); }")
         assert doc.steps == (("a", "l", "a"),)
 
-    def test_parse_builds_no_ars(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("parse built an Ars")
+    def test_a_load_builds_one_ars(self, monkeypatch, capsys, samples_dir):
+        # parse builds the document's system to check and sort its steps, and
+        # keeps it: the command then reads that one, not a second copy
+        built = []
+        init = Ars.__init__
 
-        monkeypatch.setattr(speclang, "Ars", refuse)
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Ars, "__init__", counting)
+        path = str(samples_dir / "a_lc.ars")
+        argv = ["--machine", "check", "-f", path, "-s", "eventually_c", "--prop", "prefix", "--depth", "3"]
+        assert main(argv) == 3 and capsys.readouterr().out.startswith('{"kind": "check"')
+        assert len(built) == 1
         doc = parse(CANONICAL)
+        assert build_ars(doc) is build_ars(doc) is built[-1]
         assert doc.steps == (("a", "l1", "b"), ("b", "l2", "a"))
+        assert hash(doc.steps) == hash((("a", "l1", "b"), ("b", "l2", "a")))
+
+    def test_only_a_failed_fast_read_is_read_again(self, monkeypatch):
+        lexed = []
+        for name in ("_lex", "_lex_runs"):
+            lex = getattr(speclang, name)
+            monkeypatch.setattr(speclang, name, lambda text, lex=lex, name=name: lexed.append(name) or lex(text))
+        parse(MINI)
+        assert lexed == ["_lex_runs"]
+        for fault in ("strategy s = greatmost(nosuch);", "ars { objects: c; labels: k; steps: ; }"):
+            lexed.clear()
+            with pytest.raises(SpecLangError):
+                parse(f"{MINI}\n{fault}\n")
+            assert lexed == ["_lex_runs", "_lex"]
 
 
 def _same_as_tokens(text: str) -> object:
@@ -648,6 +675,16 @@ class TestStepsReader:
             (f"1:{_col(text, 'm,')}: error: unknown label 'm'", ()),
             (f"1:{_col(text, 'zz')}: error: unknown object 'zz'", ()),
         ]
+
+    def test_a_run_step_and_a_later_step_clash(self):
+        # the run's steps reach Ars unchecked; its fault sends the text to the token loop
+        text = "ars { objects: a, b; labels: l;\n  steps: (a, l, b), # first\n  (a, l, a); }"
+        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 1
+        assert _same_as_tokens(text) == [("3:3: error: two steps from 'a' with label 'l' reach 'b' and 'a'", ())]
+
+    def test_a_sound_ars_section_then_a_later_fault(self):
+        text = f"{MINI}\nstrategy s = greatmost(nosuch);\n"
+        assert _same_as_tokens(text) == [("2:24: error: unknown order 'nosuch'", ())]
 
     def test_second_ars_section(self):
         text = f"{MINI}\nars {{ objects: c; labels: k; steps: (c, k, c), (a, l1, b); }}"
