@@ -162,14 +162,6 @@ class Ars:
         chosen = set(steps)
         return tuple(s for s in out if s in chosen)
 
-    def sorted_steps(self, steps: Iterable[Step]) -> tuple[Step, ...]:
-        return tuple(
-            sorted(
-                set(steps),
-                key=lambda s: (self._obj_index[s.source], self._lab_index[s.label]),
-            )
-        )
-
     def restrict(self, steps: Iterable[Step]) -> "Ars":
         """Sub-system over the same symbols with a subset of the steps."""
         kept = []

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--depth", required=True, type=_at_least(1, "depth"))
     machine_flag(p_apply)
 
-    p_check = sub.add_parser("check", help="check a closure property of the materialised set")
+    p_check = sub.add_parser("check", help="check a closure property of the accepted set")
     p_check.add_argument("-f", "--file", required=True)
     p_check.add_argument("-s", "--strategy", required=True)
     p_check.add_argument("--prop", required=True, choices=sorted([*_CHECKS, "prefix", "closed"]))

@@ -5,12 +5,19 @@ relation that is exactly a Derivation, whose target is the current object. A
 Strategy gives the steps it permits next, with a definedness flag: Fail is
 undefined everywhere, which is not the same as being defined with no permitted
 steps. A strategy reads as an automaton over steps: a memory advanced by each
-step taken, and the steps permitted at an object under it. Each builtin keeps
-a small memory, so none replays the history; a memoryless strategy keeps one
-memory, so it reads only the current object. generate walks derivations with
-their memories (transitions) and yields those a strategy generates up to a
-depth, in Derivation.sort_key order; finite_support (the set) and
-enumerate_derivations (every derivation, the universal strategy's) read it.
+step taken, and the steps permitted at an object under it (at). Each builtin
+keeps a small memory, so none replays the history; a memoryless strategy
+keeps one memory, so it reads only the current object. The characteristic
+predicates of logic are strategies of the same kind, defined here beside the
+builtins they mirror.
+
+transitions is the one reader of at: the moves at a memory and an object are
+the permitted steps that leave the object, in label order, each with the
+memory after it. generate walks derivations with their memories along those
+moves and yields those a strategy generates up to a depth, in
+Derivation.sort_key order; finite_support (the set) and enumerate_derivations
+(every derivation, the universal strategy's) read it. induced_steps, the
+sub-system of a memoryless strategy, is its moves at each object, and
 lassos_of_memoryless witnesses the infinite derivations. Its candidates
 (lasso_candidates) are tuples of steps under an integer sort key, so a
 search that tries them (logic.nonclosed_witness) builds no Derivation or
@@ -246,6 +253,66 @@ class ColorAlternate(_Stepwise):
     memoryless = False
 
 
+class Predicate(_Stepwise):
+    """A characteristic predicate, read as the strategy it describes: at keeps
+    the out-steps of an object whose labels it permits, and is defined
+    everywhere. Universal, MaxLen and Greatmost are predicates too (logic)."""
+
+
+class FalsePredicate(Predicate):
+    """Permits no label: defined everywhere, with no steps."""
+
+    def at(self, ars: Ars, memory, obj: str) -> EvalResult:
+        return EvalResult(True, ())
+
+
+class AlternatePredicate(Predicate):
+    """Label-set alternation, starting in the first set; the memory is the last
+    label. A label of the first set may follow one of the second, and the other
+    way round."""
+
+    first: frozenset[str]
+    second: frozenset[str]
+
+    def start(self, ars: Ars, obj: str) -> None:
+        return None
+
+    def advance(self, ars: Ars, memory: str | None, step: Step) -> str:
+        return step.label
+
+    def at(self, ars: Ars, memory: str | None, obj: str) -> EvalResult:
+        if memory is None:
+            allowed = self.first
+        else:
+            allowed = (self.first if memory in self.second else frozenset()) | (
+                self.second if memory in self.first else frozenset()
+            )
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if s.label in allowed))
+
+    memoryless = False
+
+
+class CustomPredicate(Predicate):
+    """Wraps a callable over (label word, target object, candidate label); the
+    memory is the label word, or () when trace_free says the callable ignores it."""
+
+    fn: Callable[[tuple[str, ...], str, str], bool]
+    trace_free: bool = False
+
+    def start(self, ars: Ars, obj: str) -> tuple[str, ...]:
+        return ()
+
+    def advance(self, ars: Ars, memory: tuple[str, ...], step: Step) -> tuple[str, ...]:
+        return memory if self.trace_free else memory + (step.label,)
+
+    def at(self, ars: Ars, memory: tuple[str, ...], obj: str) -> EvalResult:
+        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if self.fn(memory, obj, s.label)))
+
+    @property
+    def memoryless(self) -> bool:
+        return self.trace_free
+
+
 class _Combination(_Stepwise):
     """A combinator over children; the memory is the tuple of their memories."""
 
@@ -273,7 +340,7 @@ class Intersect(_Combination):
         results = [c.at(ars, m, obj) for c, m in zip(self.children, memory)]
         if not all(r.defined for r in results):
             return UNDEFINED
-        return EvalResult(True, ars.sorted_steps(set.intersection(*(set(r.steps) for r in results))))
+        return EvalResult(True, ars.steps_from(obj, set.intersection(*(set(r.steps) for r in results))))
 
 
 class UnionPointwise(_Combination):
@@ -292,7 +359,7 @@ class UnionPointwise(_Combination):
         results = [c.at(ars, m, obj) for c, m in zip(self.children, memory) if m is not _LEFT]
         if not any(r.defined for r in results):
             return UNDEFINED
-        return EvalResult(True, ars.sorted_steps(s for r in results for s in r.steps))
+        return EvalResult(True, ars.steps_from(obj, (s for r in results for s in r.steps)))
 
 
 _LEFT = object()  # the memory of a child that the history left
@@ -368,7 +435,7 @@ class FromTable(_Stepwise):
         rows = [e for e in self._rows.get(obj, ()) if e.source in (None, source) and e.matches(word)]
         # exact rows win, then the longest prefix; max keeps the first of equal rows
         best = max(rows, key=lambda e: (not e.wildcard, len(e.word)), default=None)
-        return UNDEFINED if best is None else EvalResult(True, ars.sorted_steps(best.steps))
+        return UNDEFINED if best is None else EvalResult(True, ars.steps_from(obj, best.steps))
 
     @cached_property
     def memoryless(self) -> bool:
@@ -419,15 +486,20 @@ def union_committed(left: Strategy, right: Strategy) -> UnionCommitted:
 # -- generation ----------------------------------------------------------------
 
 
-def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], tuple]:
+def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], dict[Step, Hashable]]:
     """The moves of xi: at a memory and an object, the steps xi permits there in
-    label order (Ars.steps_from), each with the memory after it. Each (memory,
-    object) pair is evaluated once per call of transitions."""
+    label order (Ars.steps_from), each mapped to the memory after it. This is the
+    one reading of at: a step that does not leave the object is never a move.
+    Each (memory, object) pair is evaluated once per call of transitions; a
+    memoryless strategy keeps its memory, so advance is not asked."""
+    memoryless = xi.memoryless
 
     @cache
-    def moves(memory: Hashable, obj: str) -> tuple[tuple[Step, Hashable], ...]:
+    def moves(memory: Hashable, obj: str) -> dict[Step, Hashable]:
         permitted = ars.steps_from(obj, xi.at(ars, memory, obj).steps)
-        return tuple((s, xi.advance(ars, memory, s)) for s in permitted)
+        if memoryless:
+            return dict.fromkeys(permitted, memory)
+        return {s: xi.advance(ars, memory, s) for s in permitted}
 
     return moves
 
@@ -457,7 +529,7 @@ def generate(
         layer = [
             (d.extended(s.label), after, None if accept is None else accept.advance(state, s))
             for d, memory, state in layer
-            for s, after in moves(memory, d.target)
+            for s, after in moves(memory, d.target).items()
         ]
         yield from (d for d, _, state in layer if accept is None or accept.final(state))
 
@@ -475,13 +547,12 @@ def enumerate_derivations(ars: Ars, max_len: int, source: str | None = None) -> 
 
 
 def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
-    """Steps a memoryless strategy permits anywhere (its sub-system)."""
+    """Steps a memoryless strategy permits anywhere (its sub-system): its moves
+    (transitions) at each object, from the memory it starts with there."""
     if not xi.memoryless:
         raise MemoryRequired("induced sub-system needs a memoryless strategy")
-    chosen: set[Step] = set()
-    for obj in ars.objects:
-        chosen.update(xi.at(ars, xi.start(ars, obj), obj).steps)
-    return ars.sorted_steps(chosen)
+    moves = transitions(xi, ars)
+    return tuple(s for obj in ars.objects for s in moves(xi.start(ars, obj), obj))
 
 
 def lasso_candidates(

@@ -1,8 +1,9 @@
 """Strategies described by logic: step predicates and accepting conditions.
 
-A characteristic predicate decides, per derivation so far (the paper's traced
-object) and candidate label, whether the step is permitted; it is itself the
-intensional strategy it describes. An accepting condition selects which
+A characteristic predicate decides, per traced object and candidate label,
+whether the step is permitted; it is itself the intensional strategy it
+describes, so the predicates are strategies of intensional, defined by at
+alone, and imported here by name. An accepting condition selects which
 completed derivations count, so a logical strategy (base strategy plus
 condition) generates a set that need not be prefix-closed. A condition reads
 as an automaton over steps, as a strategy does, so one product of objects,
@@ -20,18 +21,21 @@ and builds the Lasso only for the witness it returns.
 from __future__ import annotations
 
 import abc
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 from . import rational
 from .ars import Ars, Derivation, Lasso, Step
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy, ClosureVerdict
-from .intensional import (
+from .intensional import (  # noqa: F401 (the predicates are importable from here too)
     AcceptFiltered,
-    EvalResult,
+    AlternatePredicate,
+    CustomPredicate,
+    FalsePredicate,
     Greatmost,
     MaxLen,
+    Predicate,
     Strategy,
     Universal,
     generate,
@@ -43,87 +47,12 @@ from .value import Value
 
 # -- characteristic predicates ---------------------------------------------------
 
-
-class Predicate(Strategy):
-    """A characteristic predicate, read as the strategy it describes.
-
-    holds decides whether a candidate label is permitted after a derivation;
-    eval keeps the out-steps of its target whose labels it permits, and is
-    defined everywhere.
-    """
-
-    @abc.abstractmethod
-    def holds(self, d: Derivation, label: str) -> bool: ...
-
-    def eval(self, d: Derivation) -> EvalResult:
-        keep = tuple(s for s in d.ars.out_steps(d.target) if self.holds(d, s.label))
-        return EvalResult(True, keep)
-
-
 # Permitting every label is Universal; permitting extension while the history
 # is shorter than bound - 1 is MaxLen(bound); permitting the labels that no
 # out-label of the target is above is Greatmost(order).
 TruePredicate = Universal
 LenLess = MaxLen
 GreatmostPredicate = Greatmost
-
-
-class FalsePredicate(Predicate, Value):
-    def holds(self, d: Derivation, label: str) -> bool:
-        return False
-
-    memoryless = True
-
-
-class AlternatePredicate(Predicate, Value):
-    """Label-set alternation, starting in the first set; the memory is the last label."""
-
-    first: frozenset[str]
-    second: frozenset[str]
-
-    def holds(self, d: Derivation, label: str) -> bool:
-        return self.follows(d.labels[-1] if d.labels else None, label)
-
-    def follows(self, last: str | None, label: str) -> bool:
-        """Whether label may come after the label last (None before the first step)."""
-        if last is None:
-            return label in self.first
-        return (last in self.second and label in self.first) or (last in self.first and label in self.second)
-
-    def start(self, ars: Ars, obj: str) -> None:
-        return None
-
-    def advance(self, ars: Ars, memory: str | None, step: Step) -> str:
-        return step.label
-
-    def at(self, ars: Ars, memory: str | None, obj: str) -> EvalResult:
-        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if self.follows(memory, s.label)))
-
-    memoryless = False
-
-
-class CustomPredicate(Predicate, Value):
-    """Wraps a callable over (label word, target object, candidate label); the
-    memory is the label word, or () when trace_free says the callable ignores it."""
-
-    fn: Callable[[tuple[str, ...], str, str], bool]
-    trace_free: bool = False
-
-    def holds(self, d: Derivation, label: str) -> bool:
-        return self.fn(d.labels, d.target, label)
-
-    def start(self, ars: Ars, obj: str) -> tuple[str, ...]:
-        return ()
-
-    def advance(self, ars: Ars, memory: tuple[str, ...], step: Step) -> tuple[str, ...]:
-        return memory if self.trace_free else memory + (step.label,)
-
-    def at(self, ars: Ars, memory: tuple[str, ...], obj: str) -> EvalResult:
-        return EvalResult(True, tuple(s for s in ars.out_steps(obj) if self.fn(memory, obj, s.label)))
-
-    @property
-    def memoryless(self) -> bool:
-        return self.trace_free
 
 
 def strategy_from_predicate(pred: Strategy) -> Strategy:
@@ -419,7 +348,6 @@ class _Walk:
         self.starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
         self.sourced = frozenset(self.starts)
         self.moves = transitions(self.base, ars)
-        self.permits = cache(lambda memory, obj: dict(self.moves(memory, obj)))
 
     def roots(self, gap: bool | None, track, starts: Iterable[str] | None = None) -> dict:
         """Layer 0: node -> [paths, first arrival (the source), accepted]."""
@@ -440,7 +368,7 @@ class _Walk:
         if track is _FRESH:
             return self.begin(step.target)
         memory, state = track
-        after = self.permits(memory, step.source).get(step)
+        after = self.moves(memory, step.source).get(step)
         return _DEAD if after is None else (after, self.cond.advance(state, step))
 
     def member(self, d: Derivation) -> bool:
@@ -469,7 +397,7 @@ class _Walk:
                     gap = track = None
                 elif gap is not None:
                     gap = gap or (k > 1 and not accepted_here)
-                for step, after in moves(memory, obj):
+                for step, after in moves(memory, obj).items():
                     nxt = (step.target, after, advance(state, step), gap, track and follow(track, step))
                     if nxt in grown:
                         grown[nxt][0] += paths

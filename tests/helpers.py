@@ -3,14 +3,17 @@
 The oracles here are deliberately independent of the implementations they
 check: support by filtering a raw enumeration (raw_derivations, which does
 not go through intensional.generate) step by step, with each strategy read
-off the whole derivation (replayed_eval) rather than through its memory,
-acceptance by each condition's reading of the whole derivation
-(brute_accepts), regex matching by word derivatives, closedness by a limit-point scan over an ambient
-enumeration, factor and composition closure by building every factor and
-every composition, simple cycles by filtering a raw enumeration (brute_cycles),
-and the witness search by materialising every accepted derivation. The
-lasso candidates are also checked against the Derivation-built search they
-replace (derivation_lassos), and the witness search's least distance to
+off the whole derivation (replayed_eval) rather than through its memory, the
+predicates included, acceptance by each condition's reading of the whole
+derivation (brute_accepts), regex matching by word derivatives, closedness
+by a limit-point scan over an ambient enumeration, factor and composition
+closure by building every factor and every composition, simple cycles by
+filtering a raw enumeration (brute_cycles), a memoryless strategy's
+sub-system by reading replayed_eval at each object (brute_induced), not
+through intensional.transitions, and the witness search by materialising
+every accepted derivation. The lasso candidates are also checked against
+the Derivation-built search they replace (derivation_lassos), both over
+brute_induced's sub-system, and the witness search's least distance to
 acceptance against one search per budget (reaches_final). The document
 parser's steps reader is checked against the token loop it stands in for
 (parse_by_tokens).
@@ -27,15 +30,18 @@ from strat import (
     AcceptCondition,
     AcceptFiltered,
     Alternate,
+    AlternatePredicate,
     And,
     Ars,
     AtObject,
     ClosureVerdict,
     ColorAlternate,
+    CustomPredicate,
     Derivation,
     EvalResult,
     ExplicitTraceSet,
     Fail,
+    FalsePredicate,
     FunctionalityViolation,
     FromTable,
     Greatmost,
@@ -49,6 +55,7 @@ from strat import (
     LenEq,
     LogicalStrategy,
     MaxLen,
+    MemoryRequired,
     Not,
     Or,
     RestrictLabels,
@@ -61,7 +68,6 @@ from strat import (
     Universal,
     UnknownSymbol,
     accepted,
-    induced_steps,
     rotate_cycle,
     shortest_path_to,
     shortest_paths,
@@ -180,14 +186,36 @@ def _obeys(child: Strategy, d: Derivation) -> bool:
     )
 
 
+def _in_order(ars: Ars, steps: Iterable[Step]) -> tuple[Step, ...]:
+    """The steps once each, by source index and then label index."""
+    return tuple(sorted(set(steps), key=lambda s: (ars.object_index(s.source), ars.label_index(s.label))))
+
+
 def replayed_eval(xi: Strategy, d: Derivation) -> EvalResult:
     """The steps xi permits after d, read off the whole derivation: its length
-    for maxlen, the last step or label for the alternations, a replay of the
-    history through each child for unionC and a scan of the rows on d for
-    tables. Recurses through the combinators; any other strategy answers by
-    its own eval."""
+    for maxlen, the last step or label for the alternations (the predicate's
+    too), the label word for a custom predicate, a replay of the history
+    through each child for unionC and a scan of the rows on d for tables.
+    Recurses through the combinators; any other strategy (universal, fail,
+    greatmost, restrict, and the test wrappers) answers by its own eval."""
     ars, outs = d.ars, d.ars.out_steps(d.target)
     undefined = EvalResult(False, ())
+    if isinstance(xi, FalsePredicate):
+        return EvalResult(True, ())
+    if isinstance(xi, AlternatePredicate):
+        last = d.labels[-1] if d.labels else None
+        return EvalResult(
+            True,
+            tuple(
+                s
+                for s in outs
+                if (last is None and s.label in xi.first)
+                or (last in xi.second and s.label in xi.first)
+                or (last in xi.first and s.label in xi.second)
+            ),
+        )
+    if isinstance(xi, CustomPredicate):
+        return EvalResult(True, tuple(s for s in outs if xi.fn(d.labels, d.target, s.label)))
     if isinstance(xi, MaxLen):
         return EvalResult(True, outs if len(d) < xi.bound - 1 else ())
     if isinstance(xi, Alternate):
@@ -197,7 +225,7 @@ def replayed_eval(xi: Strategy, d: Derivation) -> EvalResult:
         if last not in xi.first and last not in xi.second:
             return undefined
         allowed = {s for s in outs if (last in xi.second and s in xi.first) or (last in xi.first and s in xi.second)}
-        return EvalResult(True, ars.sorted_steps(allowed))
+        return EvalResult(True, _in_order(ars, allowed))
     if isinstance(xi, ColorAlternate):
         if not d.labels:
             want = xi.white | xi.black
@@ -217,13 +245,13 @@ def replayed_eval(xi: Strategy, d: Derivation) -> EvalResult:
         common = set(results[0].steps)
         for r in results[1:]:
             common &= set(r.steps)
-        return EvalResult(True, ars.sorted_steps(common))
+        return EvalResult(True, _in_order(ars, common))
     if isinstance(xi, (UnionPointwise, UnionCommitted)):
         committed = isinstance(xi, UnionCommitted)
         results = [replayed_eval(c, d) for c in xi.children if not committed or _obeys(c, d)]
         if not any(r.defined for r in results):
             return undefined
-        return EvalResult(True, ars.sorted_steps(s for r in results for s in r.steps))
+        return EvalResult(True, _in_order(ars, (s for r in results for s in r.steps)))
     if isinstance(xi, FromTable):
         best = None
         for entry in xi.entries:
@@ -231,10 +259,10 @@ def replayed_eval(xi: Strategy, d: Derivation) -> EvalResult:
                 continue
             if not entry.wildcard:
                 if d.labels == entry.word:
-                    return EvalResult(True, ars.sorted_steps(entry.steps))
+                    return EvalResult(True, _in_order(ars, entry.steps))
             elif d.labels[: len(entry.word)] == entry.word and (best is None or len(entry.word) > len(best.word)):
                 best = entry
-        return undefined if best is None else EvalResult(True, ars.sorted_steps(best.steps))
+        return undefined if best is None else EvalResult(True, _in_order(ars, best.steps))
     return xi.eval(d)
 
 
@@ -467,10 +495,24 @@ def brute_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
 # -- oracle: the witness search over materialised accepted sets ----------------------
 
 
+def brute_induced(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
+    """The steps a memoryless strategy permits anywhere: at each object, the
+    steps replayed_eval gives at the empty derivation there that leave it, in
+    (object, label) order. Raises MemoryRequired for a memoried strategy."""
+    if not xi.memoryless:
+        raise MemoryRequired("induced sub-system needs a memoryless strategy")
+    return tuple(
+        s
+        for obj in ars.objects
+        for s in _in_order(ars, replayed_eval(xi, ars.empty_derivation(obj)).steps)
+        if s in ars.out_steps(obj)
+    )
+
+
 def brute_lassos(xi: Strategy, ars: Ars, sources: Iterable[str] | None = None) -> list[Lasso]:
-    """One lasso per (source, simple cycle of the whole induced sub-system), by a
-    shortest path to the cycle and a rotation of it."""
-    sub = ars.restrict(induced_steps(xi, ars))
+    """One lasso per (source, simple cycle of the whole induced sub-system,
+    brute_induced), by a shortest path to the cycle and a rotation of it."""
+    sub = ars.restrict(brute_induced(xi, ars))
     out = []
     for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
         for cycle in simple_cycles(sub):
@@ -488,8 +530,9 @@ def derivation_lassos(
     xi: Strategy, ars: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[Lasso]:
     """lassos_of_memoryless as it was before it kept candidates as step tuples:
-    every lasso built from Derivations, then sorted by Lasso.sort_key."""
-    sub = ars.restrict(induced_steps(xi, ars))
+    every lasso built from Derivations, then sorted by Lasso.sort_key, over the
+    sub-system of brute_induced."""
+    sub = ars.restrict(brute_induced(xi, ars))
     cycles = simple_cycles(sub, max_len)
     through: dict[str, list[int]] = {}  # object -> the cycles through it
     for k, cycle in enumerate(cycles):
@@ -564,8 +607,9 @@ def brute_nonclosed_witness(
 
 def loop_safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
     """Shortest reach of a both-green state from the first good start that has
-    one, found by a breadth-first search from every good start in turn."""
-    sub = ars.restrict(induced_steps(strategy, ars))
+    one, found by a breadth-first search from every good start in turn, over
+    the sub-system of brute_induced."""
+    sub = ars.restrict(brute_induced(strategy, ars))
     bad = {s for s in ars.objects if TrafficState.from_symbol(s).both_green}
     for start in good_starts(ars):
         path = shortest_path_to(sub, start, bad)

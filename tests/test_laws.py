@@ -54,6 +54,13 @@ Derivation.sort_key order, once each, also for a strategy whose eval returns
 its steps reversed and repeated, and for one whose eval also returns the steps
 of other objects: a step that does not leave the target is never taken.
 
+An eighth family draws a system (6 objects or fewer), a memoryless strategy
+tree of up to one level, in half of the examples wrapped so that its eval also
+returns the steps of other objects, optional sources, a length bound and a
+condition, then checks that the induced sub-system, its lassos and the witness
+search answer as reading each object's steps off the whole derivation does
+(helpers.brute_induced): the steps of other objects are never induced.
+
 A seventh family draws a system (6 objects or fewer), a strategy tree of up to
 one level, optional sources, a length bound (none, or 2 to 6) and a condition,
 then checks that:
@@ -73,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -531,3 +538,45 @@ class TestGenerate:
         for strategy in (xi, Scrambled(xi), Foreign(xi)):
             support = helpers.stepwise_support(strategy, ars, depth, sources)
             assert list(generate(strategy, ars, depth, sources)) == sorted(support, key=Derivation.sort_key)
+
+
+@st.composite
+def induced_cases(draw):
+    ars = draw(systems(max_objects=6))
+    base = _tree(draw, ars, draw(st.integers(0, 1)))
+    assume(base.memoryless)
+    if draw(st.booleans()):
+        base = Foreign(base)
+    sources = draw(st.none() | st.frozensets(st.sampled_from(ars.objects), min_size=1))
+    max_len = draw(st.none() | st.integers(2, 6))
+    horizon = max_len or draw(st.integers(2, 6))
+    # the witness oracle materialises every derivation up to twice the horizon
+    while horizon > 2 and helpers.walks(ars, 2 * horizon) > 20_000:
+        horizon -= 1
+    return ars, LogicalStrategy(base, _condition(draw, ars, 2)), sources, max_len, horizon
+
+
+class TestInducedSubsystem:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(induced_cases())
+    def test_agrees_with_the_replayed_reading(self, case):
+        ars, ls, sources, max_len, horizon = case
+        assert induced_steps(ls.base, ars) == helpers.brute_induced(ls.base, ars)
+        assert lassos_of_memoryless(ls.base, ars, sources, max_len) == [
+            l
+            for l in helpers.brute_lassos(ls.base, ars, sources)
+            if max_len is None or len(l.stem) + len(l.cycle) <= max_len
+        ]
+        assert nonclosed_witness(ls, ars, horizon, sources) == helpers.brute_nonclosed_witness(
+            ls, ars, horizon, sources
+        )
+
+    def test_steps_of_other_objects_are_not_induced(self):
+        # generate takes only a -phi2-> c; the steps leaving b and the other
+        # steps leaving a, which eval also returns, are not the strategy's
+        ars = helpers.alc()
+        xi = Foreign(RestrictLabels(frozenset({"phi2"})))
+        only = (ars.step("a", "phi2"),)
+        assert [d.steps for d in generate(xi, ars, 3)] == [only]
+        assert induced_steps(xi, ars) == only == helpers.brute_induced(xi, ars)
+        assert lassos_of_memoryless(xi, ars) == []
