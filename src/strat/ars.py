@@ -7,10 +7,12 @@ the traced object a strategy reads: the history so far, ending at the current
 object. Lassos encode eventually periodic infinite derivations as a finite
 stem plus a repeated cycle.
 
-All values here are immutable after construction and safe to share. Symbols
-are interned with stable integer indices (declaration order) and every set
-produced by the module is emitted sorted by (source index, label indices) so
-identical inputs give byte-identical renderings. Derivations are grown from
+All values here are immutable after construction and safe to share; an Ars
+indexes an object's out-steps when they are first read, in a private cache
+that only grows and changes no answer, so a query reads only the objects it
+reaches. Symbols are interned with stable integer indices (declaration order)
+and every set produced by the module is emitted sorted by (source index,
+label indices) so identical inputs give byte-identical renderings. Derivations are grown from
 a strategy, the universal one included, by intensional.generate; this module
 keeps the graph searches. shortest_steps and cycle_steps give paths and
 cycles as step tuples; shortest_paths, shortest_path_to and simple_cycles
@@ -19,11 +21,12 @@ build Derivations from them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     FunctionalityViolation,
@@ -49,15 +52,6 @@ class Step(NamedTuple):
 _SOURCE, _LABEL, _TARGET = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
-def by_index(steps: Sequence[tuple], obj_index: dict, lab_index: dict) -> tuple:
-    """The steps sorted by (source index, label index), one per source and label:
-    the last of those that share both. The sort keys are built by map, with no
-    Python call per step."""
-    keys = map(mul, map(obj_index.__getitem__, map(_SOURCE, steps)), repeat(len(lab_index)))
-    by_key = dict(zip(map(add, keys, map(lab_index.__getitem__, map(_LABEL, steps))), steps))
-    return tuple(map(by_key.__getitem__, sorted(by_key)))
-
-
 def _raise_first_fault(steps: list, obj_index: dict, lab_index: dict) -> None:
     """Raises for the first step, in order, with an unknown symbol or whose source
     and label an earlier step takes to another target."""
@@ -71,10 +65,32 @@ def _raise_first_fault(steps: list, obj_index: dict, lab_index: dict) -> None:
             raise FunctionalityViolation(source, label, prior, target)
 
 
+class _OutSteps(dict):
+    """The out-steps of each object, in label order, sliced out of the sorted
+    steps on the object's first read: their keys (source index x number of
+    labels + label index) are sorted too, so one bisection finds the slice."""
+
+    __slots__ = ("_steps", "_keys", "_index", "_width")
+
+    def __init__(self, by_key: dict, obj_index: dict, width: int) -> None:
+        self._keys = sorted(by_key)
+        self._steps = tuple(map(by_key.__getitem__, self._keys))
+        self._index, self._width = obj_index, width
+
+    def __missing__(self, obj: str) -> tuple[Step, ...]:
+        try:
+            low = self._index[obj] * self._width
+        except KeyError:
+            raise UnknownSymbol(obj) from None
+        start = bisect_left(self._keys, low)
+        out = self[obj] = self._steps[start : bisect_left(self._keys, low + self._width, start)]
+        return out
+
+
 class Ars:
     """A finite abstract reduction system with a functional step relation."""
 
-    __slots__ = ("objects", "labels", "steps", "_obj_index", "_lab_index", "_out", "_lookup")
+    __slots__ = ("objects", "labels", "steps", "_obj_index", "_lab_index", "_by_key", "_out")
 
     def __init__(
         self,
@@ -105,25 +121,29 @@ class Ars:
         steps = list(steps)
         if not {Step}.issuperset(map(type, steps)):
             steps = list(map(tuple.__new__, repeat(Step), steps))
+        # a step's key is source index x number of labels + label index; an unknown
+        # source or label fails here, and of equal keys the first step is kept
+        try:
+            sources = map(mul, map(obj_index.__getitem__, map(_SOURCE, steps)), repeat(len(labels)))
+            keys = list(map(add, sources, map(lab_index.__getitem__, map(_LABEL, steps))))
+        except (KeyError, IndexError):
+            _raise_first_fault(steps, obj_index, lab_index)
+        by_key = dict(zip(reversed(keys), reversed(steps)))
         if not (
             set(map(len, steps)) <= {3}
-            and object_set.issuperset(map(_SOURCE, steps))
-            and label_set.issuperset(map(_LABEL, steps))
             and object_set.issuperset(map(_TARGET, steps))
-            and len(ordered := by_index(steps[::-1], obj_index, lab_index)) == len(set(steps))
+            and len(by_key) == len(set(steps))
         ):
             _raise_first_fault(steps, obj_index, lab_index)
-        out = dict.fromkeys(objects, ())
-        for source, group in groupby(ordered, _SOURCE):
-            out[source] = tuple(group)
+        out = _OutSteps(by_key, obj_index, len(labels))
 
         self.objects = objects
         self.labels = labels
-        self.steps = ordered
+        self.steps = out._steps
         self._obj_index = obj_index
         self._lab_index = lab_index
+        self._by_key = by_key
         self._out = out
-        self._lookup = dict(zip(map(itemgetter(0, 1), ordered), ordered))
 
     # -- symbol table -----------------------------------------------------
 
@@ -146,11 +166,13 @@ class Ars:
 
     def out_steps(self, obj: str) -> tuple[Step, ...]:
         """Steps leaving obj, ordered by label index."""
-        self.object_index(obj)
         return self._out[obj]
 
     def step(self, source: str, label: str) -> Step | None:
-        return self._lookup.get((source, label))
+        try:
+            return self._by_key.get(self._obj_index[source] * len(self.labels) + self._lab_index[label])
+        except KeyError:
+            return None
 
     def steps_from(self, obj: str, steps: Iterable[Step]) -> tuple[Step, ...]:
         """The steps of this system that leave obj among steps, once each, in label
@@ -166,7 +188,7 @@ class Ars:
         """Sub-system over the same symbols with a subset of the steps."""
         kept = []
         for step in steps:
-            if self._lookup.get((step.source, step.label)) != step:
+            if self.step(step.source, step.label) != step:
                 raise ValueError(f"{step.render()} is not a step of this system")
             kept.append(step)
         return Ars(self.objects, self.labels, kept)

@@ -3,10 +3,11 @@
 Commands read a .ars document, evaluate the named strategy up to a depth,
 and report results on standard output; diagnostics go to standard error. A
 count and every closure verdict are decided on the product walk of logic
-(layered_check, factor_check, composition_check) without building the set;
-listings and apply read the accepted members one at a time, in order, as
-intensional.generate yields them, acceptance read off the condition state it
-carries. No command materialises the set. Exit codes let shells branch on
+(layered_check, factor_check, composition_check) without building the set,
+and so are the objects apply reaches (accepted_targets); text listings read
+the accepted members one at a time, in order, as intensional.generate yields
+them, acceptance read off the condition state it carries. No command
+materialises the set. Exit codes let shells branch on
 verdicts: 0 for success or an affirmative verdict, 2 for usage errors and
 diagnostics, 3 for a negative verdict (a closure property that fails, a
 non-closedness witness found, a safety violation). An internal error is
@@ -36,6 +37,7 @@ from .intensional import Universal, generate, induced_steps
 from .logic import (
     ACCEPT_ALL,
     LogicalStrategy,
+    accepted_targets,
     as_logical,
     composition_check,
     factor_check,
@@ -167,7 +169,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     doc, ars = _load(args.file)
     ars.object_index(args.source)
     ls = as_logical(speclang.build_strategy(doc, args.strategy, ars))
-    reached = {d.target for d in generate(ls.base, ars, args.depth, (args.source,), ls.accept)}
+    reached = accepted_targets(ls, ars, args.depth, (args.source,))
     if reached:
         rendered = "{" + ", ".join(sorted(reached, key=ars.object_index)) + "}"
         if _machine(args):

@@ -8,9 +8,9 @@ completed derivations count, so a logical strategy (base strategy plus
 condition) generates a set that need not be prefix-closed. A condition reads
 as an automaton over steps, as a strategy does, so one product of objects,
 strategy memories and condition states is walked: accepted collects its
-members, and layered_check, factor_check and composition_check count them and
-decide prefix, factor and composition closure there, building only the
-derivations they report.
+members, accepted_targets the objects they end at, and layered_check,
+factor_check and composition_check count them and decide prefix, factor and
+composition closure there, building only the derivations they report.
 nonclosed_witness searches, up to a horizon, for a lasso whose finite
 truncations always remain extendable to accepted derivations without ever
 being accepted themselves: a finitely presented limit point outside the
@@ -263,6 +263,17 @@ def layered_check(
     return count, _derivation(ars, path[: shortest + 1])
 
 
+def accepted_targets(
+    ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
+) -> set[str]:
+    """The targets of the members of accepted(ls, ars, depth, sources), found
+    without building them: the objects of the accepted nodes in layers
+    1..depth of layered_check's walk, where each node's paths end."""
+    walk = _Walk(ls, ars, depth, sources)
+    layers = walk.run(walk.roots(None, None))[0]
+    return {node[0] for layer in layers[1:] for node, entry in layer.items() if entry[2]}
+
+
 def factor_check(
     ls: LogicalStrategy, ars: Ars, depth: int, sources: Iterable[str] | None = None
 ) -> tuple[int, ClosureVerdict]:
@@ -445,7 +456,9 @@ def nonclosed_witness(
     reachable from (p's target, p's condition state) in 1..D-|p| product
     steps. D-|p| never exceeds the horizon, so one breadth-first search per
     (object, condition state) finds its least distance to acceptance, up to
-    the horizon, and is kept for the rest of the call. The candidates are
+    the horizon, and is kept for the rest of the call. The searches and the
+    candidates read one table of product steps (_successors), so the
+    condition advances once per (state, step) in the call. The candidates are
     lasso_candidates' step tuples, in Lasso.sort_key order; their cycle
     search is pruned by the distance back to each cycle's root (see
     ars.cycle_steps). Only the returned witness is built as a Lasso.
@@ -456,26 +469,27 @@ def nonclosed_witness(
         raise MemoryRequired("witness search needs a memoryless base strategy")
     sub = ars.restrict(induced_steps(ls.base, ars))
     cond = ls.accept
+    successors = _successors(sub, cond)
     distance: dict[tuple, int] = {}
 
     def extendable(obj: str, state: Hashable, budget: int) -> bool:
         key = (obj, state)
         if key not in distance:
-            distance[key] = _steps_to_final(sub, cond, obj, state, horizon)
+            distance[key] = _steps_to_final(successors, obj, state, horizon)
         return distance[key] <= budget
 
     for _, src, stem, loop in lasso_candidates(sub, sources, horizon):
         depth = horizon + len(stem) + len(loop)
         state = cond.start(ars, src)
         for step in stem:
-            state = cond.advance(state, step)
+            state = successors(step.source, state)[step.label][1]
         length = len(stem)
         entry = loop[0].source
         for _ in range(max(1, horizon // len(loop))):
             for step in loop:
-                state = cond.advance(state, step)
+                _, state, accepted_here = successors(step.source, state)[step.label]
             length += len(loop)
-            if cond.final(state) or not extendable(entry, state, depth - length):
+            if accepted_here or not extendable(entry, state, depth - length):
                 break
         else:
             return Lasso(
@@ -485,19 +499,43 @@ def nonclosed_witness(
     return None
 
 
-def _steps_to_final(sub: Ars, cond: AcceptCondition, obj: str, state: Hashable, limit: int) -> int:
+def _successors(sub: Ars, cond: AcceptCondition) -> Callable[[str, Hashable], dict]:
+    """The product of sub and cond's states, read one state at a time: at
+    (object, condition state), each label of a step of sub from the object
+    mapped to (its target, the state after it, whether cond accepts that
+    state). A state's successors are computed on its first read and kept, so
+    the condition is advanced once per (state, step) for the caller's lifetime."""
+    table: dict[tuple, dict] = {}
+    advance, final = cond.advance, cond.final
+
+    def successors(obj: str, state: Hashable) -> dict[str, tuple]:
+        key = (obj, state)
+        moves = table.get(key)
+        if moves is None:
+            moves = table[key] = {}
+            for step in sub.out_steps(obj):
+                after = advance(state, step)
+                moves[step.label] = (step.target, after, final(after))
+        return moves
+
+    return successors
+
+
+def _steps_to_final(
+    successors: Callable[[str, Hashable], dict], obj: str, state: Hashable, limit: int
+) -> int:
     """The least number of steps, 1..limit, from (obj, state) to a product state
-    that cond accepts, or limit + 1 when none is that near: one breadth-first
-    search."""
+    that the condition accepts, or limit + 1 when none is that near: one
+    breadth-first search over the product that successors reads."""
     frontier = [(obj, state)]
     seen = set(frontier)
     for dist in range(1, limit + 1):
         grown = []
         for o, q in frontier:
-            for step in sub.out_steps(o):
-                nxt = (step.target, cond.advance(q, step))
-                if cond.final(nxt[1]):
+            for target, after, final in successors(o, q).values():
+                if final:
                     return dist
+                nxt = (target, after)
                 if nxt not in seen:
                     seen.add(nxt)
                     grown.append(nxt)

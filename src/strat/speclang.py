@@ -134,7 +134,7 @@ _PATTERN = re.compile(
 # one well-formed step with the space around it, then up to 64 more after
 # commas; and up to 64 more names after commas (bounded: see the module docstring).
 # Compiled through re's cache when the first run is read, not at import.
-_STEP = rf"{_SPACE}\({_SPACE}(?:{_NAME}{_SPACE},{_SPACE}){{2}}{_NAME}{_SPACE}\){_SPACE}"
+_STEP = rf"{_SPACE}\({_SPACE}{_NAME}{_SPACE},{_SPACE}{_NAME}{_SPACE},{_SPACE}{_NAME}{_SPACE}\){_SPACE}"
 _MORE_STEPS = rf"(?:,{_STEP}){{1,64}}"
 _MORE_NAMES = rf"(?:{_SPACE},{_SPACE}{_NAME}){{1,64}}"
 # the lists read as runs: (word before ':', kind of the first token) -> (run kind,

@@ -118,8 +118,8 @@ class TestConstruction:
         assert len(ars.steps) == 1
 
     @settings(max_examples=300, deadline=None)
-    @given(step_lists())
-    def test_bulk_index_agrees_with_the_stepwise_one(self, steps):
+    @given(step_lists(), st.data())
+    def test_bulk_index_agrees_with_the_stepwise_one(self, steps, data):
         try:
             want_steps, want_out, want_lookup = helpers.stepwise_index(OBJECTS, LABELS, steps)
         except Exception as err:
@@ -129,9 +129,44 @@ class TestConstruction:
             return
         ars = Ars(OBJECTS, LABELS, iter(steps))
         assert ars.steps == want_steps
+        # reads in a drawn order, so some objects are read twice and some never;
+        # an object's out-steps are indexed when it is first read, and no other's
+        names = st.sampled_from((*OBJECTS, "z"))
+        pairs = st.tuples(names, st.sampled_from((*LABELS, "y")))
+        subsets = st.lists(st.sampled_from(want_steps)) if want_steps else st.just([])
+        read: set[str] = set()
+        for kind in data.draw(st.lists(st.sampled_from(("out", "step", "from", "restrict")), max_size=12)):
+            if kind == "step":
+                pair = data.draw(pairs)
+                assert ars.step(*pair) == want_lookup.get(pair)
+            elif kind == "restrict":
+                chosen = data.draw(subsets)
+                sub = ars.restrict(chosen)
+                assert sub.steps == tuple(s for s in want_steps if s in chosen)
+                assert {o: sub.out_steps(o) for o in OBJECTS} == {
+                    o: tuple(s for s in out if s in chosen) for o, out in want_out.items()
+                }
+            else:
+                obj = data.draw(names)
+                chosen = data.draw(subsets) if kind == "from" else None
+                if obj not in want_out:
+                    with pytest.raises(UnknownSymbol):
+                        ars.out_steps(obj) if chosen is None else ars.steps_from(obj, chosen)
+                elif chosen is None:
+                    assert ars.out_steps(obj) == want_out[obj]
+                else:
+                    assert ars.steps_from(obj, chosen) == tuple(s for s in want_out[obj] if s in chosen)
+                read.add(obj)
+            assert set(ars._out) == read & set(OBJECTS)
         assert {o: ars.out_steps(o) for o in OBJECTS} == want_out
-        pairs = [(o, lab) for o in (*OBJECTS, "z") for lab in (*LABELS, "y")]
-        assert [ars.step(o, lab) for o, lab in pairs] == [want_lookup.get(pair) for pair in pairs]
+        with pytest.raises(ValueError):
+            ars.restrict([Step("z", "l", "a")])
+
+    def test_reading_one_object_indexes_no_other(self, alc):
+        assert alc.out_steps("b") == (alc.step("b", "phi3"), alc.step("b", "phi4"))
+        assert list(alc._out) == ["b"]
+        assert alc.steps_from("b", alc.steps) == alc.out_steps("b")
+        assert list(alc._out) == ["b"]
 
     def test_restrict_checks_membership(self, alc):
         sub = alc.restrict([alc.step("a", "phi1")])

@@ -103,6 +103,25 @@ class TestApply:
         assert (code, err) == (0, "")
         assert out == '{"kind": "apply", "verdict": "applies", "witness": "{o1, o2}", "count": 2}\n'
 
+    @pytest.mark.parametrize("strategy", ["all", "fair_runs"])
+    def test_apply_builds_no_derivation(self, run, tmp_path, strategy):
+        # the targets are the objects of the walk's accepted nodes: no member
+        # is built, text or --machine
+        text = traffic_document(1)
+        doc = tmp_path / "t1.ars"
+        doc.write_text(text)
+        spec = speclang.parse(text)
+        ars = speclang.build_ars(spec)
+        ls = strat.as_logical(speclang.build_strategy(spec, strategy, ars))
+        reached = {d.target for d in strat.generate(ls.base, ars, 4, ["s_0_0_0_0"], ls.accept)}
+        want = "{" + ", ".join(sorted(reached, key=ars.object_index)) + "}"
+        argv = ("apply", "-f", str(doc), "-s", strategy, "--from", "s_0_0_0_0", "--depth", "4")
+        with helpers.counting_builds() as built:
+            code, out, err = run("--machine", *argv)
+            assert json.loads(out) == {"kind": "apply", "verdict": "applies", "witness": want, "count": len(reached)}
+            assert run(*argv) == (0, want + "\n", "")
+        assert (code, err, built) == (0, "", [])
+
     def test_nothing_finite_applies_on_a_cyclic_system(self, run, tmp_path):
         # one search for a reachable cycle, not a lasso per simple cycle of the system
         doc = tmp_path / "t2.ars"

@@ -33,7 +33,11 @@ materialising the set and checking prefix closure do, and at every depth
 from 1 to 4 that the factor and composition walks give the count and the
 verdict (culprits and missing derivation) that is_factor_closed and
 is_composition_closed give on the materialised set, also with a condition
-that takes up to two short members out of the support.
+that takes up to two short members out of the support, and at every depth
+from 1 to 4, for the condition and for its complement, that the objects of
+the walk's accepted nodes are the targets of the members that filtering every
+derivation step by step and reading the condition off the whole derivation
+keep.
 
 A fourth family draws a system (6 objects or fewer, 3 labels or fewer, with
 cycles or acyclic) and a set of derivations of length 4 or less: a random
@@ -118,6 +122,7 @@ from strat import (
     UnionPointwise,
     Universal,
     accepted,
+    accepted_targets,
     composition_check,
     enumerate_derivations,
     factor_check,
@@ -367,7 +372,7 @@ class TestLassoCandidates:
             state = cond.start(ars, d.source)
             for step in d.steps:
                 state = cond.advance(state, step)
-            distance = logic._steps_to_final(sub, cond, d.target, state, horizon)
+            distance = logic._steps_to_final(logic._successors(sub, cond), d.target, state, horizon)
             assert 1 <= distance <= horizon + 1
             for budget in range(horizon + 1):
                 assert (distance <= budget) == helpers.reaches_final(sub, cond, d.target, state, budget)
@@ -409,6 +414,16 @@ class TestLayeredCheck:
                     z.size(),
                     is_prefix_closed(z).missing,
                 )
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layered_cases())
+    def test_accepted_targets_agree_with_the_stepwise_support(self, case):
+        ars, ls, sources = case
+        for depth in range(1, 5):
+            support = helpers.stepwise_support(ls.base, ars, depth, sources)
+            for accept in (ls.accept, Not(ls.accept)):
+                want = {d.target for d in support if helpers.brute_accepts(accept, d)}
+                assert accepted_targets(LogicalStrategy(ls.base, accept), ars, depth, sources) == want
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(closure_walk_cases())

@@ -7,10 +7,12 @@ import pytest
 import helpers
 from strat import (
     ACCEPT_ALL,
+    AcceptCondition,
     AcceptFiltered,
     Alternate,
     AlternatePredicate,
     And,
+    Ars,
     AtObject,
     CustomPredicate,
     Derivation,
@@ -51,6 +53,23 @@ from strat.traffic import STARVATION_START, build_traffic_ars, fairness_nonclose
 
 def _support(xi, ars, depth=6):
     return finite_support(xi, ars, depth).finite_part
+
+
+class _CountedCondition(AcceptCondition):
+    """Another condition, recording each (state, step) it is advanced over."""
+
+    def __init__(self, inner):
+        self.inner, self.advanced = inner, []
+
+    def start(self, ars, obj):
+        return self.inner.start(ars, obj)
+
+    def advance(self, state, step):
+        self.advanced.append((state, step))
+        return self.inner.advance(state, step)
+
+    def final(self, state):
+        return self.inner.final(state)
 
 
 class TestPredicateLifting:
@@ -271,6 +290,21 @@ class TestNonclosedWitness:
             pumped = witness.unroll(i)
             assert pumped not in members
             assert any(pumped.is_prefix_of(m) for m in members)
+
+    def test_condition_advances_once_per_state_and_step(self):
+        # a prefix-closed set on a shift graph (object i steps to 2i and 2i+1,
+        # mod 6): no witness, so every candidate is tried, and the candidates
+        # and the distance searches read one table of product steps
+        objects = tuple(f"o{i}" for i in range(6))
+        steps = [(f"o{i}", "l0", f"o{2 * i % 6}") for i in range(6)]
+        steps += [(f"o{i}", "l1", f"o{(2 * i + 1) % 6}") for i in range(6)]
+        steps += [(f"o{i}", "l2", f"o{(i + 3) % 6}") for i in range(0, 6, 2)]
+        ars = Ars(objects, ("l0", "l1", "l2"), steps)
+        avoid = Not(LabelWordIn(rational.parse("(l0 | l1 | l2)* l1 (l0 | l1 | l2)*")))
+        cond = _CountedCondition(And((avoid, LenAtMost(5))))
+        assert nonclosed_witness(LogicalStrategy(Universal(), cond), ars, 3) is None
+        assert cond.advanced
+        assert len(cond.advanced) == len(set(cond.advanced))
 
     def test_builds_no_derivation_without_a_witness(self):
         # every trap and ring lasso is tried, and each fails a pump on tuples
