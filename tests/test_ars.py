@@ -159,6 +159,8 @@ class TestConstruction:
                 read.add(obj)
             assert set(ars._out) == read & set(OBJECTS)
         assert {o: ars.out_steps(o) for o in OBJECTS} == want_out
+        pairs = [(o, lab) for o in (*OBJECTS, "z") for lab in (*LABELS, "y")]
+        assert [ars.step(o, lab) for o, lab in pairs] == [want_lookup.get(pair) for pair in pairs]
         with pytest.raises(ValueError):
             ars.restrict([Step("z", "l", "a")])
 
