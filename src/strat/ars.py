@@ -14,9 +14,10 @@ reaches. Symbols are interned with stable integer indices (declaration order)
 and every set produced by the module is emitted sorted by (source index,
 label indices) so identical inputs give byte-identical renderings. Derivations are grown from
 a strategy, the universal one included, by intensional.generate; this module
-keeps the graph searches. shortest_steps and cycle_steps give paths and
-cycles as step tuples; shortest_paths, shortest_path_to and simple_cycles
-build Derivations from them.
+keeps the graph searches, which read a StepFunction: a system's out_steps or
+the sub-system a strategy induces on it (intensional.induced), never a copy.
+shortest_steps and cycle_steps give paths and cycles as step tuples;
+shortest_paths, shortest_path_to and simple_cycles build Derivations of an Ars.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     FunctionalityViolation,
@@ -49,6 +50,7 @@ class Step(NamedTuple):
         return f"{self.source} -{self.label}-> {self.target}"
 
 
+StepFunction = Callable[[str], "tuple[Step, ...]"]  # an object's out-steps, in label order
 _SOURCE, _LABEL, _TARGET = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
@@ -437,10 +439,10 @@ def reachable_objects(ars: Ars, sources: Iterable[str]) -> list[str]:
     return order
 
 
-def reaching_objects(ars: Ars, targets: Iterable[str]) -> set[str]:
-    """Objects from which some target is reachable (the targets included): one backward search."""
+def reaching_objects(objects: Iterable[str], out: StepFunction, targets: Iterable[str]) -> set[str]:
+    """Objects from which out's steps reach a target (the targets included): one backward search."""
     into: dict[str, list[str]] = {}
-    for step in ars.steps:
+    for step in chain.from_iterable(map(out, objects)):
         into.setdefault(step.target, []).append(step.source)
     seen = set(targets)
     stack = list(seen)
@@ -453,15 +455,14 @@ def reaching_objects(ars: Ars, targets: Iterable[str]) -> set[str]:
 
 
 def shortest_steps(
-    ars: Ars, source: str, max_len: int | None = None
+    out: StepFunction, source: str, max_len: int | None = None
 ) -> Iterator[tuple[str, tuple[Step, ...]]]:
-    """A shortest path from source to each object it reaches, as (object, steps),
-    in BFS discovery order; the empty path to source comes first.
+    """A shortest path from source to each object it reaches by out's steps, as
+    (object, steps), in BFS discovery order; the empty path to source comes first.
 
     Ties are broken by step order; with max_len, only paths of that length or
     less are searched.
     """
-    ars.object_index(source)
     first = (source, ())
     yield first
     queue = deque([first])
@@ -470,7 +471,7 @@ def shortest_steps(
         obj, steps = queue.popleft()
         if max_len is not None and len(steps) >= max_len:
             continue
-        for step in ars._out[obj]:
+        for step in out(obj):
             if step.target not in seen:
                 seen.add(step.target)
                 grown = (step.target, (*steps, step))
@@ -479,26 +480,25 @@ def shortest_steps(
 
 
 def shortest_paths(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:
-    """shortest_steps' paths as derivations."""
-    for _, steps in shortest_steps(ars, source, max_len):
+    """shortest_steps' paths in ars as derivations."""
+    for _, steps in shortest_steps(ars.out_steps, source, max_len):
         yield Derivation(ars, source, tuple(s.label for s in steps))
 
 
 def shortest_path_to(ars: Ars, source: str, targets: set[str]) -> Derivation | None:
-    """BFS path (ties broken by step order) from source into targets."""
-    for obj, steps in shortest_steps(ars, source):
+    """BFS path (ties broken by step order) in ars from source into targets."""
+    for obj, steps in shortest_steps(ars.out_steps, source):
         if obj in targets:
             return Derivation(ars, source, tuple(s.label for s in steps))
     return None
 
 
-def reaches_cycle(ars: Ars, source: str) -> bool:
-    """Whether a cycle is reachable from source: one depth-first search for a back step."""
-    ars.object_index(source)
+def reaches_cycle(out: StepFunction, source: str) -> bool:
+    """Whether a cycle of out's steps is reachable from source: one depth-first search."""
     done: set[str] = set()
     path = [source]
     on_path = {source}
-    stack = [iter(ars.out_steps(source))]
+    stack = [iter(out(source))]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -510,12 +510,12 @@ def reaches_cycle(ars: Ars, source: str) -> bool:
         elif step.target not in done:
             on_path.add(step.target)
             path.append(step.target)
-            stack.append(iter(ars.out_steps(step.target)))
+            stack.append(iter(out(step.target)))
     return False
 
 
-def cycle_steps(ars: Ars, max_len: int | None = None) -> Iterator[tuple[str, tuple[Step, ...]]]:
-    """All vertex-simple cycles, as (root, steps), root first and in depth-first order.
+def cycle_steps(ars: Ars, out: StepFunction, max_len: int | None = None) -> Iterator[tuple[str, tuple]]:
+    """All vertex-simple cycles of out's steps on ars, as (root, steps), root first, depth first.
 
     Each cycle appears once, rooted at its minimum-index object. Parallel
     steps count as distinct cycles (two self-loops give two cycles). With
@@ -529,25 +529,24 @@ def cycle_steps(ars: Ars, max_len: int | None = None) -> Iterator[tuple[str, tup
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
     bound = len(ars.objects) if max_len is None else max_len
-    index, out = ars._obj_index, ars._out
     into: dict[str, list[str]] = {}
-    for step in ars.steps:
+    for step in chain.from_iterable(map(out, ars.objects)):
         into.setdefault(step.target, []).append(step.source)
     for root in ars.objects:
-        floor = index[root]
+        floor = ars._obj_index[root]
         back = {root: 0}  # object -> least steps to root through objects above it
         frontier = [root]
         for dist in range(1, bound):
             grown = []
             for obj in frontier:
                 for source in into.get(obj, ()):
-                    if source not in back and index[source] > floor:
+                    if source not in back and ars._obj_index[source] > floor:
                         back[source] = dist
                         grown.append(source)
             frontier = grown
         steps: list[Step] = []  # the path from root
         on_path = {root}
-        stack = [iter(out[root])]  # the out-steps still to try at each object of the path
+        stack = [iter(out(root))]  # the out-steps still to try at each object of the path
         while stack:
             step = next(stack[-1], None)
             if step is None:
@@ -559,7 +558,7 @@ def cycle_steps(ars: Ars, max_len: int | None = None) -> Iterator[tuple[str, tup
             elif back.get(step.target, bound) < bound - len(steps) and step.target not in on_path:
                 on_path.add(step.target)
                 steps.append(step)
-                stack.append(iter(out[step.target]))
+                stack.append(iter(out(step.target)))
 
 
 def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
@@ -567,7 +566,8 @@ def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
     Derivation.sort_key order: cycle_steps' cycles. With max_len, the search
     extends a path only while it can still close within max_len steps (the
     least distance back to the root, from one backward search per root)."""
-    found = [Derivation(ars, root, tuple(s.label for s in steps)) for root, steps in cycle_steps(ars, max_len)]
+    cycles = cycle_steps(ars, ars.out_steps, max_len)
+    found = [Derivation(ars, root, tuple(s.label for s in steps)) for root, steps in cycles]
     found.sort(key=Derivation.sort_key)
     return found
 

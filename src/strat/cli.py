@@ -33,7 +33,7 @@ from typing import Sequence
 from . import speclang
 from .ars import Ars, reaches_cycle
 from .errors import NoWitnessUpToHorizon, StratError
-from .intensional import Universal, generate, induced_steps
+from .intensional import Universal, generate, induced
 from .logic import (
     ACCEPT_ALL,
     LogicalStrategy,
@@ -179,9 +179,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     else:
         # nothing finite applies: an infinite derivation from the source makes it
         # indeterminate, and a memoryless one exists when its sub-system reaches a cycle
-        infinite = ls.base.memoryless and reaches_cycle(
-            ars.restrict(induced_steps(ls.base, ars)), args.source
-        )
+        infinite = ls.base.memoryless and reaches_cycle(induced(ls.base, ars), args.source)
         verdict = "indeterminate" if infinite else "fails"
         if _machine(args):
             _record("apply", verdict, None, 0)

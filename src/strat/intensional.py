@@ -16,12 +16,12 @@ the permitted steps that leave the object, in label order, each with the
 memory after it. generate walks derivations with their memories along those
 moves and yields those a strategy generates up to a depth, in
 Derivation.sort_key order; finite_support (the set) and enumerate_derivations
-(every derivation, the universal strategy's) read it. induced_steps, the
-sub-system of a memoryless strategy, is its moves at each object, and
-lassos_of_memoryless witnesses the infinite derivations. Its candidates
-(lasso_candidates) are tuples of steps under an integer sort key, so a
-search that tries them (logic.nonclosed_witness) builds no Derivation or
-Lasso for a candidate it rejects.
+(every derivation, the universal strategy's) read it. induced, the sub-system
+of a memoryless strategy, is its moves at each object, the step function that
+the searches of ars read, so no second Ars is built; lassos_of_memoryless
+witnesses its infinite derivations. Its candidates (lasso_candidates) are
+tuples of steps under an integer sort key, so a search that tries them
+(logic.nonclosed_witness) builds no Derivation or Lasso for one it rejects.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -36,7 +36,7 @@ import itertools
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
-from .ars import Ars, Derivation, Lasso, Step, cycle_steps, shortest_steps
+from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycle_steps, shortest_steps
 from .errors import (
     CyclicOrder,
     MemoryRequired,
@@ -66,9 +66,10 @@ class Strategy(abc.ABC):
 
     start, advance and at read a strategy as an automaton over steps: the
     memory (hashable) starts at the source, advance updates it by each step
-    taken, and at gives the steps permitted next at an object. eval(d) reads
-    the whole derivation. A strategy that defines only eval keeps the memory
-    () when it is memoryless and the derivation otherwise.
+    taken, and at gives the out-steps of an object permitted next, once each
+    and in label order. eval(d) reads the whole derivation. A strategy that
+    defines only eval keeps the memory () when it is memoryless and the
+    derivation otherwise, and its at drops eval's other steps (steps_from).
     """
 
     @abc.abstractmethod
@@ -87,7 +88,8 @@ class Strategy(abc.ABC):
         return memory if self.memoryless else memory.extended(step.label)
 
     def at(self, ars: Ars, memory, obj: str) -> EvalResult:
-        return self.eval(ars.empty_derivation(obj) if self.memoryless else memory)
+        defined, steps = self.eval(ars.empty_derivation(obj) if self.memoryless else memory)
+        return EvalResult(defined, ars.steps_from(obj, steps))
 
 
 class _Stepwise(Strategy, Value):
@@ -487,16 +489,16 @@ def union_committed(left: Strategy, right: Strategy) -> UnionCommitted:
 
 
 def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], dict[Step, Hashable]]:
-    """The moves of xi: at a memory and an object, the steps xi permits there in
-    label order (Ars.steps_from), each mapped to the memory after it. This is the
-    one reading of at: a step that does not leave the object is never a move.
-    Each (memory, object) pair is evaluated once per call of transitions; a
-    memoryless strategy keeps its memory, so advance is not asked."""
+    """The moves of xi: at a memory and an object, the steps xi permits there
+    (at, which gives out-steps of the object in label order), each mapped to
+    the memory after it. This is the one reading of at. Each (memory, object)
+    pair is evaluated once per call of transitions; a memoryless strategy
+    keeps its memory, so advance is not asked."""
     memoryless = xi.memoryless
 
     @cache
     def moves(memory: Hashable, obj: str) -> dict[Step, Hashable]:
-        permitted = ars.steps_from(obj, xi.at(ars, memory, obj).steps)
+        permitted = xi.at(ars, memory, obj).steps
         if memoryless:
             return dict.fromkeys(permitted, memory)
         return {s: xi.advance(ars, memory, s) for s in permitted}
@@ -546,19 +548,24 @@ def enumerate_derivations(ars: Ars, max_len: int, source: str | None = None) -> 
     return list(generate(Universal(), ars, max_len, None if source is None else (source,)))
 
 
-def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
-    """Steps a memoryless strategy permits anywhere (its sub-system): its moves
-    (transitions) at each object, from the memory it starts with there."""
+def induced(xi: Strategy, ars: Ars) -> StepFunction:
+    """The sub-system a memoryless strategy induces, one object at a time: its
+    moves there (transitions) from the memory it starts with, kept per call."""
     if not xi.memoryless:
         raise MemoryRequired("induced sub-system needs a memoryless strategy")
     moves = transitions(xi, ars)
-    return tuple(s for obj in ars.objects for s in moves(xi.start(ars, obj), obj))
+    return cache(lambda obj: tuple(moves(xi.start(ars, obj), obj)))
+
+
+def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
+    """Steps a memoryless strategy permits anywhere: induced's steps at each object."""
+    return tuple(itertools.chain.from_iterable(map(induced(xi, ars), ars.objects)))
 
 
 def lasso_candidates(
-    sub: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
+    ars: Ars, out: StepFunction, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[tuple[tuple, str, tuple[Step, ...], tuple[Step, ...]]]:
-    """The lassos of a system as (sort key, source, stem steps, cycle steps), sorted.
+    """The lassos of out's steps on ars as (sort key, source, stem steps, cycle steps), sorted.
 
     One lasso per (source object, simple cycle) pair, with a shortest stem from
     the source to the cycle. One BFS per source gives the stems: a cycle is
@@ -569,31 +576,30 @@ def lasso_candidates(
     and cycles and stems are searched up to that length. Nothing is built but
     tuples.
     """
-    rank = {step: sub.label_index(step.label) for step in sub.steps}
     # object -> length -> cycle -> (its key, the cycle started at the object)
-    through: dict[str, dict[int, dict[int, tuple]]] = {obj: {} for obj in sub.objects}
-    for k, (_, steps) in enumerate(cycle_steps(sub, max_len)):
+    through: dict[str, dict[int, dict[int, tuple]]] = {obj: {} for obj in ars.objects}
+    for k, (_, steps) in enumerate(cycle_steps(ars, out, max_len)):
         for i, step in enumerate(steps):
             loop = steps[i:] + steps[:i]
-            key = (len(loop), sub.object_index(step.source), tuple(map(rank.__getitem__, loop)))
+            key = (len(loop), ars.object_index(step.source), tuple(ars.label_index(s.label) for s in loop))
             through[step.source].setdefault(len(loop), {})[k] = key, loop
-    out = []
-    for src in sorted(set(sub.objects if sources is None else sources), key=sub.object_index):
-        src_index = sub.object_index(src)
+    found = []
+    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
+        src_index = ars.object_index(src)
         met: set[int] = set()
-        for entry, stem in shortest_steps(sub, src, None if max_len is None else max_len - 1):
-            stem_key = (len(stem), src_index, tuple(map(rank.__getitem__, stem)))
+        for entry, stem in shortest_steps(out, src, None if max_len is None else max_len - 1):
+            stem_key = (len(stem), src_index, tuple(ars.label_index(s.label) for s in stem))
             # a cycle too long for this stem is too long for every later one, so
             # leaving it unmet changes nothing
-            room = len(sub.objects) if max_len is None else max_len - len(stem)
+            room = len(ars.objects) if max_len is None else max_len - len(stem)
             for length, loops in through[entry].items():
                 if length <= room:
                     for k in loops.keys() - met:
                         met.add(k)
                         loop_key, loop = loops[k]
-                        out.append(((len(stem) + length, stem_key, loop_key), src, stem, loop))
-    out.sort()
-    return out
+                        found.append(((len(stem) + length, stem_key, loop_key), src, stem, loop))
+    found.sort()
+    return found
 
 
 def lassos_of_memoryless(
@@ -601,17 +607,13 @@ def lassos_of_memoryless(
 ) -> list[Lasso]:
     """Witnesses for the infinite derivations a memoryless strategy generates:
     the lassos of its induced sub-system (lasso_candidates), built over ars.
-
-    Raises MemoryRequired for memoried strategies, where the sub-system view
-    is not available.
-    """
-    sub = ars.restrict(induced_steps(xi, ars))
+    Raises MemoryRequired for memoried strategies, which induce no sub-system."""
     return [
         Lasso(
             Derivation(ars, src, tuple(s.label for s in stem)),
             Derivation(ars, loop[0].source, tuple(s.label for s in loop)),
         )
-        for _, src, stem, loop in lasso_candidates(sub, sources, max_len)
+        for _, src, stem, loop in lasso_candidates(ars, induced(xi, ars), sources, max_len)
     ]
 
 

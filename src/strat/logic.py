@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
 from . import rational
-from .ars import Ars, Derivation, Lasso, Step
+from .ars import Ars, Derivation, Lasso, Step, StepFunction
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy, ClosureVerdict
 from .intensional import (  # noqa: F401 (the predicates are importable from here too)
@@ -39,7 +39,7 @@ from .intensional import (  # noqa: F401 (the predicates are importable from her
     Strategy,
     Universal,
     generate,
-    induced_steps,
+    induced,
     lasso_candidates,
     transitions,
 )
@@ -443,12 +443,12 @@ def nonclosed_witness(
     """Bounded search for a lasso witnessing non-closedness of the accepted set.
 
     A candidate lasso (|stem| + |cycle| <= horizon, from the base's induced
-    sub-system) is a witness when every pumped truncation stem . cycle^i for
-    i = 1..horizon//|cycle| is a prefix of some accepted derivation within
-    depth D = horizon + |stem| + |cycle| and is never itself accepted: along
-    the loop, acceptance stays reachable but is never attained. Returns the
-    first witness in deterministic order, or None (a semi-decision: no
-    witness up to the horizon is not a closedness proof).
+    sub-system, intensional.induced) is a witness when every pumped
+    truncation stem . cycle^i for i = 1..horizon//|cycle| is a prefix of some
+    accepted derivation within depth D = horizon + |stem| + |cycle| and is
+    never itself accepted: along the loop, acceptance stays reachable but is
+    never attained. Returns the first witness in deterministic order, or None
+    (a semi-decision: no witness up to the horizon is not a closedness proof).
 
     "A prefix of an accepted derivation within depth D" is read on the
     product of the induced sub-system with the condition's states: the
@@ -467,9 +467,9 @@ def nonclosed_witness(
         raise ValueError("horizon must be at least 2")
     if not ls.base.memoryless:
         raise MemoryRequired("witness search needs a memoryless base strategy")
-    sub = ars.restrict(induced_steps(ls.base, ars))
+    out = induced(ls.base, ars)
     cond = ls.accept
-    successors = _successors(sub, cond)
+    successors = _successors(out, cond)
     distance: dict[tuple, int] = {}
 
     def extendable(obj: str, state: Hashable, budget: int) -> bool:
@@ -478,7 +478,7 @@ def nonclosed_witness(
             distance[key] = _steps_to_final(successors, obj, state, horizon)
         return distance[key] <= budget
 
-    for _, src, stem, loop in lasso_candidates(sub, sources, horizon):
+    for _, src, stem, loop in lasso_candidates(ars, out, sources, horizon):
         depth = horizon + len(stem) + len(loop)
         state = cond.start(ars, src)
         for step in stem:
@@ -499,10 +499,10 @@ def nonclosed_witness(
     return None
 
 
-def _successors(sub: Ars, cond: AcceptCondition) -> Callable[[str, Hashable], dict]:
-    """The product of sub and cond's states, read one state at a time: at
-    (object, condition state), each label of a step of sub from the object
-    mapped to (its target, the state after it, whether cond accepts that
+def _successors(out: StepFunction, cond: AcceptCondition) -> Callable[[str, Hashable], dict]:
+    """The product of out's steps and cond's states, read one state at a time:
+    at (object, condition state), each label of a step that out gives at the
+    object mapped to (its target, the state after it, whether cond accepts that
     state). A state's successors are computed on its first read and kept, so
     the condition is advanced once per (state, step) for the caller's lifetime."""
     table: dict[tuple, dict] = {}
@@ -513,7 +513,7 @@ def _successors(sub: Ars, cond: AcceptCondition) -> Callable[[str, Hashable], di
         moves = table.get(key)
         if moves is None:
             moves = table[key] = {}
-            for step in sub.out_steps(obj):
+            for step in out(obj):
                 after = advance(state, step)
                 moves[step.label] = (step.target, after, final(after))
         return moves

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 
 from . import rational, speclang
-from .ars import Ars, Derivation, Lasso, reaching_objects, shortest_path_to
+from .ars import Ars, Derivation, Lasso, reaching_objects, shortest_steps
 from .errors import NoWitnessUpToHorizon
-from .intensional import FromTable, Strategy, TableEntry, Universal, induced_steps
+from .intensional import FromTable, Strategy, TableEntry, Universal, induced
 from .logic import AcceptCondition, And, LabelWordIn, LogicalStrategy, nonclosed_witness
 from .value import Value
 
@@ -145,14 +145,14 @@ def safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
     and the path is searched from the first of them only. None means no
     both-green state is reachable from any good start under the strategy.
     """
-    sub = ars.restrict(induced_steps(strategy, ars))
+    out = induced(strategy, ars)
     bad = {s for s in ars.objects if TrafficState.from_symbol(s).both_green}
-    reaching = reaching_objects(sub, bad)
+    reaching = reaching_objects(ars.objects, out, bad)
     start = next((s for s in good_starts(ars) if s in reaching), None)
     if start is None:
         return None
-    path = shortest_path_to(sub, start, bad)
-    return Derivation(ars, path.source, path.labels)
+    path = next(steps for obj, steps in shortest_steps(out, start) if obj in bad)
+    return Derivation(ars, start, tuple(s.label for s in path))
 
 
 def traffic_document(queue_bound: int) -> str:

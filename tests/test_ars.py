@@ -401,12 +401,12 @@ class TestGraphSearches:
             simple_cycles(ars, 0)
 
     def test_reaches_cycle(self, alc, aloop):
-        assert reaches_cycle(alc, "a") and reaches_cycle(alc, "b")
-        assert not reaches_cycle(alc, "c") and not reaches_cycle(alc, "d")
-        assert reaches_cycle(aloop, "b")
-        assert not reaches_cycle(helpers.random_dag_ars(random.Random(3)), "o0")
+        assert reaches_cycle(alc.out_steps, "a") and reaches_cycle(alc.out_steps, "b")
+        assert not reaches_cycle(alc.out_steps, "c") and not reaches_cycle(alc.out_steps, "d")
+        assert reaches_cycle(aloop.out_steps, "b")
+        assert not reaches_cycle(helpers.random_dag_ars(random.Random(3)).out_steps, "o0")
         with pytest.raises(UnknownSymbol):
-            reaches_cycle(alc, "zz")
+            reaches_cycle(alc.out_steps, "zz")
 
     def test_rotate_cycle(self, alc):
         cycle = alc.derivation("a", "phi1", "phi3")

@@ -118,8 +118,7 @@ class TestApply:
         argv = ("apply", "-f", str(doc), "-s", strategy, "--from", "s_0_0_0_0", "--depth", "4")
         with helpers.counting_builds() as built:
             code, out, err = run("--machine", *argv)
-            record = json.loads(out)
-            assert (record["verdict"], record["witness"], record["count"]) == ("applies", want, len(reached))
+            assert json.loads(out) == {"kind": "apply", "verdict": "applies", "witness": want, "count": len(reached)}
             assert run(*argv) == (0, want + "\n", "")
         assert (code, err, built) == (0, "", [])
 

@@ -61,9 +61,11 @@ of other objects: a step that does not leave the target is never taken.
 An eighth family draws a system (6 objects or fewer), a memoryless strategy
 tree of up to one level, in half of the examples wrapped so that its eval also
 returns the steps of other objects, optional sources, a length bound and a
-condition, then checks that the induced sub-system, its lassos and the witness
-search answer as reading each object's steps off the whole derivation does
-(helpers.brute_induced): the steps of other objects are never induced.
+condition, then checks that the induced sub-system, its lassos, the witness
+search and whether a cycle is reachable from a drawn object (apply's
+indeterminate verdict) answer as reading each object's steps off the whole
+derivation does (helpers.brute_induced): the steps of other objects are never
+induced.
 
 A seventh family draws a system (6 objects or fewer), a strategy tree of up to
 one level, optional sources, a length bound (none, or 2 to 6) and a condition,
@@ -129,6 +131,7 @@ from strat import (
     finite_support,
     generate,
     induced_steps,
+    intensional,
     is_composition_closed,
     is_factor_closed,
     is_prefix_closed,
@@ -139,6 +142,7 @@ from strat import (
     memoryless_from,
     nonclosed_witness,
     rational,
+    reaches_cycle,
     simple_cycles,
 )
 
@@ -372,7 +376,7 @@ class TestLassoCandidates:
             state = cond.start(ars, d.source)
             for step in d.steps:
                 state = cond.advance(state, step)
-            distance = logic._steps_to_final(logic._successors(sub, cond), d.target, state, horizon)
+            distance = logic._steps_to_final(logic._successors(sub.out_steps, cond), d.target, state, horizon)
             assert 1 <= distance <= horizon + 1
             for budget in range(horizon + 1):
                 assert (distance <= budget) == helpers.reaches_final(sub, cond, d.target, state, budget)
@@ -585,6 +589,23 @@ class TestInducedSubsystem:
         assert nonclosed_witness(ls, ars, horizon, sources) == helpers.brute_nonclosed_witness(
             ls, ars, horizon, sources
         )
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(induced_cases(), st.data())
+    def test_a_cycle_is_reached_as_the_replayed_reading_has_one(self, case, data):
+        # apply's indeterminate verdict: some simple cycle of the sub-system
+        # meets the objects that a search of it from the source reaches
+        ars, ls = case[:2]
+        src = data.draw(st.sampled_from(ars.objects))
+        sub = ars.restrict(helpers.brute_induced(ls.base, ars))
+        reached, queue = {src}, [src]
+        for obj in queue:
+            for step in sub.out_steps(obj):
+                if step.target not in reached:
+                    reached.add(step.target)
+                    queue.append(step.target)
+        cyclic = any(reached.intersection(cycle.targets) for cycle in helpers.brute_cycles(sub))
+        assert reaches_cycle(intensional.induced(ls.base, ars), src) == cyclic
 
     def test_steps_of_other_objects_are_not_induced(self):
         # generate takes only a -phi2-> c; the steps leaving b and the other

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -420,9 +421,9 @@ class TestFrontEnd:
         doc = parse("ars { objects: a; labels: l; steps: (a, l, a), (a, l, a); }")
         assert doc.steps == (("a", "l", "a"),)
 
-    def test_a_load_builds_one_ars(self, monkeypatch, capsys, samples_dir):
-        # parse builds the document's system to check and sort its steps, and
-        # keeps it: the command then reads that one, not a second copy
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every Ars constructed while the test runs, in order."""
         built = []
         init = Ars.__init__
 
@@ -431,6 +432,11 @@ class TestFrontEnd:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Ars, "__init__", counting)
+        return built
+
+    def test_a_load_builds_one_ars(self, built, capsys, samples_dir):
+        # parse builds the document's system to check and sort its steps, and
+        # keeps it: the command then reads that one, not a second copy
         path = str(samples_dir / "a_lc.ars")
         argv = ["--machine", "check", "-f", path, "-s", "eventually_c", "--prop", "prefix", "--depth", "3"]
         assert main(argv) == 3 and capsys.readouterr().out.startswith('{"kind": "check"')
@@ -439,6 +445,26 @@ class TestFrontEnd:
         assert build_ars(doc) is build_ars(doc) is built[-1]
         assert doc.steps == (("a", "l1", "b"), ("b", "l2", "a"))
         assert hash(doc.steps) == hash((("a", "l1", "b"), ("b", "l2", "a")))
+
+    @pytest.mark.parametrize(
+        "argv, code, kind, verdict",
+        [
+            ("witness -f {a_lc} -s eventually_c --horizon 4", 3, "witness", "found"),
+            ("apply -f {a_lc} -s eventually_c --from c --depth 3", 0, "apply", "fails"),
+            ("apply -f {a_lc} -s eventually_c --from b --depth 1", 0, "apply", "indeterminate"),
+            ("scenario traffic --queue-bound 1 --depth 2 --check safety", 0, "scenario", "ok"),
+            ("scenario traffic --queue-bound 1 --depth 2 --check safety --strategy universal",
+             3, "scenario", "violation"),
+        ],
+        ids=["witness", "apply-fails", "apply-indeterminate", "safety-ok", "safety-violation"],
+    )
+    def test_a_search_on_a_sub_system_builds_one_ars(self, built, capsys, samples_dir, argv, code, kind, verdict):
+        # the witness, apply and safety searches read a memoryless strategy's
+        # sub-system off its transitions, not off a restricted copy of the system
+        assert main(["--machine", *argv.format(a_lc=samples_dir / "a_lc.ars").split()]) == code
+        record = json.loads(capsys.readouterr().out)
+        assert (record["kind"], record["verdict"]) == (kind, verdict)
+        assert len(built) == 1
 
     def test_only_a_failed_fast_read_is_read_again(self, monkeypatch):
         lexed = []
