@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check a closure property of the accepted set")
     p_check.add_argument("-f", "--file", required=True)
     p_check.add_argument("-s", "--strategy", required=True)
-    p_check.add_argument("--prop", required=True, choices=sorted([*_CHECKS, "prefix", "closed"]))
+    p_check.add_argument("--prop", required=True, choices=sorted(speclang.CHECK_PROPS))
     p_check.add_argument("--depth", required=True, type=_at_least(1, "depth"))
     machine_flag(p_check)
 
@@ -133,6 +132,8 @@ def _machine(args: argparse.Namespace) -> bool:
 
 
 def _record(kind: str, verdict: str, witness: str | None, count: int) -> None:
+    import json  # loaded with the first record: text output and set-up do without it
+
     print(json.dumps({"kind": kind, "verdict": verdict, "witness": witness, "count": count}))
 
 

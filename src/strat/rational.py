@@ -4,7 +4,8 @@ Surface syntax: juxtaposition concatenates, `|` alternates, postfix `*`, `+`,
 `?` repeat, parentheses group; atoms are label identifiers and whitespace is
 insignificant. Expressions compile position-wise into an epsilon-free
 nondeterministic automaton (state 0 is the start; the other states are the
-symbol occurrences), and matching is whole-word.
+symbol occurrences), and matching is whole-word. lex is the package's one
+lexer loop: speclang reads .ars documents with it too, a list as one token.
 """
 
 from __future__ import annotations
@@ -82,26 +83,55 @@ class Token(NamedTuple):
     offset: int
 
 
-def lex(text: str, pattern: re.Pattern) -> list[Token]:
-    """Tokens of one finditer pass of pattern, whose named groups cover every character.
+def lex(text: str, pattern: re.Pattern, runs: dict | None) -> list[Token]:
+    """Tokens of pattern, whose named groups cover every character.
 
     "skip" and "comment" matches are dropped. The first "error" match ends
     the list; otherwise it ends with an "eof" token, placed at the start of a
     comment that runs to the end of the text.
+
+    runs, if given, maps (identifier, kind of the next token) to (run kind,
+    pattern of the first item or None if it is that token, pattern of up to
+    64 more items): the token right after `identifier :` then starts a run,
+    which is one token of the run kind, and the pass restarts where it ends.
     """
     tokens = []
-    end = len(text)
-    for m in pattern.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            if m.end() == len(text):
-                end = m.start()
-        elif kind != "skip":
-            tokens.append(Token(kind, m.group(), m.start()))
+    end, pos, word = len(text), 0, None  # word: the identifier of `identifier :`, just lexed
+    while pos is not None:
+        matches, pos = pattern.finditer(text, pos), None
+        for m in matches:
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            if kind == "comment":
+                if m.end() == len(text):
+                    end = m.start()
+                continue
+            start = m.start()
+            if word is not None:
+                run, word = runs.get((word, kind)), None
+                pos = run and _run_end(text, m, *run[1:])
+                if pos:
+                    tokens.append(Token(run[0], text[start:pos], start))
+                    break
+            tokens.append(Token(kind, found := m.group(), start))
             if kind == "error":
                 return tokens
+            if found == ":" and runs and len(tokens) > 1 and tokens[-2].kind == "ident":
+                word = tokens[-2].text
     tokens.append(Token("eof", "", end))
     return tokens
+
+
+def _run_end(text: str, m: re.Match, first: str | None, more: str) -> int | None:
+    """Where the run that starts at m's token ends, or None if no well-formed item starts
+    there; more items are matched in chunks, in bounded memory (see speclang)."""
+    if first is not None and (m := re.compile(first).match(text, m.start())) is None:
+        return None
+    pos, more = m.end(), re.compile(more).match
+    while (chunk := more(text, pos)) is not None:
+        pos = chunk.end()
+    return pos
 
 
 _PATTERN = re.compile(
@@ -191,7 +221,7 @@ class _Parser(Grammar):
 def parse(text: str, alphabet: Iterable[str] | None = None) -> object:
     """Parse a rational expression; labels outside the alphabet are rejected."""
     alpha = frozenset(alphabet) if alphabet is not None else None
-    tokens = lex(text, _PATTERN)
+    tokens = lex(text, _PATTERN, None)
     if tokens[-1].kind == "error":
         raise ParseError(tokens[-1].offset, "a label, an operator or a parenthesis")
     parser = _Parser(tokens, alpha)

@@ -29,39 +29,42 @@ documents parse(serialize(doc)) equals doc structurally and serialization is
 idempotent. Every parse failure raises SpecLangError carrying at least one
 Diagnostic with a 1-based line and column.
 
-The lexer reads a run of well-formed steps right after `steps:`, and a run
-of names right after `objects:` or `labels:`, as one token. It matches a run
-in chunks: the first step or name, then up to 64 more after commas per
-match, as often as one follows. The bound matters: sre keeps a backtracking
-record per repetition of a group, so one match of a group repeated without
-bound holds memory that grows with the run (about 2 MiB per 3,000 steps),
-and the possessive repeat that would not is Python 3.11 syntax. The parser
-takes a run's names, three per step, as they are, and checks a run of names
-only for a reserved word or a name given twice; the rest is checked by the
-Ars that parse builds once from the lists (which sorts the steps) and keeps
-on the document. If this fast read fails in any way, parse reads the text
-once more with the plain lexer, one name or step at a time, as it reads
-whatever a run does not cover (a comment inside the list, a malformed step,
-a trailing comma): so there is one validator, and a diagnostic is the same,
-in the same order and at the same line and column, as without runs.
+The lexer, rational.lex given _RUNS, reads a run of well-formed steps right
+after `steps:`, and a run of names right after `objects:` or `labels:`, as
+one token. It matches a run in chunks: the first step or name, then up to 64
+more after commas per match, as often as one follows. The bound matters: sre
+keeps a backtracking record per repetition of a group, so one match of a
+group repeated without bound holds memory that grows with the run (about
+2 MiB per 3,000 steps), and the possessive repeat that would not is Python
+3.11 syntax. The parser builds a run's Steps, three names each, as they are,
+and checks a run of names only for a reserved word or a name given twice;
+the rest is checked by the Ars that parse builds once from the lists (which
+keeps the Steps and sorts them) and keeps on the document. If this fast read
+fails in any way, parse reads the text once more with the same lexer without
+runs, one name or step at a time, as it reads whatever a run does not cover
+(a comment inside the list, a malformed step, a trailing comma): so there is
+one validator, and a diagnostic is the same, in the same order and at the
+same line and column, as without runs.
 
 Each strategy, condition and query kind is defined once, by one node class:
 the `_node` decorator gives the class its keyword, its syntax template
 (words and punctuation as strings, one argument kind per field, and optional
 groups of one argument) and its builder, and registers it in `_STRATEGIES`,
 `_CONDITIONS` or `_QUERIES`. Reading (which sorts label sets as it goes),
-writing and building all walk that template: adding a kind is adding a class.
+writing and building all walk that one template: adding a kind is adding a
+class.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import repeat
 from operator import methodcaller
 from typing import Callable, NamedTuple
 
 from . import rational
-from .ars import Ars
+from .ars import Ars, Step
 from .errors import StratError, UnknownSymbol
 from .intensional import (
     AcceptFiltered,
@@ -155,77 +158,34 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _unexpected(text: str, bad: Token) -> _SyntaxFail:
-    line, col = _line_col(text, bad.offset)
-    return _SyntaxFail(Diagnostic(line, col, f"unexpected character {bad.text!r}"))
+def _lex(text: str, runs: dict | None) -> list[Token]:
+    """The document's tokens, one per name, number and punctuation mark; with
+    runs (_RUNS), a run of well-formed steps right after `steps :`, or of names
+    right after `objects :` or `labels :`, is one "steps" or "names" token.
 
-
-def _lex(text: str) -> list[Token]:
-    """The document's tokens, one per name, number and punctuation mark."""
-    tokens = rational.lex(text, _PATTERN)
-    if tokens[-1].kind == "error":
-        raise _unexpected(text, tokens[-1])
-    return tokens
-
-
-def _lex_runs(text: str) -> list[Token]:
-    """_lex's tokens, except that a run of well-formed steps right after `steps :`,
-    or of names right after `objects :` or `labels :`, is one "steps" or
-    "names" token in place of its first '(' or name and the rest.
-
-    A run is matched in bounded chunks, each of up to 64 steps or names after
-    a comma; it ends where no comma and well-formed step or name follow.
-    Lexing stays eager, so the first character the lexer rejects is still
-    reported before anything is parsed.
+    Lexing is eager, so the first character the lexer rejects is reported
+    before anything is parsed.
     """
-    tokens: list[Token] = []
-    end, pos = len(text), 0
-    while pos is not None:
-        matches, pos = _PATTERN.finditer(text, pos), None
-        for m in matches:
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            if kind == "comment":
-                if m.end() == len(text):
-                    end = m.start()
-                continue
-            start = m.start()
-            if len(tokens) > 1 and tokens[-1].text == ":" and tokens[-2].kind == "ident":
-                run = _RUNS.get((tokens[-2].text, kind))
-                pos = run and _run_end(text, m, *run[1:])
-                if pos:
-                    tokens.append(Token(run[0], text[start:pos], start))
-                    break
-            tokens.append(Token(kind, m.group(), start))
-            if kind == "error":
-                raise _unexpected(text, tokens[-1])
-    tokens.append(Token("eof", "", end))
+    tokens = rational.lex(text, _PATTERN, runs)
+    bad = tokens[-1]
+    if bad.kind == "error":
+        line, col = _line_col(text, bad.offset)
+        raise _SyntaxFail(Diagnostic(line, col, f"unexpected character {bad.text!r}"))
     return tokens
-
-
-def _run_end(text: str, m: re.Match, first: str | None, more: str) -> int | None:
-    """Where the run that starts at m's token ends, or None if no well-formed item starts there."""
-    if first is not None and (m := re.compile(first).match(text, m.start())) is None:
-        return None
-    pos, more = m.end(), re.compile(more).match
-    while (chunk := more(text, pos)) is not None:
-        pos = chunk.end()
-    return pos
 
 
 # -- parsing ---------------------------------------------------------------------
 
 
 class _DocParser(rational.Grammar):
-    def __init__(self, text: str, lex: Callable[[str], list[Token]]):
-        super().__init__(lex(text))
+    def __init__(self, text: str, runs: dict | None):
+        super().__init__(_lex(text, runs))
         self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
         self.objects: list[str] = []
         self.labels: list[str] = []
-        self.steps: list[tuple[str, str, str]] = []
+        self.steps: list[Step] = []
         self.orders: list[tuple[str, list[tuple[str, str]]]] = []
         self.accepts: list[tuple[str, object]] = []
         self.strategies: list[tuple[str, object]] = []
@@ -331,7 +291,7 @@ class _DocParser(rational.Grammar):
         self.expect_keyword("steps")
         self.expect_punct(":")
         targets: dict[tuple[str, str], str] = {}
-        steps: list[tuple[str, str, str]] = []
+        steps: list[Step] = []
         if self.at_punct("(") or self.peek().kind == "steps":
             self._steps(steps, targets)
             while self.at_punct(","):
@@ -374,10 +334,10 @@ class _DocParser(rational.Grammar):
         self.expect_punct(";")
         return list(names)
 
-    def _steps(self, into: list[tuple[str, str, str]], targets: dict[tuple[str, str], str]) -> None:
+    def _steps(self, into: list[Step], targets: dict[tuple[str, str], str]) -> None:
         """One step, or the run of well-formed steps that the lexer made one token.
 
-        A run is split into its names, three per step, and taken as it is: the
+        A run is split into its names, three per Step, and taken as it is: the
         Ars that parse builds checks its symbols and functionality. A step read
         token by token has each name checked as it is read, then is checked
         against the earlier steps read that way (_add_step).
@@ -385,7 +345,7 @@ class _DocParser(rational.Grammar):
         run = self.peek()
         if run.kind == "steps":
             names = _run_names(run)
-            into += zip(names[0::3], names[1::3], names[2::3])
+            into += map(tuple.__new__, repeat(Step), zip(names[0::3], names[1::3], names[2::3]))
             self.pos += 1
             return
         open_tok = self.expect_punct("(")
@@ -398,9 +358,9 @@ class _DocParser(rational.Grammar):
         tgt = self.expect_ident("an object name")
         self.check_object(tgt)
         self.expect_punct(")")
-        self._add_step(into, targets, (src.text, lab.text, tgt.text), open_tok.offset)
+        self._add_step(into, targets, Step(src.text, lab.text, tgt.text), open_tok.offset)
 
-    def _add_step(self, into: list, targets: dict, step: tuple[str, str, str], at: int) -> None:
+    def _add_step(self, into: list, targets: dict, step: Step, at: int) -> None:
         """Keeps a step unless an earlier one from its source by its label reaches
         another target; at is the offset of its '('."""
         src, lab, tgt = step
@@ -481,29 +441,28 @@ class _DocParser(rational.Grammar):
         self.level += 1
         if self.level > self.deepest:
             self.reach(self.level)
-        node = cls(*self.values(cls.reads))
+        node = cls(*self.values(cls.syntax))
         self.level -= 1
         return node
 
-    def values(self, reads: tuple) -> list:
-        """The values of a template's arguments; its words and punctuation are checked here."""
+    def values(self, syntax: tuple) -> list:
+        """The values of a template's arguments, read by walking it as _written
+        writes it; its words and punctuation are checked here."""
         values = []
-        for read, kind, text in reads:
-            if read is not None:
-                values.append(read(self))
-                continue
-            tok = self.tokens[self.pos]
-            if tok.kind != kind or tok.text != text:
-                raise self.fail(tok, f"'{text}'", (text,))
-            self.pos += 1
+        for i, piece in enumerate(syntax):
+            if piece.__class__ is str:
+                tok = self.tokens[self.pos]
+                if tok.text != piece or tok.kind != ("ident" if piece.isalpha() else "punct"):
+                    raise self.fail(tok, f"'{piece}'", (piece,))
+                self.pos += 1
+            elif piece.__class__ is _Optional:
+                # a group opens with its own word, or else with any word but the next piece
+                tok, first = self.peek(), piece.syntax[0]
+                opens = tok.text == first if isinstance(first, str) else tok.text not in syntax[i + 1 : i + 2]
+                values.append(self.values(piece.syntax)[0] if tok.kind == "ident" and opens else None)
+            else:
+                values.append(piece.read(self))
         return values
-
-    def optional(self, opens: str | None, stop: str | None, reads: tuple) -> object:
-        """The value of an optional group, or None if the next word does not open it."""
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text == stop or opens not in (None, tok.text):
-            return None
-        return self.values(reads)[0]
 
     # template arguments
 
@@ -664,29 +623,12 @@ def _flat(syntax: tuple):
         yield from _flat(piece.syntax) if isinstance(piece, _Optional) else (piece,)
 
 
-def _reads(syntax: tuple) -> tuple:
-    """(reader, None, None) per argument, (None, token kind, text) per literal."""
-    reads = []
-    for i, piece in enumerate(syntax):
-        if isinstance(piece, str):
-            reads.append((None, "ident" if piece.isalpha() else "punct", piece))
-        elif isinstance(piece, _Optional):
-            # a group opens with its own keyword, or else with any word but the next one
-            first = piece.syntax[0]
-            opens = first if isinstance(first, str) else None
-            stop = syntax[i + 1] if opens is None and i + 1 < len(syntax) else None
-            reads.append((methodcaller("optional", opens, stop, _reads(piece.syntax)), None, None))
-        else:
-            reads.append((piece.read, None, None))
-    return tuple(reads)
-
-
 def _node(table: dict, keyword: str, *syntax, build: Callable | None = None):
     """Class decorator: a frozen node of keyword, read and written by syntax, built by build."""
 
     def define(cls: type) -> type:
         kinds = [piece for piece in _flat(syntax) if not isinstance(piece, str)]
-        cls.keyword, cls.syntax, cls.build, cls.reads = keyword, syntax, build, _reads(syntax)
+        cls.keyword, cls.syntax, cls.build = keyword, syntax, build
         cls.arguments = tuple(zip(cls.__match_args__, kinds, strict=True))
         table[keyword] = cls
         return cls
@@ -890,19 +832,19 @@ def _named(pairs: tuple, name: str) -> object:
 
 def parse(text: str) -> SpecDocument:
     """Parse and validate a document; raises SpecLangError with diagnostics.
-    A fast read (_lex_runs) that fails in any way is read again by tokens (_lex)."""
+    A fast read (with _RUNS) that fails in any way is read again token by token."""
     try:
-        return _read(text, _lex_runs)
+        return _read(text, _RUNS)
     except (StratError, ValueError):
         pass
-    return _read(text, _lex)
+    return _read(text, None)
 
 
-def _read(text: str, lex: Callable[[str], list[Token]]) -> SpecDocument:
-    """One reading of the document with the tokens of lex."""
+def _read(text: str, runs: dict | None) -> SpecDocument:
+    """One reading of the document, with the tokens _lex gives with runs."""
     parser: _DocParser | None = None
     try:
-        parser = _DocParser(text, lex)
+        parser = _DocParser(text, runs)
         parser.parse_document()
     except _SyntaxFail as fail:
         diags = parser.diags if parser is not None else []

@@ -552,6 +552,17 @@ class TestSubprocess:
         assert "strat.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
 
+    def test_set_up_loads_no_json(self):
+        # only a --machine record needs json; it is imported when the first one is written
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import strat.cli; "
+            "strat.cli.build_parser(); print(*sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(strat.__file__))
+        proc = subprocess.run([sys.executable, "-I", "-c", script, src], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "json" not in proc.stdout.split()
+
 
 class TestCachedParser:
     """The parser is built once per process; no call may see what an earlier one parsed."""

@@ -29,6 +29,7 @@ from strat import (
     Not,
     RestrictLabels,
     SpecLangError,
+    Step,
     UnionCommitted,
     UnionPointwise,
     Universal,
@@ -365,7 +366,7 @@ class TestBuilders:
 
 class TestTokenFuzz:
     def test_single_token_deletion_points_at_a_real_token(self):
-        tokens = speclang._lex(CANONICAL)[:-1]
+        tokens = speclang._lex(CANONICAL, None)[:-1]
         flat = " ".join(t.text for t in tokens)
         assert parse(flat) == parse(CANONICAL)
         errors = 0
@@ -468,16 +469,32 @@ class TestFrontEnd:
 
     def test_only_a_failed_fast_read_is_read_again(self, monkeypatch):
         lexed = []
-        for name in ("_lex", "_lex_runs"):
-            lex = getattr(speclang, name)
-            monkeypatch.setattr(speclang, name, lambda text, lex=lex, name=name: lexed.append(name) or lex(text))
+        lex = speclang._lex
+        monkeypatch.setattr(
+            speclang, "_lex", lambda text, runs: lexed.append("runs" if runs else "tokens") or lex(text, runs)
+        )
         parse(MINI)
-        assert lexed == ["_lex_runs"]
+        assert lexed == ["runs"]
         for fault in ("strategy s = greatmost(nosuch);", "ars { objects: c; labels: k; steps: ; }"):
             lexed.clear()
             with pytest.raises(SpecLangError):
                 parse(f"{MINI}\n{fault}\n")
-            assert lexed == ["_lex_runs", "_lex"]
+            assert lexed == ["runs", "tokens"]
+
+    @pytest.mark.parametrize("read", [parse, helpers.parse_by_tokens], ids=["fast", "by-tokens"])
+    def test_each_step_is_built_once(self, monkeypatch, read):
+        # the parser hands Ars Steps, which it keeps, not triples it would copy into Steps
+        given = []
+
+        def recording(objects, labels, steps):
+            given.extend(steps)
+            return Ars(objects, labels, steps)
+
+        monkeypatch.setattr(speclang, "Ars", recording)
+        doc = read(MINI.replace("(b, l2, a)", "# a comment ends the run\n    (b, l2, a)"))
+        assert doc.steps == (("a", "l1", "b"), ("b", "l2", "a"))
+        assert {type(step) for step in given} == {Step}
+        assert {id(step) for step in doc.steps} <= {id(step) for step in given}
 
 
 def _same_as_tokens(text: str) -> object:
@@ -581,7 +598,7 @@ class TestNamesReader:
     def test_comment_inside_the_list(self):
         # the run ends at the comment; the names after it are read token by token
         text = "ars { objects: a, b, # first two\n  c, a; labels: l; steps: ; }"
-        kinds = [t.kind for t in speclang._lex_runs(text)]
+        kinds = [t.kind for t in speclang._lex(text, speclang._RUNS)]
         assert kinds.count("names") == 2
         assert _same_as_tokens(text) == [("2:6: error: duplicate symbol 'a'", ())]
         assert _same_as_tokens(text.replace("c, a;", "c;"))[0].objects == ("a", "b", "c")
@@ -599,7 +616,7 @@ class TestNamesReader:
     def test_missing_semicolon_before_steps(self):
         # the run takes `steps` as a name; the ':' after it ends the list
         text = "ars { objects: a,\n  steps: (a, l, a); }"
-        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 0
+        assert [t.kind for t in speclang._lex(text, speclang._RUNS)].count("steps") == 0
         assert _same_as_tokens(text) == [
             ("2:3: error: reserved word 'steps' cannot be used as a name", ()),
             ("2:8: error: expected ';', found ':'", (";",)),
@@ -608,7 +625,7 @@ class TestNamesReader:
     def test_a_long_list_is_one_token(self):
         objects = ", ".join(f"x{i}" for i in range(1000))
         text = f"ars {{ objects: {objects}; labels: l0, l1; steps: (x0, l0, x999); }}"
-        kinds = [t.kind for t in speclang._lex_runs(text)]
+        kinds = [t.kind for t in speclang._lex(text, speclang._RUNS)]
         assert kinds.count("names") == 2 and kinds.count("ident") == 4
         doc = _same_as_tokens(text)[0]
         assert len(doc.objects) == 1000 and doc.labels == ("l0", "l1")
@@ -626,9 +643,9 @@ def peak_kib():
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 text = "ars { objects: " + "o, " * 9999 + "o; labels: l;\\n  steps: " + "(o, l, o), " * 29999 + "(o, l, o); }"
-speclang._lex_runs("ars { objects: a, b; labels: l; steps: (a, l, a), (b, l, b); }")
+speclang._lex("ars { objects: a, b; labels: l; steps: (a, l, a), (b, l, b); }", speclang._RUNS)
 before = peak_kib()
-kinds = [t.kind for t in speclang._lex_runs(text)]
+kinds = [t.kind for t in speclang._lex(text, speclang._RUNS)]
 print(peak_kib() - before, kinds.count("names"), kinds.count("steps"))
 """
 
@@ -652,7 +669,7 @@ class TestStepsReader:
     """A well-formed run of steps is one lexer token; its steps give what the token loop gives."""
 
     def test_a_well_formed_list_is_one_token(self):
-        kinds = [t.kind for t in speclang._lex_runs(MINI)]
+        kinds = [t.kind for t in speclang._lex(MINI, speclang._RUNS)]
         assert kinds.count("steps") == 1 and kinds.count("names") == 2 and kinds.count("punct") == 8
         assert _same_as_tokens(MINI)[0].steps == (("a", "l1", "b"), ("b", "l2", "a"))
 
@@ -705,7 +722,7 @@ class TestStepsReader:
     def test_a_run_step_and_a_later_step_clash(self):
         # the run's steps reach Ars unchecked; its fault sends the text to the token loop
         text = "ars { objects: a, b; labels: l;\n  steps: (a, l, b), # first\n  (a, l, a); }"
-        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 1
+        assert [t.kind for t in speclang._lex(text, speclang._RUNS)].count("steps") == 1
         assert _same_as_tokens(text) == [("3:3: error: two steps from 'a' with label 'l' reach 'b' and 'a'", ())]
 
     def test_a_sound_ars_section_then_a_later_fault(self):
@@ -728,7 +745,7 @@ class TestStepsReader:
         body = ",\n  ".join(steps[:900]) + ", # a comment\n" + ", ".join(steps[900:])
         objects = ", ".join(f"x{i}" for i in range(1000))
         text = f"ars {{ objects: {objects}; labels: l0, l1, l2;\n steps: {body}; }}"
-        assert [t.kind for t in speclang._lex_runs(text)].count("steps") == 1
+        assert [t.kind for t in speclang._lex(text, speclang._RUNS)].count("steps") == 1
         assert _same_as_tokens(text) == [("602:4: error: unknown object 'zz'", ())]
         text = text.replace("(zz, l0, x1)", "(x600, l0, x601)")
         assert len(_same_as_tokens(text)[0].steps) == 1000
