@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from . import speclang
@@ -139,7 +138,8 @@ def _record(kind: str, verdict: str, witness: str | None, count: int) -> None:
 
 def _load(path: str) -> tuple[speclang.SpecDocument, Ars]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as err:
         raise StratError(f"{path}: not UTF-8 text (byte {err.start})") from None
     doc = speclang.parse(text)

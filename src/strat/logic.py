@@ -294,7 +294,7 @@ def factor_check(
         walk.roots(False, _FRESH), lambda node, k: k > 1 and not (node[4] and final(node[4][1]))
     )
     if found is None:
-        return count, ClosureVerdict(True)
+        return count, ClosureVerdict(True, (), None)
     d = _derivation(ars, _first_arrival(layers, *found))
     return count, ClosureVerdict(False, (d,), next(f for f in d.factors() if not walk.member(f)))
 
@@ -333,7 +333,7 @@ def composition_check(
 
     layers, count, found = walk.run(walk.roots(None, None), fails)
     if found is None:
-        return count, ClosureVerdict(True)
+        return count, ClosureVerdict(True, (), None)
     d1 = _derivation(ars, _first_arrival(layers, *found))
     d2 = _derivation(ars, _first_arrival(*partners[found[1], found[0]]))
     return count, ClosureVerdict(False, (d1, d2), d1.compose(d2))

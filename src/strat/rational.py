@@ -5,14 +5,14 @@ Surface syntax: juxtaposition concatenates, `|` alternates, postfix `*`, `+`,
 insignificant. Expressions compile position-wise into an epsilon-free
 nondeterministic automaton (state 0 is the start; the other states are the
 symbol occurrences), and matching is whole-word. lex is the package's one
-lexer loop: speclang reads .ars documents with it too, a list as one token.
+lexer loop: speclang's token-by-token read of .ars documents uses it too.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import StratError
 from .value import Value
@@ -77,61 +77,29 @@ def alternation(parts: Sequence) -> object:
 # -- parsing --------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # a group name of the lexer's pattern, or "eof"
-    text: str
-    offset: int
+def lex(text: str, pattern: re.Pattern) -> tuple[list[str], list[int]]:
+    """The texts and offsets of pattern's tokens; its named groups cover every character.
 
-
-def lex(text: str, pattern: re.Pattern, runs: dict | None) -> list[Token]:
-    """Tokens of pattern, whose named groups cover every character.
-
-    "skip" and "comment" matches are dropped. The first "error" match ends
-    the list; otherwise it ends with an "eof" token, placed at the start of a
-    comment that runs to the end of the text.
-
-    runs, if given, maps (identifier, kind of the next token) to (run kind,
-    pattern of the first item or None if it is that token, pattern of up to
-    64 more items): the token right after `identifier :` then starts a run,
-    which is one token of the run kind, and the pass restarts where it ends.
+    "skip" and "comment" matches are dropped. The lists end with "" (the end
+    of input, placed at the start of a comment that runs to the end of the
+    text), or else with the first "error" match.
     """
-    tokens = []
-    end, pos, word = len(text), 0, None  # word: the identifier of `identifier :`, just lexed
-    while pos is not None:
-        matches, pos = pattern.finditer(text, pos), None
-        for m in matches:
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            if kind == "comment":
-                if m.end() == len(text):
-                    end = m.start()
-                continue
-            start = m.start()
-            if word is not None:
-                run, word = runs.get((word, kind)), None
-                pos = run and _run_end(text, m, *run[1:])
-                if pos:
-                    tokens.append(Token(run[0], text[start:pos], start))
-                    break
-            tokens.append(Token(kind, found := m.group(), start))
-            if kind == "error":
-                return tokens
-            if found == ":" and runs and len(tokens) > 1 and tokens[-2].kind == "ident":
-                word = tokens[-2].text
-    tokens.append(Token("eof", "", end))
-    return tokens
-
-
-def _run_end(text: str, m: re.Match, first: str | None, more: str) -> int | None:
-    """Where the run that starts at m's token ends, or None if no well-formed item starts
-    there; more items are matched in chunks, in bounded memory (see speclang)."""
-    if first is not None and (m := re.compile(first).match(text, m.start())) is None:
-        return None
-    pos, more = m.end(), re.compile(more).match
-    while (chunk := more(text, pos)) is not None:
-        pos = chunk.end()
-    return pos
+    texts, offsets, end = [], [], len(text)
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "comment":
+            if m.end() == len(text):
+                end = m.start()
+            continue
+        texts.append(m.group())
+        offsets.append(m.start())
+        if kind == "error":
+            return texts, offsets
+    texts.append("")
+    offsets.append(end)
+    return texts, offsets
 
 
 _PATTERN = re.compile(
@@ -140,98 +108,103 @@ _PATTERN = re.compile(
 _POSTFIX = {"*": Star, "+": Plus, "?": Opt}
 
 
-class Grammar:
-    """Recursive descent over a token cursor, shared by every expression reader.
+# the first character of an identifier, and of no other token
+LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
-    A subclass supplies two hooks: fail(tok, desc, expected) builds the
-    exception for a syntax error at tok, and label(tok) checks an identifier
-    used as a label.
+
+class Grammar:
+    """Recursive descent over token texts, shared by every expression reader.
+
+    The texts end with "", the end of input; a token's kind comes from its
+    text. offsets holds each token's offset in the text it was read from, or
+    is None where the reader keeps none. A subclass supplies two hooks:
+    fail(desc, expected) builds the exception for a syntax error at the
+    current token, and label(i) checks the identifier at index i used as a
+    label.
     """
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[str], offsets: list[int] | None):
         self.tokens = tokens
+        self.offsets = offsets
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def take(self) -> Token:
+    def take(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
         return tok
 
-    def at_punct(self, p: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "punct" and tok.text == p
+    def at(self, p: str) -> bool:
+        return self.tokens[self.pos] == p
 
-    def expect_punct(self, p: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "punct" or tok.text != p:
-            raise self.fail(tok, f"'{p}'", (p,))
+    def expect(self, p: str) -> None:
+        if self.tokens[self.pos] != p:
+            raise self.fail(f"'{p}'", (p,))
         self.pos += 1
-        return tok
 
     def parse_alt(self):
         parts = [self.parse_cat()]
-        while self.at_punct("|"):
+        while self.at("|"):
             self.take()
             parts.append(self.parse_cat())
         return alternation(parts)
 
     def parse_cat(self):
         parts = [self.parse_post()]
-        while self.peek().kind == "ident" or self.at_punct("("):
+        while self.peek()[:1] in LETTERS or self.at("("):
             parts.append(self.parse_post())
         return concat(parts)
 
     def parse_post(self):
         node = self.parse_atom()
-        while any(self.at_punct(mark) for mark in _POSTFIX):
-            node = _POSTFIX[self.take().text](node)
+        while self.peek() in _POSTFIX:
+            node = _POSTFIX[self.take()](node)
         return node
 
     def parse_atom(self):
         tok = self.peek()
-        if tok.kind == "ident":
-            self.take()
-            self.label(tok)
-            return Sym(tok.text)
-        if self.at_punct("("):
+        if tok[:1] in LETTERS:
+            self.label(self.pos)
+            self.pos += 1
+            return Sym(tok)
+        if self.at("("):
             self.take()
             inner = self.parse_alt()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        raise self.fail(tok, "a label or '('")
+        raise self.fail("a label or '('")
 
 
 class _Parser(Grammar):
-    def __init__(self, tokens: list[Token], alphabet: frozenset[str] | None):
-        super().__init__(tokens)
+    def __init__(self, tokens: list[str], offsets: list[int], alphabet: frozenset[str] | None):
+        super().__init__(tokens, offsets)
         self.alphabet = alphabet
 
-    def fail(self, tok: Token, desc: str, expected: tuple[str, ...] = ()) -> ParseError:
-        return ParseError(tok.offset, desc)
+    def fail(self, desc: str, expected: tuple[str, ...] = ()) -> ParseError:
+        return ParseError(self.offsets[self.pos], desc)
 
-    def label(self, tok: Token) -> None:
-        if self.alphabet is not None and tok.text not in self.alphabet:
-            raise UnknownLabel(tok.text, tok.offset)
+    def label(self, i: int) -> None:
+        if self.alphabet is not None and self.tokens[i] not in self.alphabet:
+            raise UnknownLabel(self.tokens[i], self.offsets[i])
 
 
 def parse(text: str, alphabet: Iterable[str] | None = None) -> object:
     """Parse a rational expression; labels outside the alphabet are rejected."""
     alpha = frozenset(alphabet) if alphabet is not None else None
-    tokens = lex(text, _PATTERN, None)
-    if tokens[-1].kind == "error":
-        raise ParseError(tokens[-1].offset, "a label, an operator or a parenthesis")
-    parser = _Parser(tokens, alpha)
+    tokens, offsets = lex(text, _PATTERN)
+    if tokens[-1]:
+        raise ParseError(offsets[-1], "a label, an operator or a parenthesis")
+    parser = _Parser(tokens, offsets, alpha)
     try:
         node = parser.parse_alt()
-        if parser.peek().kind != "eof":
-            raise parser.fail(parser.peek(), "end of expression")
+        if parser.peek():
+            raise parser.fail("end of expression")
         compile_expr(node)  # so every tree returned can be matched and rendered
     except RecursionError:
-        raise parser.fail(parser.peek(), "fewer nested groups") from None
+        raise parser.fail("fewer nested groups") from None
     return node
 
 

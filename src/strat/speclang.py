@@ -29,22 +29,20 @@ documents parse(serialize(doc)) equals doc structurally and serialization is
 idempotent. Every parse failure raises SpecLangError carrying at least one
 Diagnostic with a 1-based line and column.
 
-The lexer, rational.lex given _RUNS, reads a run of well-formed steps right
-after `steps:`, and a run of names right after `objects:` or `labels:`, as
-one token. It matches a run in chunks: the first step or name, then up to 64
-more after commas per match, as often as one follows. The bound matters: sre
-keeps a backtracking record per repetition of a group, so one match of a
-group repeated without bound holds memory that grows with the run (about
-2 MiB per 3,000 steps), and the possessive repeat that would not is Python
-3.11 syntax. The parser builds a run's Steps, three names each, as they are,
-and checks a run of names only for a reserved word or a name given twice;
-the rest is checked by the Ars that parse builds once from the lists (which
-keeps the Steps and sorts them) and keeps on the document. If this fast read
-fails in any way, parse reads the text once more with the same lexer without
-runs, one name or step at a time, as it reads whatever a run does not cover
-(a comment inside the list, a malformed step, a trailing comma): so there is
-one validator, and a diagnostic is the same, in the same order and at the
-same line and column, as without runs.
+The fast read lexes a document with one findall (_fast_lex), which skips
+space and comments inside the match of the token after them and gives the
+lists after `objects:`, `labels:` and `steps:` in chunks of up to 65 items.
+The bound matters: sre keeps a backtracking record per repetition of a
+group, so one match of a group repeated without bound holds memory that
+grows with the list (about 2 MiB per 3,000 steps), and the possessive repeat
+that would not is Python 3.11 syntax. The parser builds a chunk's Steps,
+three names each, as they are, and checks a chunk of names only for a
+reserved word or a name given twice; the rest is checked by the Ars that
+parse builds once from the lists (which keeps the Steps and sorts them) and
+keeps on the document. The fast read keeps no offsets: at its first problem
+of any kind, parse reads the text again token by token (rational.lex), which
+gives every diagnostic at its line and column, so there is one validator. A
+document's positions come from that read the first time they are asked for.
 
 Each strategy, condition and query kind is defined once, by one node class:
 the `_node` decorator gives the class its keyword, its syntax template
@@ -59,8 +57,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import repeat
-from operator import methodcaller
+from itertools import compress, count, repeat
+from operator import contains, methodcaller
 from typing import Callable, NamedTuple
 
 from . import rational
@@ -91,7 +89,7 @@ from .logic import (
     Not,
     Or,
 )
-from .rational import Token
+from .rational import LETTERS
 from .value import Value
 
 MAX_NESTING = 100  # strategy and condition levels of one section, named accepts included
@@ -124,62 +122,76 @@ class _SyntaxFail(Exception):
 
 # -- lexing ---------------------------------------------------------------------
 
-
-_SPACE = r"[ \t\r\n]*"  # the lexer's skip: a character it rejects ends a run of steps
+# Patterns are compiled through re's cache when the first document is read, not at import.
+_SPACE = " \t\r\n"  # the lexer's space: any other character it does not expect is an error
+_WS = f"[{_SPACE}]"
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
-_PATTERN = re.compile(
-    rf"(?P<skip>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<ident>{_NAME})"
-    r"|(?P<int>[0-9]+)|(?P<punct><=|>=|[{}(),;:=<>|*+?])|(?P<error>.)",
-    re.S,
+_DIGITS = frozenset("0123456789")
+_SEPARATORS = str.maketrans("(),", "   ")  # between the names of a chunk
+# the token-by-token read (rational.lex): one token per name, number and punctuation mark
+_PATTERN = (
+    rf"(?P<skip>{_WS}+)|(?P<comment>#[^\n]*)|(?P<ident>{_NAME})"
+    r"|(?P<int>[0-9]+)|(?P<punct><=|>=|[{}(),;:=<>|*+?])|(?P<error>.)"
+)
+# the fast read: a match is a token with the space and comments before it (each
+# comment kept whole, so that no backtracking starts a token inside one)
+_SKIP = rf"{_WS}*(?:#[^\n]*(?![^\n]){_WS}*)*"
+_STEP = rf"\({_WS}*{_NAME}{_WS}*,{_WS}*{_NAME}{_WS}*,{_WS}*{_NAME}{_WS}*\)"
+
+
+def _chunk(item: str) -> str:
+    """Up to 65 items between commas; then the comma after them, if whitespace and an item follow it."""
+    return rf"{item}(?:{_WS}*,{_WS}*{item}){{0,64}}(?:{_WS}*,(?={_SKIP}(?<={_WS}){item}))?"
+
+
+_FAST = (
+    rf"(?<=[:{_SPACE}]){_SKIP}(?:{_chunk(_STEP)}|{_chunk(_NAME)})(?:(?<=,){_SKIP})?"
+    rf"|{_SKIP}(?:{_NAME}|[0-9]+|<=|>=|[^{_SPACE}#])|{_SKIP}\Z"
 )
 
 
-# one well-formed step with the space around it, then up to 64 more after
-# commas; and up to 64 more names after commas (bounded: see the module docstring).
-# Compiled through re's cache when the first run is read, not at import.
-_STEP = rf"{_SPACE}\({_SPACE}{_NAME}{_SPACE},{_SPACE}{_NAME}{_SPACE},{_SPACE}{_NAME}{_SPACE}\){_SPACE}"
-_MORE_STEPS = rf"(?:,{_STEP}){{1,64}}"
-_MORE_NAMES = rf"(?:{_SPACE},{_SPACE}{_NAME}){{1,64}}"
-# the lists read as runs: (word before ':', kind of the first token) -> (run kind,
-# pattern of the first item or None if it is that token, pattern of more)
-_RUNS = {
-    ("steps", "punct"): ("steps", _STEP, _MORE_STEPS),
-    ("objects", "ident"): ("names", None, _MORE_NAMES),
-    ("labels", "ident"): ("names", None, _MORE_NAMES),
-}
+def _fast_lex(text: str) -> list[str]:
+    """The fast read's tokens, by one findall: names, numbers, punctuation marks
+    and each character the lexer rejects, "" at the end, and the lists after
+    `objects:`, `labels:` and `steps:` in chunks. A chunk starts right after ':'
+    or after the whitespace that a chunk ending with a comma took; no other
+    match ends in whitespace, so no chunk starts inside a label set or a list of
+    strategies, and a chunk ends with that whitespace just when it took the
+    comma. The pattern has no group, which would cost sre a save per
+    repetition in a chunk: a match is cut to its token by stripping the space
+    and comments before it, which copies no chunk but the first of a list."""
+    tokens = list(map(str.lstrip, re.compile(_FAST).findall(text), repeat(_SPACE)))
+    if "#" in text:
+        for i in compress(count(), map(contains, tokens, repeat("#"))):
+            tokens[i] = re.sub("#[^\n]*", "", tokens[i]).lstrip(_SPACE)
+    return tokens
 
 
-def _run_names(run: Token) -> list[str]:
-    """The names of a run, in order: its text holds only names, space, commas and parentheses."""
-    return run.text.replace("(", " ").replace(")", " ").replace(",", " ").split()
+def _chunk_names(chunk: str) -> list[str]:
+    """The names of a chunk, in order: it holds only names, space, commas and parentheses."""
+    return chunk.translate(_SEPARATORS).split()
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _lex(text: str, runs: dict | None) -> list[Token]:
-    """The document's tokens, one per name, number and punctuation mark; with
-    runs (_RUNS), a run of well-formed steps right after `steps :`, or of names
-    right after `objects :` or `labels :`, is one "steps" or "names" token.
-
-    Lexing is eager, so the first character the lexer rejects is reported
-    before anything is parsed.
-    """
-    tokens = rational.lex(text, _PATTERN, runs)
-    bad = tokens[-1]
-    if bad.kind == "error":
-        line, col = _line_col(text, bad.offset)
-        raise _SyntaxFail(Diagnostic(line, col, f"unexpected character {bad.text!r}"))
-    return tokens
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The token-by-token read's tokens and offsets; lexing is eager, so the
+    first character the lexer rejects is reported before anything is parsed."""
+    tokens, offsets = rational.lex(text, re.compile(_PATTERN))
+    if tokens[-1]:
+        line, col = _line_col(text, offsets[-1])
+        raise _SyntaxFail(Diagnostic(line, col, f"unexpected character {tokens[-1]!r}"))
+    return tokens, offsets
 
 
 # -- parsing ---------------------------------------------------------------------
 
 
 class _DocParser(rational.Grammar):
-    def __init__(self, text: str, runs: dict | None):
-        super().__init__(_lex(text, runs))
+    def __init__(self, text: str, tokens: list[str], offsets: list[int] | None):
+        super().__init__(tokens, offsets)
         self.text = text
         self.diags: list[Diagnostic] = []
         self.ars_seen = False
@@ -190,47 +202,38 @@ class _DocParser(rational.Grammar):
         self.accepts: list[tuple[str, object]] = []
         self.strategies: list[tuple[str, object]] = []
         self.queries: list[object] = []
-        self.positions: dict = {}
+        self.positions: dict = {}  # the index of each section's keyword, by the section's key
         self._object_set: set[str] = set()
         self._label_index: dict[str, int] = {}
-        self.head: Token | None = None  # keyword of the section being read
+        self.head = 0  # index of the keyword of the section being read
         self.level = 0  # strategy and condition nodes open in that section
         self.deepest = 0
         self.accept_levels: dict[str, int] = {}
 
     # token plumbing
 
-    def where(self, tok: Token) -> tuple[int, int]:
-        return _line_col(self.text, tok.offset)
+    def where(self, i: int) -> tuple[int, int]:
+        """Line and column of token i. The fast read keeps no offsets: it ends at
+        the first problem, which the token-by-token read then reports."""
+        if self.offsets is None:
+            raise ValueError("left to the token-by-token read")
+        return _line_col(self.text, self.offsets[i])
 
-    def fail(self, tok: Token, desc: str, expected: tuple[str, ...] = ()) -> _SyntaxFail:
-        line, col = self.where(tok)
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
+    def fail(self, desc: str, expected: tuple[str, ...] = ()) -> _SyntaxFail:
+        line, col = self.where(self.pos)
+        tok = self.tokens[self.pos]
+        found = repr(tok) if tok else "end of input"
         return _SyntaxFail(Diagnostic(line, col, f"expected {desc}, found {found}", expected))
 
-    def expect_keyword(self, k: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != k:
-            raise self.fail(tok, f"'{k}'", (k,))
+    def expect_ident(self, desc: str) -> int:
+        """Passes the identifier at the cursor; returns its index."""
+        if self.tokens[self.pos][:1] not in LETTERS:
+            raise self.fail(desc)
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect_ident(self, desc: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(tok, desc)
-        self.pos += 1
-        return tok
-
-    def expect_int(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.fail(tok, "an integer")
-        self.pos += 1
-        return tok
-
-    def diag(self, tok: Token, message: str) -> None:
-        line, col = self.where(tok)
+    def diag(self, i: int, message: str) -> None:
+        line, col = self.where(i)
         self.diags.append(Diagnostic(line, col, message))
 
     def too_deep(self) -> _SyntaxFail:
@@ -244,43 +247,45 @@ class _DocParser(rational.Grammar):
 
     # name handling
 
-    def declared_name(self, desc: str) -> Token:
-        tok = self.expect_ident(desc)
-        if tok.text in KEYWORDS:
-            self.diag(tok, f"reserved word {tok.text!r} cannot be used as a name")
-        return tok
+    def declared_name(self, desc: str) -> int:
+        i = self.expect_ident(desc)
+        if self.tokens[i] in KEYWORDS:
+            self.diag(i, f"reserved word {self.tokens[i]!r} cannot be used as a name")
+        return i
 
-    def check_label(self, tok: Token) -> None:
+    def check_label(self, i: int) -> None:
+        name = self.tokens[i]
         if not self.ars_seen:
-            self.diag(tok, f"label {tok.text!r} used before the ars section")
-        elif tok.text not in self._label_index:
-            self.diag(tok, f"unknown label {tok.text!r}")
+            self.diag(i, f"label {name!r} used before the ars section")
+        elif name not in self._label_index:
+            self.diag(i, f"unknown label {name!r}")
 
     label = check_label  # the rational grammar's hook; word(...) labels are checked here
 
-    def check_object(self, tok: Token) -> None:
+    def check_object(self, i: int) -> None:
+        name = self.tokens[i]
         if not self.ars_seen:
-            self.diag(tok, f"object {tok.text!r} used before the ars section")
-        elif tok.text not in self._object_set:
-            self.diag(tok, f"unknown object {tok.text!r}")
+            self.diag(i, f"object {name!r} used before the ars section")
+        elif name not in self._object_set:
+            self.diag(i, f"unknown object {name!r}")
 
     # document structure
 
     def parse_document(self) -> None:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            section = _SECTIONS.get(tok.text)
+        while tok := self.peek():
+            section = _SECTIONS.get(tok)
             if section is None:
-                raise self.fail(tok, _SECTION_DESC)
+                raise self.fail(_SECTION_DESC)
             section(self)
         if not self.ars_seen:
             self.diags.append(Diagnostic(1, 1, "document declares no ars section"))
 
     def parse_ars(self) -> None:
-        head = self.take()
+        head = self.pos
+        self.take()
         if self.ars_seen:
             self.diag(head, "document declares more than one ars section")
-        self.expect_punct("{")
+        self.expect("{")
         objects = self._id_list("objects", "an object name", set())
         labels = self._id_list("labels", "a label name", set(objects))
         was_seen = self.ars_seen
@@ -288,111 +293,118 @@ class _DocParser(rational.Grammar):
             self.objects, self._object_set = objects, set(objects)
             self.labels, self._label_index = labels, {name: i for i, name in enumerate(labels)}
             self.ars_seen = True
-        self.expect_keyword("steps")
-        self.expect_punct(":")
+        self.expect("steps")
+        self.expect(":")
         targets: dict[tuple[str, str], str] = {}
         steps: list[Step] = []
-        if self.at_punct("(") or self.peek().kind == "steps":
-            self._steps(steps, targets)
-            while self.at_punct(","):
-                self.take()
-                self._steps(steps, targets)
-        self.expect_punct(";")
-        self.expect_punct("}")
+        chunks: list[str] = []
+        if self.peek()[:1] == "(":  # a step, or a chunk of them
+            self.items(lambda: self._steps(steps, targets, chunks))
+        names = _chunk_names(" ".join(chunks))  # at once: Ars read Steps built chunk by chunk 10% slower
+        steps += map(tuple.__new__, repeat(Step), zip(names[0::3], names[1::3], names[2::3]))
+        self.expect(";")
+        self.expect("}")
         if not was_seen:
             self.steps = steps
-            self.positions[("ars",)] = self.where(head)
+            self.positions[("ars",)] = head
+
+    def items(self, read: Callable[[], None]) -> None:
+        """`item, ...`, each item read by read; a chunk of the fast read that ends
+        with whitespace took the comma after its last item."""
+        read()
+        while self.tokens[self.pos - 1][-1] in _SPACE or self.at(",") and self.take():
+            read()
 
     def _id_list(self, keyword: str, desc: str, clashes: set[str]) -> list[str]:
         """`keyword: name, ...;` with each name declared once.
 
-        A run of names that the lexer made one token is split into its names
-        and checked only for a reserved word or a name given twice: a name on
-        both lists is left to Ars. Either fault ends the fast read.
+        A chunk of the fast read is split into its names, which are checked
+        only for a reserved word or a name given twice: a name on both lists
+        is left to Ars. Either fault ends the fast read.
         """
-        self.expect_keyword(keyword)
-        self.expect_punct(":")
+        self.expect(keyword)
+        self.expect(":")
         names: dict[str, None] = {}  # in declaration order
-        while True:
-            run = self.peek()
-            if run.kind == "names":
-                names = dict.fromkeys(_run_names(run))  # a run comes first: names is empty
-                if len(names) <= run.text.count(",") or not KEYWORDS.isdisjoint(names):
+
+        def name() -> None:
+            tok = self.peek()
+            if "," in tok[1:] and tok[0] in LETTERS:  # a chunk of two names or more
+                chunk = _chunk_names(tok)
+                known = len(names)
+                names.update(dict.fromkeys(chunk))
+                if len(names) - known < len(chunk) or not KEYWORDS.isdisjoint(chunk):
                     raise ValueError("a reserved or repeated name")
                 self.pos += 1
+                return
+            i = self.declared_name(desc)
+            if self.tokens[i] in names:
+                self.diag(i, f"duplicate symbol {self.tokens[i]!r}")
+            elif self.tokens[i] in clashes:
+                self.diag(i, f"{self.tokens[i]!r} is declared both as an object and as a label")
             else:
-                tok = self.declared_name(desc)
-                if tok.text in names:
-                    self.diag(tok, f"duplicate symbol {tok.text!r}")
-                elif tok.text in clashes:
-                    self.diag(tok, f"{tok.text!r} is declared both as an object and as a label")
-                else:
-                    names[tok.text] = None
-            if not self.at_punct(","):
-                break
-            self.take()
-        self.expect_punct(";")
+                names[self.tokens[i]] = None
+
+        self.items(name)
+        self.expect(";")
         return list(names)
 
-    def _steps(self, into: list[Step], targets: dict[tuple[str, str], str]) -> None:
-        """One step, or the run of well-formed steps that the lexer made one token.
+    def _steps(self, into: list[Step], targets: dict[tuple[str, str], str], chunks: list[str]) -> None:
+        """One step, or a chunk of the fast read.
 
-        A run is split into its names, three per Step, and taken as it is: the
-        Ars that parse builds checks its symbols and functionality. A step read
+        A chunk is kept in chunks, whose steps parse_ars takes as they are: the
+        Ars that parse builds checks their symbols and functionality. A step read
         token by token has each name checked as it is read, then is checked
         against the earlier steps read that way (_add_step).
         """
-        run = self.peek()
-        if run.kind == "steps":
-            names = _run_names(run)
-            into += map(tuple.__new__, repeat(Step), zip(names[0::3], names[1::3], names[2::3]))
+        tok = self.peek()
+        if len(tok) > 1 and tok[0] == "(":
+            chunks.append(tok)
             self.pos += 1
             return
-        open_tok = self.expect_punct("(")
-        src = self.expect_ident("an object name")
-        self.check_object(src)
-        self.expect_punct(",")
-        lab = self.expect_ident("a label name")
-        self.check_label(lab)
-        self.expect_punct(",")
-        tgt = self.expect_ident("an object name")
-        self.check_object(tgt)
-        self.expect_punct(")")
-        self._add_step(into, targets, Step(src.text, lab.text, tgt.text), open_tok.offset)
+        at = self.pos
+        self.expect("(")
+        src = self.object_name()
+        self.expect(",")
+        lab = self.label_name()
+        self.expect(",")
+        tgt = self.object_name()
+        self.expect(")")
+        self._add_step(into, targets, Step(src, lab, tgt), at)
 
     def _add_step(self, into: list, targets: dict, step: Step, at: int) -> None:
         """Keeps a step unless an earlier one from its source by its label reaches
-        another target; at is the offset of its '('."""
+        another target; at is the index of its '('."""
         src, lab, tgt = step
         prior = targets.setdefault((src, lab), tgt)
         if prior != tgt:
-            clash = f"two steps from {src!r} with label {lab!r} reach {prior!r} and {tgt!r}"
-            self.diag(Token("punct", "(", at), clash)
+            self.diag(at, f"two steps from {src!r} with label {lab!r} reach {prior!r} and {tgt!r}")
         else:
             into.append(step)
 
     def parse_order(self) -> None:
-        head = self.take()
-        name = self.declared_name("an order name")
-        if any(n == name.text for n, _ in self.orders):
-            self.diag(name, f"duplicate order {name.text!r}")
-        self.expect_punct("{")
+        head = self.pos
+        self.take()
+        i = self.declared_name("an order name")
+        name = self.tokens[i]
+        if any(n == name for n, _ in self.orders):
+            self.diag(i, f"duplicate order {name!r}")
+        self.expect("{")
         pairs: list[tuple[str, str]] = []
         while True:
             a = self.label_name()
-            self.expect_punct("<")
+            self.expect("<")
             b = self.label_name()
-            self.expect_punct(";")
+            self.expect(";")
             pairs.append((a, b))
-            if self.at_punct("}"):
+            if self.at("}"):
                 break
-        self.expect_punct("}")
+        self.expect("}")
         try:
             LabelOrder.from_pairs(pairs)
         except StratError as exc:
-            self.diag(head, f"order {name.text!r} is not a strict order: {exc}")
-        self.orders.append((name.text, pairs))
-        self.positions[("order", name.text)] = self.where(head)
+            self.diag(head, f"order {name!r} is not a strict order: {exc}")
+        self.orders.append((name, pairs))
+        self.positions[("order", name)] = head
 
     def parse_strategy(self) -> None:
         self.definition(self.strategies, "a strategy name", "strategy", STRATEGY)
@@ -404,40 +416,43 @@ class _DocParser(rational.Grammar):
 
     def definition(self, pool: list, name_desc: str, what: str, kind: _Kind) -> str:
         """One `strategy` or `accept` section, whose expression is of kind; returns its name."""
-        self.head = head = self.take()
-        name = self.declared_name(name_desc)
-        if any(n == name.text for n, _ in pool):
-            self.diag(name, f"duplicate {what} {name.text!r}")
-        self.expect_punct("=")
+        self.head = head = self.pos
+        self.take()
+        i = self.declared_name(name_desc)
+        name = self.tokens[i]
+        if any(n == name for n, _ in pool):
+            self.diag(i, f"duplicate {what} {name!r}")
+        self.expect("=")
         self.level = self.deepest = 0
         try:
             node = kind.read(self)
         except RecursionError:  # a word(...) too deep to parse or compile
             raise self.too_deep() from None
-        self.expect_punct(";")
-        pool.append((name.text, node))
-        self.positions[(head.text, name.text)] = self.where(head)
-        return name.text
+        self.expect(";")
+        pool.append((name, node))
+        self.positions[(self.tokens[head], name)] = head
+        return name
 
     def parse_query(self) -> None:
-        head = self.take()
+        head = self.pos
+        self.take()
         q = self.node(_QUERIES, _QUERY_DESC)
-        self.expect_punct(";")
-        self.positions[("query", len(self.queries))] = self.where(head)
+        self.expect(";")
+        self.positions[("query", len(self.queries))] = head
         self.queries.append(q)
 
     # nodes: a keyword of a table, then the values its template reads
 
     def node(self, table: dict, desc: str) -> object:
         tok = self.peek()
-        cls = table.get(tok.text)
+        cls = table.get(tok)
         if cls is None:
-            if table is not _CONDITIONS or tok.kind != "ident" or tok.text in KEYWORDS:
-                raise self.fail(tok, desc)
+            if table is not _CONDITIONS or tok[:1] not in LETTERS or tok in KEYWORDS:
+                raise self.fail(desc)
             name = self.reference(desc, "accepts", "accepting condition")
             self.reach(self.level + self.accept_levels.get(name, 1))
             return ARef(name)
-        self.take()
+        self.pos += 1
         self.level += 1
         if self.level > self.deepest:
             self.reach(self.level)
@@ -451,15 +466,12 @@ class _DocParser(rational.Grammar):
         values = []
         for i, piece in enumerate(syntax):
             if piece.__class__ is str:
-                tok = self.tokens[self.pos]
-                if tok.text != piece or tok.kind != ("ident" if piece.isalpha() else "punct"):
-                    raise self.fail(tok, f"'{piece}'", (piece,))
-                self.pos += 1
+                self.expect(piece)
             elif piece.__class__ is _Optional:
                 # a group opens with its own word, or else with any word but the next piece
                 tok, first = self.peek(), piece.syntax[0]
-                opens = tok.text == first if isinstance(first, str) else tok.text not in syntax[i + 1 : i + 2]
-                values.append(self.values(piece.syntax)[0] if tok.kind == "ident" and opens else None)
+                opens = tok == first if isinstance(first, str) else tok not in syntax[i + 1 : i + 2]
+                values.append(self.values(piece.syntax)[0] if tok[:1] in LETTERS and opens else None)
             else:
                 values.append(piece.read(self))
         return values
@@ -468,50 +480,56 @@ class _DocParser(rational.Grammar):
 
     def several(self, table: dict, desc: str) -> tuple:
         parts = [self.node(table, desc)]
-        while len(parts) < 2 or self.at_punct(","):
-            self.expect_punct(",")
+        while len(parts) < 2 or self.at(","):
+            self.expect(",")
             parts.append(self.node(table, desc))
         return tuple(parts)
 
     def label_name(self) -> str:
-        tok = self.expect_ident("a label name")
-        self.check_label(tok)
-        return tok.text
+        i = self.expect_ident("a label name")
+        self.check_label(i)
+        return self.tokens[i]
 
     def object_name(self) -> str:
-        tok = self.expect_ident("an object name")
-        self.check_object(tok)
-        return tok.text
+        i = self.expect_ident("an object name")
+        self.check_object(i)
+        return self.tokens[i]
 
     def label_set(self) -> tuple[str, ...]:
         """`{label, ...}`, in canonical form: sorted by label index, each label once."""
-        self.expect_punct("{")
+        self.expect("{")
         names: set[str] = set()
-        if not self.at_punct("}"):
+        if not self.at("}"):
             names.add(self.label_name())
-            while self.at_punct(","):
+            while self.at(","):
                 self.take()
                 names.add(self.label_name())
-        self.expect_punct("}")
+        self.expect("}")
         return tuple(sorted(names, key=lambda name: self._label_index.get(name, -1)))
 
     def reference(self, desc: str, pool: str, kind: str) -> str:
-        tok = self.expect_ident(desc)
-        if not any(n == tok.text for n, _ in getattr(self, pool)):
-            self.diag(tok, f"unknown {kind} {tok.text!r}")
-        return tok.text
+        i = self.expect_ident(desc)
+        name = self.tokens[i]
+        if not any(n == name for n, _ in getattr(self, pool)):
+            self.diag(i, f"unknown {kind} {name!r}")
+        return name
 
     def at_least(self, minimum: int, what: str) -> int:
-        tok = self.expect_int()
-        if int(tok.text) < minimum:
-            self.diag(tok, f"{what} must be at least {minimum}")
-        return int(tok.text)
+        i = self.pos
+        if self.tokens[i][:1] not in _DIGITS:
+            raise self.fail("an integer")
+        self.pos += 1
+        value = int(self.tokens[i])
+        if value < minimum:
+            self.diag(i, f"{what} must be at least {minimum}")
+        return value
 
-    def choice(self, kind: str, words, desc: str) -> str:
+    def choice(self, words, desc: str) -> str:
         tok = self.peek()
-        if tok.kind != kind or tok.text not in words:
-            raise self.fail(tok, desc)
-        return self.take().text
+        if tok not in words:
+            raise self.fail(desc)
+        self.pos += 1
+        return tok
 
 
 # -- the generic walks over node templates ------------------------------------------
@@ -611,9 +629,9 @@ ORDER = _Kind(
 INTEGER = _Kind(methodcaller("at_least", 0, "an integer"))
 OBJECT = _Kind(methodcaller("object_name"))
 WORD = _Kind(methodcaller("parse_alt"), rational.render)
-COMPARISON = _Kind(methodcaller("choice", "punct", _LENGTHS, _one_of("a comparison", _LENGTHS)))
+COMPARISON = _Kind(methodcaller("choice", _LENGTHS, _one_of("a comparison", _LENGTHS)))
 STRATEGY_NAME = _Kind(methodcaller("reference", "a strategy name", "strategies", "strategy"))
-PROPERTY = _Kind(methodcaller("choice", "ident", CHECK_PROPS, _one_of("a property", CHECK_PROPS)))
+PROPERTY = _Kind(methodcaller("choice", CHECK_PROPS, _one_of("a property", CHECK_PROPS)))
 DEPTH = _Kind(methodcaller("at_least", 1, "depth"))
 HORIZON = _Kind(methodcaller("at_least", 2, "horizon"))
 
@@ -802,8 +820,11 @@ class SpecDocument(Value):
 
     @cached_property
     def positions(self) -> dict:
-        """(line, column) of each section of a parsed document, by its key; not a field."""
-        return {}
+        """(line, column) of each section of a parsed document, by its key; not a
+        field. The fast read keeps no offsets, so a document it gave reads its
+        text again, token by token, the first time they are asked for."""
+        text = self.__dict__.get("_text")
+        return {} if text is None else _read(text).positions
 
     @cached_property
     def ars(self) -> Ars:
@@ -832,19 +853,27 @@ def _named(pairs: tuple, name: str) -> object:
 
 def parse(text: str) -> SpecDocument:
     """Parse and validate a document; raises SpecLangError with diagnostics.
-    A fast read (with _RUNS) that fails in any way is read again token by token."""
+    A text the fast read leaves is read again token by token, which reports every problem."""
+    return _fast_read(text) or _read(text)
+
+
+def _fast_read(text: str) -> SpecDocument | None:
+    """The document, read from _fast_lex's tokens; None at the first problem of any kind."""
     try:
-        return _read(text, _RUNS)
+        parser = _DocParser(text, _fast_lex(text), None)
+        parser.parse_document()
+        if not parser.diags:
+            return _canonical(parser)
     except (StratError, ValueError):
         pass
-    return _read(text, None)
+    return None
 
 
-def _read(text: str, runs: dict | None) -> SpecDocument:
-    """One reading of the document, with the tokens _lex gives with runs."""
+def _read(text: str) -> SpecDocument:
+    """The token-by-token read, which gives every diagnostic at its line and column."""
     parser: _DocParser | None = None
     try:
-        parser = _DocParser(text, runs)
+        parser = _DocParser(text, *_lex(text))
         parser.parse_document()
     except _SyntaxFail as fail:
         diags = parser.diags if parser is not None else []
@@ -868,15 +897,12 @@ def _canonical(p: _DocParser) -> SpecDocument:
     )
     strategies = tuple(sorted(p.strategies, key=lambda kv: kv[0]))
     doc = SpecDocument(
-        objects=ars.objects,
-        labels=ars.labels,
-        steps=ars.steps,
-        orders=orders,
-        accepts=tuple(p.accepts),
-        strategies=strategies,
-        queries=tuple(p.queries),
+        ars.objects, ars.labels, ars.steps, orders, tuple(p.accepts), strategies, tuple(p.queries)
     )
-    doc.__dict__.update(positions=p.positions, ars=ars)
+    if p.offsets is None:
+        doc.__dict__.update(ars=ars, _text=p.text)
+    else:
+        doc.__dict__.update(ars=ars, positions={key: p.where(i) for key, i in p.positions.items()})
     return doc
 
 

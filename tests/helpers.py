@@ -672,9 +672,9 @@ def stepwise_index(objects: tuple[str, ...], labels: tuple[str, ...], steps) -> 
 
 
 def parse_by_tokens(text: str) -> speclang.SpecDocument:
-    """speclang.parse's reading without runs, so that the token loop reads every
-    name and step: the reading a failed fast read falls back on."""
-    return speclang._read(text, None)
+    """speclang.parse's token-by-token read, which reads every name and step on
+    its own: the reading a failed fast read falls back on."""
+    return speclang._read(text)
 
 
 def parse_outcome(parse, text: str) -> object:

@@ -383,6 +383,26 @@ class TestErrors:
         )
         assert (code, err) == (2, "strat: error: unknown symbol 'zz'\n")
 
+    def test_crlf_and_lone_cr_line_ends(self, run, tmp_path):
+        # a document is read with universal newlines: every line end gives the same
+        # record, and a diagnostic the same line and column
+        valid = "ars {\n  objects: a, b;\n  labels: l;\n  steps: (a, l, b),\n    (b, l, a);\n}\nstrategy s = universal;\n"
+        invalid = valid.replace("(b, l, a)", "(b, l, zz)")
+        seen = set()
+        for end in ("\n", "\r\n", "\r"):
+            good, bad = tmp_path / "good.ars", tmp_path / "bad.ars"
+            good.write_bytes(valid.replace("\n", end).encode())
+            bad.write_bytes(invalid.replace("\n", end).encode())
+            record = run("--machine", "enumerate", "-f", str(good), "-s", "s", "--depth", "3")
+            diagnostic = run("--machine", "enumerate", "-f", str(bad), "-s", "s", "--depth", "3")
+            seen.add((record, diagnostic))
+        assert seen == {
+            (
+                (0, '{"kind": "enumerate", "verdict": "ok", "witness": null, "count": 6}\n', ""),
+                (2, "", f"{bad}:5:12: error: unknown object 'zz'\n"),
+            )
+        }
+
     def test_document_diagnostics_carry_file_and_position(self, run, tmp_path):
         bad = tmp_path / "bad.ars"
         bad.write_text("ars { objects: a; labels: l; steps: (a, zz, a); }\n")
@@ -562,6 +582,22 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-I", "-c", script, src], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "json" not in proc.stdout.split()
+
+    def test_set_up_compiles_no_document_pattern(self):
+        # the document lexers' patterns are compiled (through re's cache) when the
+        # first document is read, so a call that reads none does not pay for them
+        script = (
+            "import re, sys; sys.path.insert(0, sys.argv[1]); compiled = []; compile = re.compile\n"
+            "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
+            "import strat.cli; from strat import speclang; strat.cli.build_parser()\n"
+            "lexers = (speclang._FAST, speclang._PATTERN); print(sum(p in lexers for p in compiled))\n"
+            "try: speclang.parse('ars { objects: a; labels: l; steps: ; } strategy s = x;')\n"
+            "except speclang.SpecLangError: print(sum(p in lexers for p in compiled))"
+        )
+        src = os.path.dirname(os.path.dirname(strat.__file__))
+        proc = subprocess.run([sys.executable, "-I", "-c", script, src], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "2"]
 
 
 class TestCachedParser:

@@ -366,8 +366,8 @@ class TestBuilders:
 
 class TestTokenFuzz:
     def test_single_token_deletion_points_at_a_real_token(self):
-        tokens = speclang._lex(CANONICAL, None)[:-1]
-        flat = " ".join(t.text for t in tokens)
+        tokens = speclang._lex(CANONICAL)[0][:-1]
+        flat = " ".join(tokens)
         assert parse(flat) == parse(CANONICAL)
         errors = 0
         for i in range(len(tokens)):
@@ -376,9 +376,9 @@ class TestTokenFuzz:
             c = 1
             for t in remaining:
                 cols.append(c)
-                c += len(t.text) + 1
-            eof_col = (cols[-1] + len(remaining[-1].text)) if remaining else 1
-            rebuilt = " ".join(t.text for t in remaining)
+                c += len(t) + 1
+            eof_col = (cols[-1] + len(remaining[-1])) if remaining else 1
+            rebuilt = " ".join(remaining)
             try:
                 parse(rebuilt)
             except SpecLangError as err:
@@ -469,17 +469,19 @@ class TestFrontEnd:
 
     def test_only_a_failed_fast_read_is_read_again(self, monkeypatch):
         lexed = []
-        lex = speclang._lex
-        monkeypatch.setattr(
-            speclang, "_lex", lambda text, runs: lexed.append("runs" if runs else "tokens") or lex(text, runs)
-        )
-        parse(MINI)
-        assert lexed == ["runs"]
+        fast, by_tokens = speclang._fast_lex, speclang._lex
+        monkeypatch.setattr(speclang, "_fast_lex", lambda text: lexed.append("fast") or fast(text))
+        monkeypatch.setattr(speclang, "_lex", lambda text: lexed.append("tokens") or by_tokens(text))
+        doc = parse(MINI)
+        assert lexed == ["fast"]
+        # the fast read keeps no offsets: the positions are read token by token, once, when asked for
+        assert doc.positions == {("ars",): (1, 1)} and doc.positions is doc.positions
+        assert lexed == ["fast", "tokens"]
         for fault in ("strategy s = greatmost(nosuch);", "ars { objects: c; labels: k; steps: ; }"):
             lexed.clear()
             with pytest.raises(SpecLangError):
                 parse(f"{MINI}\n{fault}\n")
-            assert lexed == ["runs", "tokens"]
+            assert lexed == ["fast", "tokens"]
 
     @pytest.mark.parametrize("read", [parse, helpers.parse_by_tokens], ids=["fast", "by-tokens"])
     def test_each_step_is_built_once(self, monkeypatch, read):
@@ -491,87 +493,142 @@ class TestFrontEnd:
             return Ars(objects, labels, steps)
 
         monkeypatch.setattr(speclang, "Ars", recording)
-        doc = read(MINI.replace("(b, l2, a)", "# a comment ends the run\n    (b, l2, a)"))
+        # the fast read takes the first step in a chunk and the second, a comment inside it, token by token
+        text = MINI.replace("(b, l2, a)", "(b, # a comment inside the step\n    l2, a)")
+        assert speclang._fast_lex(text)[12:14] == ["(a, l1, b)", ","]
+        doc = read(text)
         assert doc.steps == (("a", "l1", "b"), ("b", "l2", "a"))
         assert {type(step) for step in given} == {Step}
         assert {id(step) for step in doc.steps} <= {id(step) for step in given}
 
 
+def _fast_kinds(text: str) -> list[str]:
+    """The kind of each token of the fast read: "steps" or "names" for a chunk
+    (a chunk of one name is an identifier), else "ident", "int", "punct" or "eof"."""
+
+    def kind(tok: str) -> str:
+        if len(tok) > 1 and tok[0] == "(":
+            return "steps"
+        if "," in tok[1:]:
+            return "names"
+        return "eof" if not tok else "ident" if tok[0].isalpha() else "int" if tok.isdigit() else "punct"
+
+    return [kind(tok) for tok in speclang._fast_lex(text)]
+
+
 def _same_as_tokens(text: str) -> object:
-    """The outcome of parse, checked against the token loop's."""
+    """The outcome of parse, checked against the token loop's; a valid document
+    must come from the fast read itself."""
     outcome = helpers.parse_outcome(parse, text)
     assert outcome == helpers.parse_outcome(helpers.parse_by_tokens, text)
+    if not isinstance(outcome, list):
+        assert speclang._fast_read(text) == outcome[0]
     return outcome
 
 
 SPACES = st.sampled_from(["", " ", "  ", "\n    ", "\t", "\r\n  ", " \n"])
 EDITS = "(),;:#ao0l1_z \t\n\r\x0b\x0c\u00a0é"
-TAILS = ["", "strategy s = universal;\n", "ars { objects: o0; labels: l0; steps: (o0, l0, o0); }\n"]
+# list lengths around the chunks' bound of 65 items, and what may follow the comma after a full chunk
+LONG = [63, 64, 65, 66, 129, 130, 131]
+AFTER_FULL = ["", " ", "\t", "\r\n", " # after a full chunk\n", "#\r\n\t"]
+# sections after the ars section: name lists and (a, b, c) triples inside strategy,
+# order and query sections, where no chunk may start, and misplaced lists after ':'
+TAILS = [
+    "",
+    "strategy s = universal;\n",
+    "ars { objects: o0; labels: l0; steps: (o0, l0, o0); }\n",
+    "strategy s = intersect(universal, fail, universal);\nquery apply s from o0 depth 2;\n",
+    "accept a = len <= 2;\naccept b = or(a, a,a);\nstrategy s = accept(restrict({l0, l0,\tl0}), b);\n",
+    "order o { l0 < l1; }\nstrategy s = greatmost(o);\nquery enumerate s depth 2 from o0;\n",
+    "strategy s = alternate({l0, l1}; {l0});\nquery check prefix s depth 2;\n",
+    "order o { (l0, l0, l0) < l1; }\n",
+    "strategy s = universal;\nquery check prefix (o0, l0, o0) depth 2;\n",
+    "strategy s: o0, o1, o2;\n",
+    "strategy s = universal;\nquery apply s from o0, o1, o2 depth 2;\n",
+]
 
 
-@st.composite
-def steps_documents(draw):
-    """A document whose steps list is laid out at random, with at most one
-    character inserted, deleted or replaced in or around that list."""
-    objects = [f"o{i}" for i in range(draw(st.integers(1, 4)))]
-    labels = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
-    objs, labs = st.sampled_from(objects * 4 + ["zz"]), st.sampled_from(labels * 4 + ["o0"])
-
-    def sp() -> str:
-        return draw(SPACES)
-
-    triples = [
-        f"({sp()}{draw(objs)}{sp()},{sp()}{draw(labs)}{sp()},{sp()}{draw(objs)}{sp()})"
-        for _ in range(draw(st.integers(0, 6)))
-    ]
-    text = f"ars {{\n  objects: {', '.join(objects)};\n  labels: {', '.join(labels)};\n  "
-    start = len(text)
+def _separated(draw, items: list[str]) -> str:
+    """items joined by commas laid out at random: a short list with comments
+    between items, a long one with a comment, CRLF or tab among what may follow
+    the comma after a full chunk."""
+    comments = st.sampled_from(["", " # between\n"] if len(items) <= 6 else [""])
     body = ""
-    for i, triple in enumerate(triples):
-        if i:
-            body += sp() + "," + draw(st.sampled_from(["", " # between\n"])) + sp()
-        body += triple
-    text += f"steps:{sp()}{body}{sp()};"
-    end = len(text)
-    text += "\n}\n" + draw(st.sampled_from(TAILS))
+    for i, item in enumerate(items):
+        if i % 65 == 0 and i:
+            body += draw(SPACES) + "," + draw(st.sampled_from(AFTER_FULL))
+        elif i:
+            body += draw(SPACES) + "," + draw(comments) + draw(SPACES)
+        body += item
+    return body
+
+
+def _edited(draw, text: str, start: int, end: int) -> str:
+    """text with at most one character inserted, deleted or replaced near text[start:end]."""
     edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
     if edit != "none":
         at = draw(st.integers(max(0, start - 3), min(len(text) - 1, end + 3)))
         char = draw(st.sampled_from(EDITS)) if edit != "delete" else ""
         text = text[:at] + char + text[at + (edit != "insert") :]
     return text
+
+
+@st.composite
+def steps_documents(draw):
+    """A document whose steps list is laid out at random: a short list over a
+    few names or a long one around the chunks' bound, then a drawn tail, with
+    at most one character inserted, deleted or replaced in or around the list."""
+    size = draw(st.one_of(st.integers(0, 6), st.sampled_from(LONG)))
+
+    def sp() -> str:
+        return draw(SPACES)
+
+    if size > 6:
+        objects, labels = [f"o{i}" for i in range(size)], ["l0", "l1"]
+        triples = [f"(o{i}, l{i % 2},{sp()}o{(i + 1) % size})" for i in range(size)]
+    else:
+        objects = [f"o{i}" for i in range(draw(st.integers(1, 4)))]
+        labels = [f"l{i}" for i in range(draw(st.integers(1, 3)))]
+        objs, labs = st.sampled_from(objects * 4 + ["zz"]), st.sampled_from(labels * 4 + ["o0"])
+        triples = [
+            f"({sp()}{draw(objs)}{sp()},{sp()}{draw(labs)}{sp()},{sp()}{draw(objs)}{sp()})"
+            for _ in range(size)
+        ]
+    text = f"ars {{\n  objects: {', '.join(objects)};\n  labels: {', '.join(labels)};\n  "
+    start = len(text)
+    text += f"steps:{sp()}{_separated(draw, triples)}{sp()};"
+    end = len(text)
+    text += "\n}\n" + draw(st.sampled_from(TAILS))
+    return _edited(draw, text, start, end)
 
 
 @st.composite
 def names_documents(draw):
     """A document whose objects and labels lists are laid out at random, some of
-    their names repeated, reserved or on both lists, with at most one character
-    inserted, deleted or replaced in or around those lists."""
+    their names repeated, reserved or on both lists, short or long around the
+    chunks' bound, then a drawn tail, with at most one character inserted,
+    deleted or replaced in or around those lists."""
 
     def name_list(keyword: str, pool: list[str]) -> str:
-        names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
-        body = ""
-        for i, name in enumerate(names):
-            if i:
-                body += draw(SPACES) + "," + draw(st.sampled_from(["", " # between\n"])) + draw(SPACES)
-            body += name
-        return f"{keyword}:{draw(SPACES)}{body}{draw(SPACES)};"
+        size = draw(st.one_of(st.integers(1, 6), st.sampled_from(LONG)))
+        if size > 6:
+            names = [f"{keyword[0]}{i}" for i in range(size)]
+            if draw(st.integers(0, 3)) == 0:
+                names[draw(st.integers(0, size - 1))] = draw(st.sampled_from(pool))
+        else:
+            names = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        return f"{keyword}:{draw(SPACES)}{_separated(draw, names)}{draw(SPACES)};"
 
-    objects = name_list("objects", ["o0", "o1", "o2", "o_3", "o0", "l0", "steps", "depth"])
+    objects = name_list("objects", ["o0", "o1", "o2", "o_3", "o0", "l0", "steps", "depth", "(o0, l0, o1)"])
     labels = name_list("labels", ["l0", "l1", "l0", "o1", "universal", "l_2"])
     text = f"ars {{\n  {objects}\n  {labels}"
     start, end = len("ars {\n  "), len(text)
     text += "\n  steps: (o0, l0, o1), (o1, l1, o0);\n}\n" + draw(st.sampled_from(TAILS))
-    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
-    if edit != "none":
-        at = draw(st.integers(max(0, start - 3), min(len(text) - 1, end + 3)))
-        char = draw(st.sampled_from(EDITS)) if edit != "delete" else ""
-        text = text[:at] + char + text[at + (edit != "insert") :]
-    return text
+    return _edited(draw, text, start, end)
 
 
 class TestNamesReader:
-    """A well-formed run of names is one lexer token; its names give what the token loop gives."""
+    """A well-formed list of names is read in chunks; their names give what the token loop gives."""
 
     @settings(max_examples=300, deadline=None)
     @given(names_documents())
@@ -596,10 +653,9 @@ class TestNamesReader:
         assert _same_as_tokens(text) == [(diag, ())]
 
     def test_comment_inside_the_list(self):
-        # the run ends at the comment; the names after it are read token by token
+        # a comment after a comma ends a chunk, which takes the comma; the next chunk starts after it
         text = "ars { objects: a, b, # first two\n  c, a; labels: l; steps: ; }"
-        kinds = [t.kind for t in speclang._lex(text, speclang._RUNS)]
-        assert kinds.count("names") == 2
+        assert speclang._fast_lex(text)[4:6] == ["a, b, \n  ", "c, a"]
         assert _same_as_tokens(text) == [("2:6: error: duplicate symbol 'a'", ())]
         assert _same_as_tokens(text.replace("c, a;", "c;"))[0].objects == ("a", "b", "c")
 
@@ -613,20 +669,41 @@ class TestNamesReader:
         diag = f"1:{_col(text, ';')}: error: expected an object name, found ';'"
         assert _same_as_tokens(text) == [(diag, ())]
 
+    def test_no_chunk_starts_inside_a_section(self):
+        # only the lists after ':' are chunked; label sets, argument lists and a
+        # continuation-like `, name, name` after them are read token by token
+        text = (
+            "ars { objects: a, b, c; labels: l1, l2; steps: (a, l1, b), (b, l2, c); }\n"
+            "accept p = len <= 2;\naccept q = or(p, p, p);\n"
+            "strategy s = intersect(restrict({l1, l2}), accept(universal, q), alternate({l1,l2}; {l2}));\n"
+        )
+        assert _fast_kinds(text).count("names") == 2 and _fast_kinds(text).count("steps") == 1
+        assert _same_as_tokens(text)[0] == speclang._fast_read(text)
+
+    def test_a_chunk_of_steps_where_names_go(self):
+        # a list of steps after `objects:` or `labels:` is one chunk, but not one of names
+        text = "ars { objects: (a, b, c); labels: l; steps: ; }"
+        assert _fast_kinds(text).count("steps") == 1
+        assert _same_as_tokens(text) == [(f"1:{_col(text, '(')}: error: expected an object name, found '('", ())]
+        text = "ars { objects: a; labels: l, (m, n, k); steps: ; }"
+        assert _same_as_tokens(text) == [(f"1:{_col(text, '(')}: error: expected a label name, found '('", ())]
+
     def test_missing_semicolon_before_steps(self):
-        # the run takes `steps` as a name; the ':' after it ends the list
+        # the chunk takes `steps` as a name; the ':' after it ends the list
         text = "ars { objects: a,\n  steps: (a, l, a); }"
-        assert [t.kind for t in speclang._lex(text, speclang._RUNS)].count("steps") == 0
+        assert speclang._fast_lex(text)[4:6] == ["a,\n  steps", ":"]
         assert _same_as_tokens(text) == [
             ("2:3: error: reserved word 'steps' cannot be used as a name", ()),
             ("2:8: error: expected ';', found ':'", (";",)),
         ]
 
-    def test_a_long_list_is_one_token(self):
+    def test_a_long_list_is_read_in_chunks(self):
         objects = ", ".join(f"x{i}" for i in range(1000))
         text = f"ars {{ objects: {objects}; labels: l0, l1; steps: (x0, l0, x999); }}"
-        kinds = [t.kind for t in speclang._lex(text, speclang._RUNS)]
-        assert kinds.count("names") == 2 and kinds.count("ident") == 4
+        kinds = _fast_kinds(text)
+        assert kinds.count("names") == 17 and kinds.count("ident") == 4
+        chunks = [tok for tok in speclang._fast_lex(text) if "," in tok[1:] and tok[0] != "("]
+        assert [len(speclang._chunk_names(tok)) for tok in chunks] == [65] * 15 + [25, 2]
         doc = _same_as_tokens(text)[0]
         assert len(doc.objects) == 1000 and doc.labels == ("l0", "l1")
         text = text.replace("x500,", "x499,")
@@ -643,33 +720,35 @@ def peak_kib():
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 text = "ars { objects: " + "o, " * 9999 + "o; labels: l;\\n  steps: " + "(o, l, o), " * 29999 + "(o, l, o); }"
-speclang._lex("ars { objects: a, b; labels: l; steps: (a, l, a), (b, l, b); }", speclang._RUNS)
+speclang._fast_lex("ars { objects: a, b; labels: l; steps: (a, l, a), (b, l, b); }")
 before = peak_kib()
-kinds = [t.kind for t in speclang._lex(text, speclang._RUNS)]
-print(peak_kib() - before, kinds.count("names"), kinds.count("steps"))
+tokens = speclang._fast_lex(text)
+chunks = [speclang._chunk_names(tok) for tok in tokens if "," in tok[1:]]
+print(peak_kib() - before, sum(map(len, chunks)), max(map(len, chunks)), len(tokens) - len(chunks))
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak resident size from /proc")
 def test_long_runs_are_lexed_in_bounded_memory():
     # sre keeps a backtracking record per repetition of a group repeated without
-    # bound, about 2 MiB per 3,000 steps in one match; the runs are matched in
-    # chunks of at most 64 items, so lexing 30,000 steps adds next to nothing.
+    # bound, about 2 MiB per 3,000 steps in one match; the lists are matched in
+    # chunks of at most 65 items, so lexing 30,000 steps adds next to nothing.
     # The peak is the process's own (VmHWM): its ru_maxrss would start at the
     # peak of the test process that started it, which Linux folds in at exec.
     src = os.path.dirname(os.path.dirname(speclang.__file__))
     proc = subprocess.run([sys.executable, "-I", "-c", _RUN_MEMORY, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    growth_kib, names, steps = map(int, proc.stdout.split())
-    assert (names, steps) == (2, 1)
+    growth_kib, names, largest, others = map(int, proc.stdout.split())
+    # every name and step is in a chunk: 10,000 object names and 30,000 steps of three
+    assert (names, largest, others) == (10000 + 3 * 30000, 3 * 65, 14)
     assert growth_kib < 4096
 
 
 class TestStepsReader:
-    """A well-formed run of steps is one lexer token; its steps give what the token loop gives."""
+    """A well-formed list of steps is read in chunks; their steps give what the token loop gives."""
 
     def test_a_well_formed_list_is_one_token(self):
-        kinds = [t.kind for t in speclang._lex(MINI, speclang._RUNS)]
+        kinds = _fast_kinds(MINI)
         assert kinds.count("steps") == 1 and kinds.count("names") == 2 and kinds.count("punct") == 8
         assert _same_as_tokens(MINI)[0].steps == (("a", "l1", "b"), ("b", "l2", "a"))
 
@@ -720,9 +799,10 @@ class TestStepsReader:
         ]
 
     def test_a_run_step_and_a_later_step_clash(self):
-        # the run's steps reach Ars unchecked; its fault sends the text to the token loop
-        text = "ars { objects: a, b; labels: l;\n  steps: (a, l, b), # first\n  (a, l, a); }"
-        assert [t.kind for t in speclang._lex(text, speclang._RUNS)].count("steps") == 1
+        # the chunk's steps reach Ars unchecked; its fault sends the text to the token loop.
+        # The comment inside the second step ends the chunk before it.
+        text = "ars { objects: a, b; labels: l;\n  steps: (a, l, b),\n  (a, # second\n l, a); }"
+        assert _fast_kinds(text).count("steps") == 1 and speclang._fast_lex(text)[13:15] == [",", "("]
         assert _same_as_tokens(text) == [("3:3: error: two steps from 'a' with label 'l' reach 'b' and 'a'", ())]
 
     def test_a_sound_ars_section_then_a_later_fault(self):
@@ -739,13 +819,14 @@ class TestStepsReader:
         ]
 
     def test_a_long_list_with_a_comment(self):
-        # the run ends at the comment; the steps after it are read token by token
+        # the comment ends a chunk, which takes the comma before it; chunks go on after it
         steps = [f"(x{i}, l{i % 3}, x{(i + 1) % 1000})" for i in range(1000)]
         steps[600] = "(zz, l0, x1)"
         body = ",\n  ".join(steps[:900]) + ", # a comment\n" + ", ".join(steps[900:])
         objects = ", ".join(f"x{i}" for i in range(1000))
         text = f"ars {{ objects: {objects}; labels: l0, l1, l2;\n steps: {body}; }}"
-        assert [t.kind for t in speclang._lex(text, speclang._RUNS)].count("steps") == 1
+        kinds = _fast_kinds(text)
+        assert kinds.count("steps") == 16 and "(" not in speclang._fast_lex(text)
         assert _same_as_tokens(text) == [("602:4: error: unknown object 'zz'", ())]
         text = text.replace("(zz, l0, x1)", "(x600, l0, x601)")
         assert len(_same_as_tokens(text)[0].steps) == 1000
