@@ -10,8 +10,10 @@ against a corpus taken before it.
 The invocations cover every sample, the traffic documents of queue bounds 1
 and 2 and a document of memoried strategies inside combinators (see
 memoried_document()), under every command and every `--prop`, in text and
-with `--machine`, at depths up to 3 and horizons 2 and 4; the `traffic`
-scenario under each strategy and check; and usage and document errors. Documents are
+with `--machine`, at depths up to 3 and horizons 2 and 4; text listings at
+depth 5 of every strategy of that document, and of the `accept` strategies
+over `word(...)` conditions (see DEEP_LISTINGS); the `traffic` scenario under
+each strategy and check; and usage and document errors. Documents are
 named by fixed relative paths (see documents()); replay and generation both
 write them into a scratch directory and run from there.
 
@@ -202,12 +204,31 @@ ERRORS = [
 ]
 
 
+# text listings at depth 5, from every object and from one: the memoried
+# document's strategies (unionC, intersect and unionP over alternate and
+# maxlen, accept, the deep union) and accept strategies over word(...)
+DEEP_LISTINGS = [
+    *((MEMORIED, name, "a") for name in ("committed", "meet", "pointwise", "long", "deep")),
+    ("samples/a_lc.ars", "eventually_c", "a"),
+    ("samples/eventual.ars", "eventually_exit", "a"),
+    (TRAFFIC[1], "fair_runs", "s_0_0_0_0"),
+]
+
+
+def _deep_listing_calls() -> list[list[str]]:
+    return [
+        ["enumerate", "-f", path, "-s", name, *start, "--depth", "5"]
+        for path, name, source in DEEP_LISTINGS
+        for start in ([], ["--from", source])
+    ]
+
+
 def calls() -> list[list[str]]:
     docs = documents()
     out: list[list[str]] = []
     for rel in [f"samples/{name}" for name in SAMPLES] + list(TRAFFIC.values()) + [MEMORIED]:
         out.extend(_calls_for(rel, docs[rel].decode("utf-8")))
-    return out + _scenario_calls() + ERRORS
+    return out + _scenario_calls() + ERRORS + _deep_listing_calls()
 
 
 def _digest(text: str) -> tuple[str, int]:
