@@ -4,10 +4,11 @@ Commands read a .ars document, evaluate the named strategy up to a depth,
 and report results on standard output; diagnostics go to standard error. A
 count and every closure verdict are decided on the product walk of logic
 (layered_check, factor_check, composition_check) without building the set,
-and so are the objects apply reaches (accepted_targets); text listings read
-the accepted members one at a time, in order, as intensional.generate yields
-them, acceptance read off the condition state it carries. No command
-materialises the set. Exit codes let shells branch on
+and so are the objects apply reaches (accepted_targets); a text listing
+prints the accepted members in order, each line folded along the walk of
+intensional.fold_paths as the member's path grows, one write per layer,
+acceptance read off the condition state the walk carries. No command
+materialises the set, and a listing builds no Derivation. Exit codes let shells branch on
 verdicts: 0 for success or an affirmative verdict, 2 for usage errors and
 diagnostics, 3 for a negative verdict (a closure property that fails, a
 non-closedness witness found, a safety violation). An internal error is
@@ -31,7 +32,7 @@ from typing import Sequence
 from . import speclang
 from .ars import Ars, reaches_cycle
 from .errors import NoWitnessUpToHorizon, StratError
-from .intensional import Universal, generate, induced
+from .intensional import Universal, fold_paths, induced
 from .logic import (
     ACCEPT_ALL,
     LogicalStrategy,
@@ -158,12 +159,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if _machine(args):
         _record("enumerate", "ok", None, layered_check(ls, ars, args.depth, sources)[0])
         return 0
-    count = 0
-    for d in generate(ls.base, ars, args.depth, sources, ls.accept):
-        print(d.render())
-        count += 1
-    print(f"COUNT={count}")
+    _print_listing(ls, ars, args.depth, sources)
     return 0
+
+
+def _print_listing(ls: LogicalStrategy, ars: Ars, depth: int, sources: Sequence[str] | None) -> None:
+    """The accepted members, each line folded along its path, a layer per write, then their COUNT."""
+    accept = None if ls.accept is ACCEPT_ALL else ls.accept  # no state to carry when all are kept
+    count = 0
+    line = lambda text, s: f"{text} -{s.label}-> {s.target}"
+    for lines in fold_paths(ls.base, ars, depth, sources, accept, str, line):
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
+            count += len(lines)
+    sys.stdout.write(f"COUNT={count}\n")
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:

@@ -13,10 +13,10 @@ builtins they mirror.
 
 transitions is the one reader of at: the moves at a memory and an object are
 the permitted steps that leave the object, in label order, each with the
-memory after it. generate walks derivations with their memories along those
-moves and yields those a strategy generates up to a depth, in
-Derivation.sort_key order; finite_support (the set) and enumerate_derivations
-(every derivation, the universal strategy's) read it. induced, the sub-system
+memory after it. fold_paths walks paths with their memories along those
+moves in Derivation.sort_key order, each carrying a value folded from its
+steps (the CLI's printed line); generate folds Derivations, and
+finite_support and enumerate_derivations (every derivation) read it. induced, the sub-system
 of a memoryless strategy, is its moves at each object, the step function that
 the searches of ars read, so no second Ars is built; lassos_of_memoryless
 witnesses its infinite derivations. Its candidates (lasso_candidates) are
@@ -34,7 +34,7 @@ from __future__ import annotations
 import abc
 import itertools
 from functools import cache, cached_property
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycle_steps, shortest_steps
 from .errors import (
@@ -51,6 +51,8 @@ from .extensional import (
     is_prefix_closed,
 )
 from .value import Value
+
+V = TypeVar("V")  # the value fold_paths carries along a path
 
 
 class EvalResult(NamedTuple):
@@ -506,34 +508,42 @@ def transitions(xi: Strategy, ars: Ars) -> Callable[[Hashable, str], dict[Step, 
     return moves
 
 
-def generate(
-    xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None, accept=None
-) -> Iterator[Derivation]:
-    """The derivations of length <= depth that xi generates, in Derivation.sort_key order.
-
-    A derivation is generated when xi permits each of its steps after the
-    prefix before it. Each layer extends the one before, in order, by the
-    moves of xi at each derivation's memory and target (transitions); from
-    sources in object-index order every layer comes out sorted, so nothing
-    else is sorted. With an accepting condition (start, advance, final over
-    steps), only the derivations it accepts, read off the state carried
-    along each.
-    """
+def fold_paths(
+    xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None, accept,
+    begin: Callable[[str], V], extend: Callable[[V, Step], V],
+) -> Iterator[list[V]]:
+    """The paths of length 1 to depth that xi generates, a list per length, each as the
+    value folded from its source (begin) and each step taken (extend). A path is
+    generated when xi permits each step after the prefix before it. A layer extends
+    the one before, in order, by the moves of xi at each path's memory and end, so
+    from sources in object-index order it comes out in Derivation.sort_key order. With
+    an accepting condition (start, advance, final), only the paths it accepts."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     starts = ars.objects if sources is None else sorted(set(sources), key=ars.object_index)
     moves = transitions(xi, ars)
     layer = [
-        (ars.empty_derivation(obj), xi.start(ars, obj), None if accept is None else accept.start(ars, obj))
+        (begin(obj), obj, xi.start(ars, obj), None if accept is None else accept.start(ars, obj))
         for obj in starts
     ]
     for _ in range(depth):
         layer = [
-            (d.extended(s.label), after, None if accept is None else accept.advance(state, s))
-            for d, memory, state in layer
-            for s, after in moves(memory, d.target).items()
+            (extend(value, s), s.target, after, None if accept is None else accept.advance(state, s))
+            for value, obj, memory, state in layer
+            for s, after in moves(memory, obj).items()
         ]
-        yield from (d for d, _, state in layer if accept is None or accept.final(state))
+        yield [value for value, _, _, state in layer if accept is None or accept.final(state)]
+
+
+def generate(
+    xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None, accept=None
+) -> Iterator[Derivation]:
+    """The derivations of length <= depth that xi generates, in Derivation.sort_key
+    order: fold_paths's paths, each grown from the empty derivation at its source.
+    With an accepting condition, only the derivations it accepts."""
+    grow = lambda d, s: d.extended(s.label)
+    for layer in fold_paths(xi, ars, depth, sources, accept, ars.empty_derivation, grow):
+        yield from layer
 
 
 def finite_support(

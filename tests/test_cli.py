@@ -34,6 +34,18 @@ def sample(samples_dir, name: str) -> str:
     return str(samples_dir / name)
 
 
+# memoried strategies (alternate, maxlen) inside committed union and intersection
+MEMORIED_COMBINATORS = """ars {
+  objects: a, b, c;
+  labels: x, y;
+  steps: (a, x, b), (a, y, c), (b, y, a), (c, x, a), (c, y, c);
+}
+order up { x < y; }
+strategy committed = unionC(alternate({x}; {y}), maxlen(2));
+strategy meet = intersect(greatmost(up), alternate({x, y}; {y}));
+"""
+
+
 class TestEnumerate:
     def test_plain_listing(self, run, samples_dir):
         code, out, err = run(
@@ -63,6 +75,33 @@ class TestEnumerate:
         assert code == 0
         assert out == '{"kind": "enumerate", "verdict": "ok", "witness": null, "count": 2}\n'
         assert list(json.loads(out)) == ["kind", "verdict", "witness", "count"]
+
+
+    @pytest.mark.parametrize(
+        "text, strategy, source",
+        [
+            (traffic_document(1), "fair_runs", None),
+            (traffic_document(1), "all", "s_0_0_0_0"),
+            (MEMORIED_COMBINATORS, "committed", None),
+            (MEMORIED_COMBINATORS, "meet", "a"),
+        ],
+        ids=["traffic-fair_runs", "traffic-all-from", "memoried-committed", "memoried-meet-from"],
+    )
+    def test_text_listing_builds_no_derivation(self, run, tmp_path, text, strategy, source):
+        # each member's line is folded along the walk: no member is built
+        doc = tmp_path / "doc.ars"
+        doc.write_text(text)
+        spec = speclang.parse(text)
+        ars = speclang.build_ars(spec)
+        ls = strat.as_logical(speclang.build_strategy(spec, strategy, ars))
+        sources = None if source is None else [source]
+        lines = [d.render() for d in strat.generate(ls.base, ars, 4, sources, ls.accept)]
+        start = [] if source is None else ["--from", source]
+        with helpers.counting_builds() as built:
+            code, out, err = run("enumerate", "-f", str(doc), "-s", strategy, *start, "--depth", "4")
+        assert (code, err, built) == (0, "", [])
+        assert out == "".join(line + "\n" for line in lines) + f"COUNT={len(lines)}\n"
+        assert lines
 
 
 class TestApply:

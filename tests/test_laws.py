@@ -37,7 +37,9 @@ that takes up to two short members out of the support, and at every depth
 from 1 to 4, for the condition and for its complement, that the objects of
 the walk's accepted nodes are the targets of the members that filtering every
 derivation step by step and reading the condition off the whole derivation
-keep.
+keep, and at every depth from 1 to 5, for the condition, its complement and
+the all-accepting condition, that the text listing prints generate's members,
+rendered, and layered_check's count.
 
 A fourth family draws a system (6 objects or fewer, 3 labels or fewer, with
 cycles or acyclic) and a set of derivations of length 4 or less: a random
@@ -83,6 +85,8 @@ then checks that:
 
 from __future__ import annotations
 
+import contextlib
+import io
 from dataclasses import dataclass
 
 import pytest
@@ -91,6 +95,7 @@ from hypothesis import strategies as st
 
 import helpers
 from strat import (
+    ACCEPT_ALL,
     AbstractStrategy,
     AcceptFiltered,
     Alternate,
@@ -125,6 +130,7 @@ from strat import (
     Universal,
     accepted,
     accepted_targets,
+    cli,
     composition_check,
     enumerate_derivations,
     factor_check,
@@ -428,6 +434,23 @@ class TestLayeredCheck:
             for accept in (ls.accept, Not(ls.accept)):
                 want = {d.target for d in support if helpers.brute_accepts(accept, d)}
                 assert accepted_targets(LogicalStrategy(ls.base, accept), ars, depth, sources) == want
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layered_cases())
+    def test_listing_prints_the_generated_members(self, case):
+        # the text listing folds each member's line along the walk; generate's
+        # derivations, rendered, are the oracle, and layered_check the count
+        ars, ls, sources = case
+        starts = None if sources is None else tuple(sources)
+        for accept in (ls.accept, Not(ls.accept), ACCEPT_ALL):
+            logical = LogicalStrategy(ls.base, accept)
+            for depth in range(1, 6):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli._print_listing(logical, ars, depth, starts)
+                *lines, count = out.getvalue().splitlines()
+                assert lines == [d.render() for d in generate(ls.base, ars, depth, sources, accept)]
+                assert count == f"COUNT={layered_check(logical, ars, depth, sources)[0]}"
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(closure_walk_cases())

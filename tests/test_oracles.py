@@ -4,7 +4,9 @@ stratbench/oracles.py keeps its own step table, strategy semantics and `.ars`
 renderer and imports nothing from strat; stratbench/workloads.py turns its
 answers into checks of CLI records. Both are imported here read-only. A
 drawn system and strategy tuple are rendered as a workload renders them, and
-strat's reading of the text is checked against the description it came from.
+strat's reading of the text is checked against the description it came from;
+its `--machine enumerate` record and its text listing at depth 2 are judged by
+enumerate_check and listing_check.
 """
 
 from __future__ import annotations
@@ -102,8 +104,12 @@ def test_documents_rendered_by_the_oracles(case):
         assert speclang.parse(speclang.serialize(doc)) == doc
         assert helpers.parse_outcome(speclang.parse, text) == helpers.parse_outcome(helpers.parse_by_tokens, text)
 
-        out = io.StringIO()
+        out, listing = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["--machine", "enumerate", "-f", path, "-s", "s", "--depth", "2"])
+        with contextlib.redirect_stdout(listing):
+            listed = main(["enumerate", "-f", path, "-s", "s", "--depth", "2"])
     check = workloads.enumerate_check(system, orders, node, system.objects, 2)
     assert check(code, out.getvalue()) is None, (text, out.getvalue())
+    check = workloads.listing_check(system, orders, node, 2)
+    assert check(listed, listing.getvalue()) is None, (text, listing.getvalue())
