@@ -12,6 +12,8 @@ starves the waiting car while staying extendable to fair traces forever.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 
 from . import rational, speclang
 from .ars import Ars, Derivation, Lasso, reaching_objects, shortest_steps
@@ -22,6 +24,7 @@ from .value import Value
 
 LABELS = ("car1", "car2", "signal1", "signal2", "cross1", "cross2")
 _SIGNALS = ("signal1", "signal2")
+_symbol = "s_{}_{}_{}_{}".format  # TrafficState.symbol of (q1, l1, q2, l2)
 
 
 class TrafficState(Value):
@@ -53,42 +56,40 @@ def build_traffic_ars(queue_bound: int) -> Ars:
     """The intersection system with queues bounded by queue_bound >= 1."""
     if queue_bound < 1:
         raise ValueError("queue_bound must be at least 1")
-    states = [
-        TrafficState(q1, l1, q2, l2)
-        for q1 in range(queue_bound + 1)
-        for l1 in (0, 1)
-        for q2 in range(queue_bound + 1)
-        for l2 in (0, 1)
-    ]
+    states = list(product(range(queue_bound + 1), (0, 1), range(queue_bound + 1), (0, 1)))
     steps: list[tuple[str, str, str]] = []
-    for st in states:
-        if st.q1 < queue_bound:
-            steps.append((st.symbol, "car1", TrafficState(st.q1 + 1, st.l1, st.q2, st.l2).symbol))
-        if st.q2 < queue_bound:
-            steps.append((st.symbol, "car2", TrafficState(st.q1, st.l1, st.q2 + 1, st.l2).symbol))
-        steps.append((st.symbol, "signal1", TrafficState(st.q1, 1 - st.l1, st.q2, st.l2).symbol))
-        steps.append((st.symbol, "signal2", TrafficState(st.q1, st.l1, st.q2, 1 - st.l2).symbol))
-        if st.l1 == 1 and st.q1 >= 1:
-            steps.append((st.symbol, "cross1", TrafficState(st.q1 - 1, st.l1, st.q2, st.l2).symbol))
-        if st.l2 == 1 and st.q2 >= 1:
-            steps.append((st.symbol, "cross2", TrafficState(st.q1, st.l1, st.q2 - 1, st.l2).symbol))
-    return Ars(tuple(s.symbol for s in states), LABELS, steps)
+    for q1, l1, q2, l2 in states:
+        moves = (
+            ("car1", q1 < queue_bound, (q1 + 1, l1, q2, l2)),
+            ("car2", q2 < queue_bound, (q1, l1, q2 + 1, l2)),
+            ("signal1", True, (q1, 1 - l1, q2, l2)),
+            ("signal2", True, (q1, l1, q2, 1 - l2)),
+            ("cross1", l1 == 1 and q1 >= 1, (q1 - 1, l1, q2, l2)),
+            ("cross2", l2 == 1 and q2 >= 1, (q1, l1, q2 - 1, l2)),
+        )
+        here = _symbol(q1, l1, q2, l2)
+        steps.extend((here, label, _symbol(*after)) for label, enabled, after in moves if enabled)
+    return Ars(tuple(_symbol(*st) for st in states), LABELS, steps)
+
+
+@lru_cache(maxsize=1)
+def _both_green(objects: tuple[str, ...]) -> frozenset[str]:
+    """The both-green states among objects, kept for the last system asked: one read per flag."""
+    return frozenset(s for s in objects if TrafficState.from_symbol(s).both_green)
 
 
 def good_starts(ars: Ars) -> tuple[str, ...]:
     """States legal as starts for safety claims: not both signals green."""
-    return tuple(s for s in ars.objects if not TrafficState.from_symbol(s).both_green)
+    bad = _both_green(ars.objects)
+    return tuple(s for s in ars.objects if s not in bad)
 
 
 def never_both_green(ars: Ars) -> Strategy:
     """Memoryless controller permitting everything but toggles into both-green."""
+    bad = _both_green(ars.objects)
     entries = []
     for obj in ars.objects:
-        keep = frozenset(
-            s
-            for s in ars.out_steps(obj)
-            if not (s.label in _SIGNALS and TrafficState.from_symbol(s.target).both_green)
-        )
+        keep = frozenset(s for s in ars.out_steps(obj) if not (s.label in _SIGNALS and s.target in bad))
         entries.append(TableEntry(head=obj, steps=keep))
     return FromTable(tuple(entries))
 
@@ -146,7 +147,7 @@ def safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
     both-green state is reachable from any good start under the strategy.
     """
     out = induced(strategy, ars)
-    bad = {s for s in ars.objects if TrafficState.from_symbol(s).both_green}
+    bad = _both_green(ars.objects)
     reaching = reaching_objects(ars.objects, out, bad)
     start = next((s for s in good_starts(ars) if s in reaching), None)
     if start is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from strat import (
     Universal,
     nonclosed_witness,
 )
+from strat import traffic
+from strat.cli import main
 from strat.speclang import (
     QWitness,
     build_accept,
@@ -134,6 +137,18 @@ class TestSafetyController:
             assert violation == helpers.loop_safety_violation(ars, strategy)
             found += violation is not None
         assert 0 < found < len(tables) + 2
+
+    def test_safety_scenario_reads_each_flag_once(self, monkeypatch, capsys):
+        # the scenario's support, controller, starts and violation search share
+        # one reading of each state's both-green flag
+        parse = TrafficState.from_symbol
+        parsed = []
+        monkeypatch.setattr(TrafficState, "from_symbol", lambda name: parsed.append(name) or parse(name))
+        traffic._both_green.cache_clear()
+        argv = ["--machine", "scenario", "traffic", "--queue-bound", "3", "--depth", "4", "--check", "safety"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "ok"
+        assert sorted(parsed) == sorted(build_traffic_ars(3).objects)
 
     def test_controller_closed_under_all_accepting(self):
         ars = build_traffic_ars(1)
