@@ -619,8 +619,8 @@ LABEL_SET = _Kind(
     lambda names: "{" + ", ".join(names) + "}",
     lambda doc, ars, names: frozenset(names),
 )
-STEP_SET = LABEL_SET._replace(
-    build=lambda doc, ars, names: frozenset(s for s in ars.steps if s.label in set(names))
+STEP_SET = LABEL_SET._replace(  # the label set built once, not once per step
+    build=lambda doc, ars, names: frozenset(s for kept in [set(names)] for s in ars.steps if s.label in kept)
 )
 ORDER = _Kind(
     methodcaller("reference", "an order name", "orders", "order"),
