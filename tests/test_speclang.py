@@ -604,27 +604,34 @@ def steps_documents(draw):
 
 @st.composite
 def names_documents(draw):
-    """A document whose objects and labels lists are laid out at random, some of
-    their names repeated, reserved or on both lists, short or long around the
-    chunks' bound, then a drawn tail, with at most one character inserted,
-    deleted or replaced in or around those lists."""
+    """A document whose objects and labels lists are laid out at random, then a
+    drawn tail. The lists are drawn apart from the tail: in two documents of
+    three they are well formed and left as drawn; in the third their names may
+    repeat, be reserved or be on both lists, and at most one character is
+    inserted, deleted or replaced in or around them. Either way a list is short
+    or long around the chunks' bound."""
+    edited = draw(st.integers(0, 2)) == 0
 
-    def name_list(keyword: str, pool: list[str]) -> str:
+    def name_list(keyword: str, pool: list[str], valid: list[str]) -> str:
         size = draw(st.one_of(st.integers(1, 6), st.sampled_from(LONG)))
         if size > 6:
             names = [f"{keyword[0]}{i}" for i in range(size)]
-            if draw(st.integers(0, 3)) == 0:
+            if edited and draw(st.integers(0, 3)) == 0:
                 names[draw(st.integers(0, size - 1))] = draw(st.sampled_from(pool))
-        else:
+        elif edited:
             names = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        else:
+            names = draw(st.permutations(valid))
         return f"{keyword}:{draw(SPACES)}{_separated(draw, names)}{draw(SPACES)};"
 
-    objects = name_list("objects", ["o0", "o1", "o2", "o_3", "o0", "l0", "steps", "depth", "(o0, l0, o1)"])
-    labels = name_list("labels", ["l0", "l1", "l0", "o1", "universal", "l_2"])
+    objects = name_list(
+        "objects", ["o0", "o1", "o2", "o_3", "o0", "l0", "steps", "depth", "(o0, l0, o1)"], ["o0", "o1", "o2", "o_3"]
+    )
+    labels = name_list("labels", ["l0", "l1", "l0", "o1", "universal", "l_2"], ["l0", "l1", "l_2"])
     text = f"ars {{\n  {objects}\n  {labels}"
     start, end = len("ars {\n  "), len(text)
     text += "\n  steps: (o0, l0, o1), (o1, l1, o0);\n}\n" + draw(st.sampled_from(TAILS))
-    return _edited(draw, text, start, end)
+    return _edited(draw, text, start, end) if edited else text
 
 
 class TestNamesReader:
