@@ -8,12 +8,12 @@ and so are the objects apply reaches (accepted_targets); a text listing
 prints the accepted members in order, each line folded along the walk of
 intensional.fold_paths as the member's path grows, one write per layer,
 acceptance read off the condition state the walk carries. No command
-materialises the set, and a listing builds no Derivation. Exit codes let shells branch on
-verdicts: 0 for success or an affirmative verdict, 2 for usage errors and
-diagnostics, 3 for a negative verdict (a closure property that fails, a
-non-closedness witness found, a safety violation). An internal error is
-reported in one line and exits 2 as well, never as a traceback. With
---machine each invocation emits exactly one JSON record {kind, verdict,
+materialises the set, and a listing builds no Derivation. Exit codes let
+shells branch on verdicts: 0 for success or an affirmative verdict, 2 for
+usage errors and diagnostics, 3 for a negative verdict (a closure property
+that fails, a non-closedness witness found, a safety violation). An internal
+error is reported in one line and exits 2 as well, never as a traceback.
+With --machine each invocation emits exactly one JSON record {kind, verdict,
 witness, count} in that key order; output is byte-deterministic for
 identical invocations.
 

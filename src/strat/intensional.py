@@ -13,11 +13,11 @@ builtins they mirror.
 
 transitions is the one reader of at: the moves at a memory and an object are
 the permitted steps that leave the object, in label order, each with the
-memory after it. fold_paths walks paths with their memories along those
-moves in Derivation.sort_key order, each carrying a value folded from its
-steps (the CLI's printed line); generate folds Derivations, and
-finite_support and enumerate_derivations (every derivation) read it. induced, the sub-system
-of a memoryless strategy, is its moves at each object, the step function that
+memory after it. fold_paths walks paths with their memories along those moves
+in Derivation.sort_key order, each carrying a value folded from its steps
+(the CLI's printed line); generate folds Derivations, and finite_support and
+enumerate_derivations (every derivation) read it. induced, the sub-system of
+a memoryless strategy, is its moves at each object, the step function that
 the searches of ars read, so no second Ars is built; lassos_of_memoryless
 witnesses its infinite derivations. Its candidates (lasso_candidates) are
 tuples of steps under an integer sort key, so a search that tries them
