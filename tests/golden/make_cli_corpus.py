@@ -12,7 +12,9 @@ and 2 and a document of memoried strategies inside combinators (see
 memoried_document()), under every command and every `--prop`, in text and
 with `--machine`, at depths up to 3 and horizons 2 and 4; text listings at
 depth 5 of every strategy of that document, and of the `accept` strategies
-over `word(...)` conditions (see DEEP_LISTINGS); the `traffic` scenario under
+over `word(...)` conditions (see DEEP_LISTINGS); `witness` at horizons 6 and 8
+on the traffic documents, and at horizon 8 on that of queue bound 3 (see
+DEEP_WITNESSES); the `traffic` scenario under
 each strategy and check; and usage and document errors. Documents are
 named by fixed relative paths (see documents()); replay and generation both
 write them into a scratch directory and run from there.
@@ -54,6 +56,7 @@ from strat.traffic import traffic_document  # noqa: E402
 
 SAMPLES = ("a_c.ars", "a_lc.ars", "a_loop.ars", "eventual.ars", "union_pair.ars")
 TRAFFIC = {1: "traffic_1.ars", 2: "traffic_2.ars"}
+TRAFFIC_3 = "traffic_3.ars"  # named by DEEP_WITNESSES alone
 MEMORIED = "memoried.ars"
 PROPS = ("closed", "composition", "factor", "prefix")
 
@@ -107,6 +110,7 @@ def documents() -> dict[str, bytes]:
     docs = {f"samples/{name}": (ROOT / "samples" / name).read_bytes() for name in SAMPLES}
     for q, name in TRAFFIC.items():
         docs[name] = traffic_document(q).encode("utf-8")
+    docs[TRAFFIC_3] = traffic_document(3).encode("utf-8")
     docs[MEMORIED] = memoried_document().encode("utf-8")
     docs.update(BROKEN)
     return docs
@@ -223,12 +227,29 @@ def _deep_listing_calls() -> list[list[str]]:
     ]
 
 
+# witnesses past the horizons of _calls_for, in text and with --machine: every
+# strategy of the traffic documents (all answers none, fair_runs a lasso of
+# length 2), and both on the 64-object document of queue bound 3
+DEEP_WITNESSES = [
+    *((path, name, horizon) for path in TRAFFIC.values() for name in ("all", "fair_runs") for horizon in "68"),
+    *((TRAFFIC_3, name, "8") for name in ("all", "fair_runs")),
+]
+
+
+def _deep_witness_calls() -> list[list[str]]:
+    return [
+        mode + ["witness", "-f", path, "-s", name, "--horizon", horizon]
+        for path, name, horizon in DEEP_WITNESSES
+        for mode in ([], ["--machine"])
+    ]
+
+
 def calls() -> list[list[str]]:
     docs = documents()
     out: list[list[str]] = []
     for rel in [f"samples/{name}" for name in SAMPLES] + list(TRAFFIC.values()) + [MEMORIED]:
         out.extend(_calls_for(rel, docs[rel].decode("utf-8")))
-    return out + _scenario_calls() + ERRORS + _deep_listing_calls()
+    return out + _scenario_calls() + ERRORS + _deep_listing_calls() + _deep_witness_calls()
 
 
 def _digest(text: str) -> tuple[str, int]:
