@@ -16,7 +16,8 @@ label indices) so identical inputs give byte-identical renderings. Derivations a
 a strategy, the universal one included, by intensional.generate; this module
 keeps the graph searches, which read a StepFunction: a system's out_steps or
 the sub-system a strategy induces on it (intensional.induced), never a copy.
-shortest_steps and cycle_steps give paths and cycles as step tuples;
+shortest_steps and cycle_steps give paths and cycles as step tuples, and
+cycles_by_length the cycles one length at a time;
 shortest_paths, shortest_path_to and simple_cycles build Derivations of an Ars.
 """
 
@@ -306,7 +307,12 @@ class Derivation(Value):
         step = self.ars.step(self.target, label)
         if step is None:
             raise UndefinedStep(self.target, label)
-        grown = self._walked(self.source, self.labels + (label,), self.targets + (step.target,))
+        return self.then(step)
+
+    def then(self, step: Step) -> "Derivation":
+        """self plus step, a step of this system from self's target, looked up by
+        no one; sets parent to self."""
+        grown = self._walked(self.source, self.labels + (step.label,), self.targets + (step.target,))
         grown.__dict__["parent"] = self
         return grown
 
@@ -559,6 +565,50 @@ def cycle_steps(ars: Ars, out: StepFunction, max_len: int | None = None) -> Iter
                 on_path.add(step.target)
                 steps.append(step)
                 stack.append(iter(out(step.target)))
+
+
+def cycles_by_length(ars: Ars, out: StepFunction, max_len: int) -> Callable[[int], tuple[tuple[Step, ...], ...]]:
+    """cycle_steps' cycles up to max_len, asked for one length at a time, as step
+    tuples from their roots. The search is cycle_steps' breadth first: it keeps
+    the paths of the greatest length asked for, and asking for one length more
+    extends each by one step, only while it can still close within max_len."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    into: dict[str, list[str]] = {}
+    for step in chain.from_iterable(map(out, ars.objects)):
+        into.setdefault(step.target, []).append(step.source)
+    paths = []  # (root, its distances back, the path's objects, the path's steps)
+    for root in ars.objects:
+        floor = ars._obj_index[root]
+        back = {root: 0}  # object -> least steps to root through objects above it
+        frontier = [root]
+        for dist in range(1, max_len):
+            grown = []
+            for obj in frontier:
+                for source in into.get(obj, ()):
+                    if source not in back and ars._obj_index[source] > floor:
+                        back[source] = dist
+                        grown.append(source)
+            frontier = grown
+        paths.append((root, back, (root,), ()))
+    found: list[tuple] = [()]  # length -> its cycles
+
+    def cycles(length: int) -> tuple[tuple[Step, ...], ...]:
+        nonlocal paths
+        while len(found) <= min(length, max_len):
+            room = max_len - len(found)  # the steps a path may still take after this one
+            grown, closed = [], []
+            for root, back, objects, steps in paths:
+                for step in out(objects[-1]):
+                    if step.target == root:
+                        closed.append((*steps, step))
+                    elif back.get(step.target, max_len) <= room and step.target not in objects:
+                        grown.append((root, back, (*objects, step.target), (*steps, step)))
+            paths = grown
+            found.append(tuple(closed))
+        return found[length] if length < len(found) else ()
+
+    return cycles
 
 
 def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:

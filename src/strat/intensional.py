@@ -20,8 +20,10 @@ enumerate_derivations (every derivation) read it. induced, the sub-system of
 a memoryless strategy, is its moves at each object, the step function that
 the searches of ars read, so no second Ars is built; lassos_of_memoryless
 witnesses its infinite derivations. Its candidates (lasso_candidates) are
-tuples of steps under an integer sort key, so a search that tries them
-(logic.nonclosed_witness) builds no Derivation or Lasso for one it rejects.
+tuples of steps under an integer sort key; ordered_lassos gives them in that
+order one at a time, searching cycles and stems only as far as the length
+class reached, so a search that tries them (logic.nonclosed_witness) builds
+no Derivation or Lasso for one it rejects, nor any candidate past its witness.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -36,7 +38,7 @@ import itertools
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycle_steps, shortest_steps
+from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycles_by_length
 from .errors import (
     CyclicOrder,
     MemoryRequired,
@@ -539,10 +541,10 @@ def generate(
     xi: Strategy, ars: Ars, depth: int, sources: Iterable[str] | None = None, accept=None
 ) -> Iterator[Derivation]:
     """The derivations of length <= depth that xi generates, in Derivation.sort_key
-    order: fold_paths's paths, each grown from the empty derivation at its source.
-    With an accepting condition, only the derivations it accepts."""
-    grow = lambda d, s: d.extended(s.label)
-    for layer in fold_paths(xi, ars, depth, sources, accept, ars.empty_derivation, grow):
+    order: fold_paths's paths, each grown from the empty derivation at its source
+    by the steps the walk takes. With an accepting condition, only the
+    derivations it accepts."""
+    for layer in fold_paths(xi, ars, depth, sources, accept, ars.empty_derivation, Derivation.then):
         yield from layer
 
 
@@ -572,44 +574,87 @@ def induced_steps(xi: Strategy, ars: Ars) -> tuple[Step, ...]:
     return tuple(itertools.chain.from_iterable(map(induced(xi, ars), ars.objects)))
 
 
+def ordered_lassos(
+    ars: Ars,
+    out: StepFunction,
+    sources: Iterable[str] | None,
+    max_len: int | None,
+    cycles: Callable[[int], tuple[tuple[Step, ...], ...]],
+) -> Iterator[tuple[str, tuple[Step, ...], tuple[Step, ...]]]:
+    """lasso_candidates' lassos as (source, stem steps, cycle steps), one at a time
+    in Lasso.sort_key order, so one length class after another.
+
+    cycles gives out's cycles of one length (ars.cycles_by_length); length n is
+    asked for when class n is reached. Class n runs through stem lengths d = 0
+    .. n - 1, sources in index order, and each source's breadth-first search,
+    one depth further per class, at depth d in discovery order, which is the
+    order of the stems' labels; there each cycle of length n - d through the
+    object that the source has not met yet, in the order of its labels from
+    the object, makes a lasso. A cycle meets a source at the first object of
+    it that the search discovers, as lasso_candidates says, whatever class is
+    reached last.
+    """
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    size = len(ars.objects)
+    through: dict[str, dict[int, list]] = {obj: {} for obj in ars.objects}  # object -> length -> [(id, cycle from it)]
+    ids = itertools.count()
+    searches = []  # per source: the source, the objects it met, its layers of (object, stem), the cycles it met
+    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
+        searches.append((src, {src}, [[(src, ())]], set()))
+    for total in range(1, 2 * size if max_len is None else max_len + 1):
+        if total <= size:
+            rotations: dict[str, list] = {}
+            for steps in cycles(total):
+                k = next(ids)
+                for i, step in enumerate(steps):
+                    loop = steps[i:] + steps[:i]
+                    order = tuple(ars.label_index(s.label) for s in loop)
+                    rotations.setdefault(step.source, []).append((order, k, loop))
+            for obj, loops in rotations.items():
+                loops.sort()
+                through[obj][total] = [(k, loop) for _, k, loop in loops]
+        for depth in range(max(0, total - size), total):
+            for src, seen, layers, met in searches:
+                if depth == len(layers) and layers[-1]:
+                    grown = []
+                    for obj, stem in layers[-1]:
+                        for step in out(obj):
+                            if step.target not in seen:
+                                seen.add(step.target)
+                                grown.append((step.target, (*stem, step)))
+                    layers.append(grown)
+                for entry, stem in layers[depth] if depth < len(layers) else ():
+                    for k, loop in through[entry].get(total - depth, ()):
+                        if k not in met:
+                            met.add(k)
+                            yield src, stem, loop
+
+
 def lasso_candidates(
     ars: Ars, out: StepFunction, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[tuple[tuple, str, tuple[Step, ...], tuple[Step, ...]]]:
     """The lassos of out's steps on ars as (sort key, source, stem steps, cycle steps), sorted.
 
     One lasso per (source object, simple cycle) pair, with a shortest stem from
-    the source to the cycle. One BFS per source gives the stems: a cycle is
-    entered, and rotated to start, at the object of it that the BFS discovers
-    first. The sort key orders as Lasso.sort_key: (|stem| + |cycle|, (|stem|,
-    source index, stem label indices), (|cycle|, entry index, cycle label
-    indices)). With max_len, only the lassos with |stem| + |cycle| <= max_len,
-    and cycles and stems are searched up to that length. Nothing is built but
-    tuples.
+    the source to the cycle: a breadth-first search per source, in step order,
+    enters the cycle, and rotates it to start, at the object of it that the
+    search discovers first. The sort key orders as Lasso.sort_key: (|stem| +
+    |cycle|, (|stem|, source index, stem label indices), (|cycle|, entry index,
+    cycle label indices)). With max_len, only the lassos with |stem| + |cycle|
+    <= max_len, and cycles and stems are searched up to that length. They are
+    ordered_lassos' lassos, which come in this order; nothing is built but tuples.
     """
-    # object -> length -> cycle -> (its key, the cycle started at the object)
-    through: dict[str, dict[int, dict[int, tuple]]] = {obj: {} for obj in ars.objects}
-    for k, (_, steps) in enumerate(cycle_steps(ars, out, max_len)):
-        for i, step in enumerate(steps):
-            loop = steps[i:] + steps[:i]
-            key = (len(loop), ars.object_index(step.source), tuple(ars.label_index(s.label) for s in loop))
-            through[step.source].setdefault(len(loop), {})[k] = key, loop
-    found = []
-    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
-        src_index = ars.object_index(src)
-        met: set[int] = set()
-        for entry, stem in shortest_steps(out, src, None if max_len is None else max_len - 1):
-            stem_key = (len(stem), src_index, tuple(ars.label_index(s.label) for s in stem))
-            # a cycle too long for this stem is too long for every later one, so
-            # leaving it unmet changes nothing
-            room = len(ars.objects) if max_len is None else max_len - len(stem)
-            for length, loops in through[entry].items():
-                if length <= room:
-                    for k in loops.keys() - met:
-                        met.add(k)
-                        loop_key, loop = loops[k]
-                        found.append(((len(stem) + length, stem_key, loop_key), src, stem, loop))
-    found.sort()
-    return found
+    index, label = ars.object_index, ars.label_index
+    cycles = cycles_by_length(ars, out, len(ars.objects) if max_len is None else max_len)
+    return [
+        (
+            (len(stem) + len(loop), (len(stem), index(src), tuple(label(s.label) for s in stem)),
+             (len(loop), index(loop[0].source), tuple(label(s.label) for s in loop))),
+            src, stem, loop,
+        )
+        for src, stem, loop in ordered_lassos(ars, out, sources, max_len, cycles)
+    ]
 
 
 def lassos_of_memoryless(

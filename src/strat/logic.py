@@ -14,18 +14,21 @@ composition closure there, building only the derivations they report.
 nonclosed_witness searches, up to a horizon, for a lasso whose finite
 truncations always remain extendable to accepted derivations without ever
 being accepted themselves: a finitely presented limit point outside the
-accepted set. It advances the condition over each candidate's step tuples
-and builds the Lasso only for the witness it returns.
+accepted set. It answers None from the product when no state could end a
+witness's first pumped truncation, else draws its candidates one length
+class at a time (intensional.ordered_lassos) and keeps each pump verdict per
+(cycle, entry state); it advances the condition over step tuples and builds
+the Lasso only for the witness it returns.
 """
 
 from __future__ import annotations
 
 import abc
 from functools import cached_property
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from . import rational
-from .ars import Ars, Derivation, Lasso, Step, StepFunction
+from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycles_by_length
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy, ClosureVerdict
 from .intensional import (  # noqa: F401 (the predicates are importable from here too)
@@ -40,7 +43,7 @@ from .intensional import (  # noqa: F401 (the predicates are importable from her
     Universal,
     generate,
     induced,
-    lasso_candidates,
+    ordered_lassos,
     transitions,
 )
 from .value import Value
@@ -454,14 +457,23 @@ def nonclosed_witness(
     product of the induced sub-system with the condition's states: the
     truncation p qualifies exactly when a state the condition accepts is
     reachable from (p's target, p's condition state) in 1..D-|p| product
-    steps. D-|p| never exceeds the horizon, so one breadth-first search per
-    (object, condition state) finds its least distance to acceptance, up to
-    the horizon, and is kept for the rest of the call. The searches and the
-    candidates read one table of product steps (_successors), so the
-    condition advances once per (state, step) in the call. The candidates are
-    lasso_candidates' step tuples, in Lasso.sort_key order; their cycle
-    search is pruned by the distance back to each cycle's root (see
-    ars.cycle_steps). Only the returned witness is built as a Lasso.
+    steps. D-|p| never exceeds the horizon, and p is at most horizon + |stem|
+    steps long, so one pass over the product states within twice the horizon
+    of the sources (_distances) gives every distance the search asks for. It
+    also gives the certificate of None: the first truncation of a witness
+    ends, 1..horizon steps from its source, in a state that is not accepted,
+    is at most horizon steps from acceptance, and lies on a cycle of at most
+    horizon steps; when no state is all three, no candidate is built.
+
+    Otherwise the candidates are lasso_classes' step tuples, one |stem| +
+    |cycle| class at a time in Lasso.sort_key order, so cycles and stems are
+    searched only as long as the class tried needs, and the cycles of the
+    certificate are kept for the classes. A candidate's verdict depends only
+    on its cycle, as rotated, and the condition state it enters it in: after
+    i passes the budget is horizon + |cycle| - i|cycle|. So each (cycle,
+    state) verdict is kept for the call. Everything reads one table of
+    product steps (_successors), so the condition advances once per (state,
+    step), and only the returned witness is built as a Lasso.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -470,28 +482,46 @@ def nonclosed_witness(
     out = induced(ls.base, ars)
     cond = ls.accept
     successors = _successors(out, cond)
-    distance: dict[tuple, int] = {}
+    distance = _distances(successors, horizon)
+    cycles = None  # cycles_by_length's search, begun when a state is first not accepted
+    on_cycles: set[str] = set()  # the objects on the cycles searched so far
+    searched = 0  # their greatest length
 
-    def extendable(obj: str, state: Hashable, budget: int) -> bool:
-        key = (obj, state)
-        if key not in distance:
-            distance[key] = _steps_to_final(successors, obj, state, horizon)
-        return distance[key] <= budget
+    def on_short_cycle(obj: str) -> bool:
+        nonlocal cycles, searched
+        cycles = cycles or cycles_by_length(ars, out, horizon)
+        while obj not in on_cycles and searched < horizon:
+            searched += 1
+            on_cycles.update(step.source for c in cycles(searched) for step in c)
+        return obj in on_cycles
 
-    for _, src, stem, loop in lasso_candidates(ars, out, sources, horizon):
-        depth = horizon + len(stem) + len(loop)
-        state = cond.start(ars, src)
-        for step in stem:
-            state = successors(step.source, state)[step.label][1]
-        length = len(stem)
+    starts = sorted(set(ars.objects if sources is None else sources), key=ars.object_index)
+    ends = _unaccepted(successors, [(obj, cond.start(ars, obj)) for obj in starts], horizon)
+    if not any(on_short_cycle(obj) and distance((obj, state)) <= horizon for obj, state in ends):
+        return None
+    entered: dict[tuple, Hashable] = {}  # (source, entry) -> the condition state after the stem
+    verdicts: dict[tuple, bool] = {}  # (cycle, entry state) -> whether every pass keeps it pumping
+
+    def pumps(loop: tuple[Step, ...], state: Hashable) -> bool:
         entry = loop[0].source
-        for _ in range(max(1, horizon // len(loop))):
+        for i in range(1, max(1, horizon // len(loop)) + 1):
             for step in loop:
                 _, state, accepted_here = successors(step.source, state)[step.label]
-            length += len(loop)
-            if accepted_here or not extendable(entry, state, depth - length):
-                break
-        else:
+            if accepted_here or distance((entry, state)) > horizon - (i - 1) * len(loop):
+                return False
+        return True
+
+    for src, stem, loop in ordered_lassos(ars, out, sources, horizon, cycles):
+        entry = loop[0].source
+        if (src, entry) not in entered:
+            state = cond.start(ars, src)
+            for step in stem:
+                state = successors(step.source, state)[step.label][1]
+            entered[src, entry] = state
+        key = (loop, entered[src, entry])
+        if key not in verdicts:
+            verdicts[key] = pumps(*key)
+        if verdicts[key]:
             return Lasso(
                 Derivation(ars, src, tuple(s.label for s in stem)),
                 Derivation(ars, entry, tuple(s.label for s in loop)),
@@ -521,23 +551,61 @@ def _successors(out: StepFunction, cond: AcceptCondition) -> Callable[[str, Hash
     return successors
 
 
-def _steps_to_final(
-    successors: Callable[[str, Hashable], dict], obj: str, state: Hashable, limit: int
-) -> int:
-    """The least number of steps, 1..limit, from (obj, state) to a product state
-    that the condition accepts, or limit + 1 when none is that near: one
-    breadth-first search over the product that successors reads."""
-    frontier = [(obj, state)]
-    seen = set(frontier)
-    for dist in range(1, limit + 1):
+def _unaccepted(
+    successors: Callable[[str, Hashable], dict], starts: list[tuple], horizon: int
+) -> Iterator[tuple]:
+    """The product states 1..horizon steps from starts that the condition does not
+    accept, each once, as a breadth-first search over successors meets them. A
+    start counts only when a step leads back to it."""
+    seen: set[tuple] = set()
+    frontier = starts
+    for _ in range(horizon):
         grown = []
-        for o, q in frontier:
-            for target, after, final in successors(o, q).values():
-                if final:
-                    return dist
-                nxt = (target, after)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    grown.append(nxt)
+        for node in frontier:
+            for target, after, final in successors(*node).values():
+                if (target, after) not in seen:
+                    seen.add((target, after))
+                    grown.append((target, after))
+                    if not final:
+                        yield target, after
         frontier = grown
-    return limit + 1
+
+
+def _distances(successors: Callable[[str, Hashable], dict], horizon: int) -> Callable[[tuple], int]:
+    """The least number of steps, 1..horizon, from a product state to one that the
+    condition accepts, or horizon + 1 when none is that near, kept per state.
+
+    A breadth-first search over successors from the state asked for. It does
+    not search on from a state whose distance is kept: a path through a state
+    first met at depth d is at best d plus that state's distance. It stops at
+    the first depth that cannot improve on what it has.
+    """
+    known: dict[tuple, int] = {}
+
+    def distance(node: tuple) -> int:
+        best = known.get(node)
+        if best is not None:
+            return best
+        best = horizon + 1
+        frontier, seen = [node], {node}
+        for depth in range(1, horizon + 1):
+            if depth >= best:
+                break
+            grown = []
+            for obj, state in frontier:
+                for target, after, final in successors(obj, state).values():
+                    if final:
+                        known[node] = depth
+                        return depth
+                    nxt = (target, after)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        if nxt in known:
+                            best = min(best, depth + known[nxt])
+                        else:
+                            grown.append(nxt)
+            frontier = grown
+        known[node] = best
+        return best
+
+    return distance

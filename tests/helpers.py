@@ -13,8 +13,10 @@ sub-system by reading replayed_eval at each object (brute_induced), not
 through intensional.transitions, and the witness search by materialising
 every accepted derivation. The lasso candidates are also checked against
 the Derivation-built search they replace (derivation_lassos), both over
-brute_induced's sub-system, and the witness search's least distance to
-acceptance against one search per budget (reaches_final). The document
+brute_induced's sub-system, the lazy, certificate-first witness search
+against the sorted-candidate search it replaces (sorted_candidates,
+candidate_witness), and its least distance to acceptance against one search
+per budget (reaches_final). The document
 parser's steps reader is checked against the token loop it stands in for
 (parse_by_tokens).
 """
@@ -75,6 +77,8 @@ from strat import (
     strategy_from_predicate,
 )
 from strat import rational, speclang
+from strat.ars import cycle_steps, shortest_steps
+from strat.intensional import induced
 from strat.traffic import TrafficState, good_starts
 
 # -- corpus systems ---------------------------------------------------------------
@@ -559,6 +563,92 @@ def derivation_lassos(
                 out.append(Lasso(home, loops[k, entry]))
     out.sort(key=Lasso.sort_key)
     return out
+
+
+def sorted_candidates(
+    ars: Ars, out, sources: Iterable[str] | None = None, max_len: int | None = None
+) -> list[tuple[tuple, str, tuple[Step, ...], tuple[Step, ...]]]:
+    """lasso_candidates as it was before it drew them one length class at a time:
+    every cycle up to max_len searched at once, one breadth-first search per
+    source to depth max_len - 1, and every (sort key, source, stem, cycle)
+    tuple built, then sorted."""
+    # object -> length -> cycle -> (its key, the cycle started at the object)
+    through: dict[str, dict[int, dict[int, tuple]]] = {obj: {} for obj in ars.objects}
+    for k, (_, steps) in enumerate(cycle_steps(ars, out, max_len)):
+        for i, step in enumerate(steps):
+            loop = steps[i:] + steps[:i]
+            key = (len(loop), ars.object_index(step.source), tuple(ars.label_index(s.label) for s in loop))
+            through[step.source].setdefault(len(loop), {})[k] = key, loop
+    found = []
+    for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
+        src_index = ars.object_index(src)
+        met: set[int] = set()
+        for entry, stem in shortest_steps(out, src, None if max_len is None else max_len - 1):
+            stem_key = (len(stem), src_index, tuple(ars.label_index(s.label) for s in stem))
+            room = len(ars.objects) if max_len is None else max_len - len(stem)
+            for length, loops in through[entry].items():
+                if length <= room:
+                    for k in loops.keys() - met:
+                        met.add(k)
+                        loop_key, loop = loops[k]
+                        found.append(((len(stem) + length, stem_key, loop_key), src, stem, loop))
+    found.sort()
+    return found
+
+
+def candidate_witness(
+    ls: LogicalStrategy, ars: Ars, horizon: int, sources: Iterable[str] | None = None
+) -> Lasso | None:
+    """nonclosed_witness as it was before it answered none from the product and
+    drew its candidates one length class at a time: every sorted_candidates
+    tuple tried in order, its condition state advanced along the stem and each
+    pass, with one breadth-first search per (object, condition state) for its
+    least distance to acceptance, up to the horizon."""
+    if horizon < 2:
+        raise ValueError("horizon must be at least 2")
+    if not ls.base.memoryless:
+        raise MemoryRequired("witness search needs a memoryless base strategy")
+    out = induced(ls.base, ars)
+    cond = ls.accept
+    distance: dict[tuple, int] = {}
+
+    def steps_to_final(obj: str, state) -> int:
+        frontier = [(obj, state)]
+        seen = set(frontier)
+        for dist in range(1, horizon + 1):
+            grown = []
+            for o, q in frontier:
+                for step in out(o):
+                    nxt = (step.target, cond.advance(q, step))
+                    if cond.final(nxt[1]):
+                        return dist
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        grown.append(nxt)
+            frontier = grown
+        return horizon + 1
+
+    for _, src, stem, loop in sorted_candidates(ars, out, sources, horizon):
+        depth = horizon + len(stem) + len(loop)
+        state = cond.start(ars, src)
+        for step in stem:
+            state = cond.advance(state, step)
+        length = len(stem)
+        entry = loop[0].source
+        for _ in range(max(1, horizon // len(loop))):
+            for step in loop:
+                state = cond.advance(state, step)
+            length += len(loop)
+            if (entry, state) not in distance:
+                distance[entry, state] = steps_to_final(entry, state)
+            if cond.final(state) or distance[entry, state] > depth - length:
+                break
+        else:
+            return Lasso(
+                Derivation(ars, src, tuple(s.label for s in stem)),
+                Derivation(ars, entry, tuple(s.label for s in loop)),
+            )
+    return None
 
 
 def reaches_final(sub: Ars, cond: AcceptCondition, obj: str, state, budget: int) -> bool:

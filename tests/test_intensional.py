@@ -376,3 +376,14 @@ class TestRebuilds:
             memoryless_from(z)
         with pytest.raises(ValueError):
             memoried_from(z)
+
+
+class TestGrowth:
+    def test_finite_support_looks_no_step_up_per_member(self, alc, monkeypatch):
+        # generate grows each member by the Step the walk took
+        calls = []
+        lookup = Ars.step
+        monkeypatch.setattr(Ars, "step", lambda self, *args: calls.append(args) or lookup(self, *args))
+        support = finite_support(Universal(), alc, 4)
+        assert support.finite_part and calls == []
+        assert support.finite_part == frozenset(helpers.raw_derivations(alc, 4))

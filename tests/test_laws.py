@@ -319,6 +319,14 @@ class TestWitnessSearch:
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(witness_cases())
+    def test_search_agrees_with_the_sorted_candidate_search(self, case):
+        ars, ls, horizon, sources = case
+        assert nonclosed_witness(ls, ars, horizon, sources) == helpers.candidate_witness(ls, ars, horizon, sources)
+        out = intensional.induced(ls.base, ars)
+        assert intensional.lasso_candidates(ars, out, sources, horizon) == helpers.sorted_candidates(ars, out, sources, horizon)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(witness_cases())
     def test_condition_state_folds_to_accepts(self, case):
         ars, ls, _, _ = case
         cond = ls.accept
@@ -363,7 +371,9 @@ class TestLassoCandidates:
         ]
         assert nonclosed_witness(ls, ars, horizon, sources) == helpers.brute_nonclosed_witness(
             ls, ars, horizon, sources
-        )
+        ) == helpers.candidate_witness(ls, ars, horizon, sources)
+        out = intensional.induced(ls.base, ars)
+        assert intensional.lasso_candidates(ars, out, sources, max_len) == helpers.sorted_candidates(ars, out, sources, max_len)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(systems(max_objects=6))
@@ -375,17 +385,32 @@ class TestLassoCandidates:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(witness_cases())
     def test_least_distance_agrees_with_a_search_per_budget(self, case):
+        # the one pass of the witness search against one search per question:
+        # from each start, the states 1..horizon steps away that are not
+        # accepted, and the distance to acceptance of the start and of each of them
         ars, ls, horizon, _ = case
         sub = ars.restrict(induced_steps(ls.base, ars))
         cond = ls.accept
+        successors = logic._successors(sub.out_steps, cond)
         for d in [ars.empty_derivation(obj) for obj in ars.objects] + enumerate_derivations(ars, 1):
             state = cond.start(ars, d.source)
             for step in d.steps:
                 state = cond.advance(state, step)
-            distance = logic._steps_to_final(logic._successors(sub.out_steps, cond), d.target, state, horizon)
-            assert 1 <= distance <= horizon + 1
-            for budget in range(horizon + 1):
-                assert (distance <= budget) == helpers.reaches_final(sub, cond, d.target, state, budget)
+            start = (d.target, state)
+            near = list(logic._unaccepted(successors, [start], horizon))
+            distance = logic._distances(successors, horizon)
+            reached, layer = set(), {start}
+            for _ in range(horizon):
+                layer = {(s.target, cond.advance(q, s)) for o, q in layer for s in sub.out_steps(o)}
+                reached |= layer
+            assert len(near) == len(set(near))
+            assert set(near) == {(o, q) for o, q in reached if not cond.final(q)}
+            for node in [start, *near]:
+                steps = distance(node)
+                assert 1 <= steps <= horizon + 1
+                budgets = range(horizon + 1) if node == start else (horizon,)
+                for budget in budgets:
+                    assert (steps <= budget) == helpers.reaches_final(sub, cond, *node, budget)
 
 
 @st.composite

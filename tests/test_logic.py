@@ -48,7 +48,8 @@ from strat import (
     speclang,
     strategy_from_predicate,
 )
-from strat.traffic import STARVATION_START, build_traffic_ars, fairness_nonclosed_witness
+from strat import logic
+from strat.traffic import STARVATION_START, build_traffic_ars, fairness_nonclosed_witness, traffic_document
 
 
 def _support(xi, ars, depth=6):
@@ -314,6 +315,42 @@ class TestNonclosedWitness:
             with helpers.counting_builds() as built:
                 assert nonclosed_witness(ls, ars, horizon) is None
             assert built == []
+
+    def test_a_cycle_back_to_a_start_counts(self):
+        # the first pumped truncation o1 -l0-> o0 -l0-> o1 ends in the start
+        # state (o1, o1) of its source: reached only by stepping back to it
+        ars = Ars(("o0", "o1"), ("l0",), [("o0", "l0", "o1"), ("o1", "l0", "o0")])
+        ls = LogicalStrategy(Universal(), AtObject("o0"))
+        expected = Lasso(ars.empty_derivation("o1"), ars.derivation("o1", "l0", "l0"))
+        assert nonclosed_witness(ls, ars, 2, sources=("o1",)) == expected
+        assert helpers.brute_nonclosed_witness(ls, ars, 2, sources=("o1",)) == expected
+
+    def test_candidates_only_up_to_the_witness_class(self, monkeypatch):
+        # on the traffic system of queue bound 3 at horizon 8, `all` answers
+        # none before any cycle is searched or lasso drawn, and `fair_runs`
+        # draws no lasso longer than its witness's 2 steps
+        drawn, searched = [], []
+        ordered, by_length = logic.ordered_lassos, logic.cycles_by_length
+
+        def drawing(*args):
+            for lasso in ordered(*args):
+                drawn.append(len(lasso[1]) + len(lasso[2]))
+                yield lasso
+
+        def searching(*args):
+            searched.append(args)
+            return by_length(*args)
+
+        monkeypatch.setattr(logic, "ordered_lassos", drawing)
+        monkeypatch.setattr(logic, "cycles_by_length", searching)
+        doc = speclang.parse(traffic_document(3))
+        everything = as_logical(speclang.build_strategy(doc, "all", doc.ars))
+        assert nonclosed_witness(everything, doc.ars, 8) is None
+        assert drawn == [] and searched == []
+        fair = as_logical(speclang.build_strategy(doc, "fair_runs", doc.ars))
+        witness = nonclosed_witness(fair, doc.ars, 8)
+        assert witness.render() == "s_0_0_1_1 ( -cross2-> s_0_0_0_1 -car2-> s_0_0_1_1 )^w"
+        assert drawn and max(drawn) == 2
 
     def test_builds_only_the_returned_lasso(self):
         ring = helpers.loop_with_exit(3)
