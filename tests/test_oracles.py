@@ -6,7 +6,9 @@ answers into checks of CLI records. Both are imported here read-only. A
 drawn system and strategy tuple are rendered as a workload renders them, and
 strat's reading of the text is checked against the description it came from;
 its `--machine enumerate` record and its text listing at depth 2 are judged by
-enumerate_check and listing_check.
+enumerate_check and listing_check, and for a memoryless base its `--machine
+witness` record at a drawn horizon (2 to 4) by witness_check, whose verdict
+must also be brute_nonclosed_witness's.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 import helpers
 from strat import speclang
+from strat.logic import as_logical
 from strat.cli import main
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "stratbench"))
@@ -88,8 +91,8 @@ def _cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_cases())
-def test_documents_rendered_by_the_oracles(case):
+@given(_cases(), st.integers(2, 4))
+def test_documents_rendered_by_the_oracles(case, horizon):
     system, order, node = case
     with tempfile.TemporaryDirectory() as work_dir:
         workload = workloads.Workload(work_dir)
@@ -104,12 +107,24 @@ def test_documents_rendered_by_the_oracles(case):
         assert speclang.parse(speclang.serialize(doc)) == doc
         assert helpers.parse_outcome(speclang.parse, text) == helpers.parse_outcome(helpers.parse_by_tokens, text)
 
-        out, listing = io.StringIO(), io.StringIO()
+        out, listing, lasso = io.StringIO(), io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["--machine", "enumerate", "-f", path, "-s", "s", "--depth", "2"])
         with contextlib.redirect_stdout(listing):
             listed = main(["enumerate", "-f", path, "-s", "s", "--depth", "2"])
+        ls = as_logical(speclang.build_strategy(doc, "s", doc.ars))
+        horizon = horizon if ls.base.memoryless else 0
+        # the brute oracle materialises every derivation up to twice the horizon
+        while horizon > 2 and helpers.walks(doc.ars, 2 * horizon) > 2_000:
+            horizon -= 1
+        if horizon:
+            with contextlib.redirect_stdout(lasso):
+                found = main(["--machine", "witness", "-f", path, "-s", "s", "--horizon", str(horizon)])
     check = workloads.enumerate_check(system, orders, node, system.objects, 2)
     assert check(code, out.getvalue()) is None, (text, out.getvalue())
     check = workloads.listing_check(system, orders, node, 2)
     assert check(listed, listing.getvalue()) is None, (text, listing.getvalue())
+    if horizon:
+        brute = helpers.brute_nonclosed_witness(ls, doc.ars, horizon)
+        check = workloads.witness_check(system, orders, node, horizon, brute is not None)
+        assert check(found, lasso.getvalue()) is None, (text, horizon, lasso.getvalue())
