@@ -16,8 +16,8 @@ label indices) so identical inputs give byte-identical renderings. Derivations a
 a strategy, the universal one included, by intensional.generate; this module
 keeps the graph searches, which read a StepFunction: a system's out_steps or
 the sub-system a strategy induces on it (intensional.induced), never a copy.
-shortest_steps and cycle_steps give paths and cycles as step tuples, and
-cycles_by_length the cycles one length at a time;
+shortest_steps gives paths as step tuples, and cycles_by_length the simple
+cycles one length at a time;
 shortest_paths, shortest_path_to and simple_cycles build Derivations of an Ars.
 """
 
@@ -310,8 +310,9 @@ class Derivation(Value):
         return self.then(step)
 
     def then(self, step: Step) -> "Derivation":
-        """self plus step, a step of this system from self's target, looked up by
-        no one; sets parent to self."""
+        """self plus step, which must be a step of this system from self's target
+        (not checked, so a caller that holds the step pays no lookup); sets
+        parent to self."""
         grown = self._walked(self.source, self.labels + (step.label,), self.targets + (step.target,))
         grown.__dict__["parent"] = self
         return grown
@@ -520,58 +521,20 @@ def reaches_cycle(out: StepFunction, source: str) -> bool:
     return False
 
 
-def cycle_steps(ars: Ars, out: StepFunction, max_len: int | None = None) -> Iterator[tuple[str, tuple]]:
-    """All vertex-simple cycles of out's steps on ars, as (root, steps), root first, depth first.
+def cycles_by_length(ars: Ars, out: StepFunction, max_len: int) -> Callable[[int], tuple[tuple[Step, ...], ...]]:
+    """The vertex-simple cycles of out's steps on ars up to max_len, asked for one
+    length at a time, as step tuples from their roots.
 
     Each cycle appears once, rooted at its minimum-index object. Parallel
-    steps count as distinct cycles (two self-loops give two cycles). With
-    max_len, only the cycles of that length or less. A path from the root
-    to v is extended only while the least number of steps from v back to
-    the root, through objects above the root, fits in the steps left (one
-    backward search per root, after Johnson's circuit search), so every
-    extended path closes into a cycle within the bound. The search keeps an
-    explicit stack, so a cycle may be longer than the recursion limit.
+    steps count as distinct cycles (two self-loops give two cycles). The
+    search is breadth first: it keeps the paths of the greatest length asked
+    for, and asking for one length more extends each by one step. A path from
+    the root to v is extended only while the least number of steps from v back
+    to the root, through objects above the root, fits in the steps left (one
+    backward search per root, after Johnson's circuit search), so every path
+    kept closes into a cycle within the bound, and no length holds more paths
+    than there are cycles.
     """
-    if max_len is not None and max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    bound = len(ars.objects) if max_len is None else max_len
-    into: dict[str, list[str]] = {}
-    for step in chain.from_iterable(map(out, ars.objects)):
-        into.setdefault(step.target, []).append(step.source)
-    for root in ars.objects:
-        floor = ars._obj_index[root]
-        back = {root: 0}  # object -> least steps to root through objects above it
-        frontier = [root]
-        for dist in range(1, bound):
-            grown = []
-            for obj in frontier:
-                for source in into.get(obj, ()):
-                    if source not in back and ars._obj_index[source] > floor:
-                        back[source] = dist
-                        grown.append(source)
-            frontier = grown
-        steps: list[Step] = []  # the path from root
-        on_path = {root}
-        stack = [iter(out(root))]  # the out-steps still to try at each object of the path
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if steps:
-                    on_path.remove(steps.pop().target)
-            elif step.target == root:
-                yield root, (*steps, step)
-            elif back.get(step.target, bound) < bound - len(steps) and step.target not in on_path:
-                on_path.add(step.target)
-                steps.append(step)
-                stack.append(iter(out(step.target)))
-
-
-def cycles_by_length(ars: Ars, out: StepFunction, max_len: int) -> Callable[[int], tuple[tuple[Step, ...], ...]]:
-    """cycle_steps' cycles up to max_len, asked for one length at a time, as step
-    tuples from their roots. The search is cycle_steps' breadth first: it keeps
-    the paths of the greatest length asked for, and asking for one length more
-    extends each by one step, only while it can still close within max_len."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     into: dict[str, list[str]] = {}
@@ -613,11 +576,16 @@ def cycles_by_length(ars: Ars, out: StepFunction, max_len: int) -> Callable[[int
 
 def simple_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
     """All vertex-simple cycles, as derivations with source == target, in
-    Derivation.sort_key order: cycle_steps' cycles. With max_len, the search
-    extends a path only while it can still close within max_len steps (the
-    least distance back to the root, from one backward search per root)."""
-    cycles = cycle_steps(ars, ars.out_steps, max_len)
-    found = [Derivation(ars, root, tuple(s.label for s in steps)) for root, steps in cycles]
+    Derivation.sort_key order: cycles_by_length's cycles, every length up to
+    max_len (or the number of objects)."""
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    bound = max(1, len(ars.objects)) if max_len is None else max_len
+    cycles = cycles_by_length(ars, ars.out_steps, bound)
+    found = [
+        Derivation(ars, steps[0].source, tuple(s.label for s in steps))
+        for length in range(1, bound + 1) for steps in cycles(length)
+    ]
     found.sort(key=Derivation.sort_key)
     return found
 

@@ -89,7 +89,7 @@ class Strategy(abc.ABC):
         return () if self.memoryless else ars.empty_derivation(obj)
 
     def advance(self, ars: Ars, memory, step: Step) -> Hashable:
-        return memory if self.memoryless else memory.extended(step.label)
+        return memory if self.memoryless else memory.then(step)
 
     def at(self, ars: Ars, memory, obj: str) -> EvalResult:
         defined, steps = self.eval(ars.empty_derivation(obj) if self.memoryless else memory)
@@ -579,13 +579,12 @@ def ordered_lassos(
     out: StepFunction,
     sources: Iterable[str] | None,
     max_len: int | None,
-    cycles: Callable[[int], tuple[tuple[Step, ...], ...]],
 ) -> Iterator[tuple[str, tuple[Step, ...], tuple[Step, ...]]]:
     """lasso_candidates' lassos as (source, stem steps, cycle steps), one at a time
     in Lasso.sort_key order, so one length class after another.
 
-    cycles gives out's cycles of one length (ars.cycles_by_length); length n is
-    asked for when class n is reached. Class n runs through stem lengths d = 0
+    out's cycles of length n (ars.cycles_by_length) are searched when class n
+    is reached. Class n runs through stem lengths d = 0
     .. n - 1, sources in index order, and each source's breadth-first search,
     one depth further per class, at depth d in discovery order, which is the
     order of the stems' labels; there each cycle of length n - d through the
@@ -597,6 +596,7 @@ def ordered_lassos(
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
     size = len(ars.objects)
+    cycles = cycles_by_length(ars, out, max(1, size) if max_len is None else max_len)
     through: dict[str, dict[int, list]] = {obj: {} for obj in ars.objects}  # object -> length -> [(id, cycle from it)]
     ids = itertools.count()
     searches = []  # per source: the source, the objects it met, its layers of (object, stem), the cycles it met
@@ -646,14 +646,13 @@ def lasso_candidates(
     ordered_lassos' lassos, which come in this order; nothing is built but tuples.
     """
     index, label = ars.object_index, ars.label_index
-    cycles = cycles_by_length(ars, out, len(ars.objects) if max_len is None else max_len)
     return [
         (
             (len(stem) + len(loop), (len(stem), index(src), tuple(label(s.label) for s in stem)),
              (len(loop), index(loop[0].source), tuple(label(s.label) for s in loop))),
             src, stem, loop,
         )
-        for src, stem, loop in ordered_lassos(ars, out, sources, max_len, cycles)
+        for src, stem, loop in ordered_lassos(ars, out, sources, max_len)
     ]
 
 

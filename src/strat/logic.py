@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator
 
 from . import rational
-from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycles_by_length
+from .ars import Ars, Derivation, Lasso, Step, StepFunction
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy, ClosureVerdict
 from .intensional import (  # noqa: F401 (the predicates are importable from here too)
@@ -160,7 +160,7 @@ class ExplicitTraceSet(AcceptCondition, Value):
         return ars.empty_derivation(obj)
 
     def advance(self, state: Derivation, step: Step) -> Derivation:
-        return state.extended(step.label)
+        return state.then(step)
 
     def final(self, state: Derivation) -> bool:
         return state in self.traces
@@ -457,23 +457,23 @@ def nonclosed_witness(
     product of the induced sub-system with the condition's states: the
     truncation p qualifies exactly when a state the condition accepts is
     reachable from (p's target, p's condition state) in 1..D-|p| product
-    steps. D-|p| never exceeds the horizon, and p is at most horizon + |stem|
-    steps long, so one pass over the product states within twice the horizon
-    of the sources (_distances) gives every distance the search asks for. It
-    also gives the certificate of None: the first truncation of a witness
-    ends, 1..horizon steps from its source, in a state that is not accepted,
-    is at most horizon steps from acceptance, and lies on a cycle of at most
-    horizon steps; when no state is all three, no candidate is built.
+    steps. D-|p| never exceeds the horizon, so one breadth-first search per
+    product state finds its least distance to acceptance, up to the horizon,
+    when the search first asks for it (_distances), and the distance is kept
+    for the rest of the call. The distances also give the certificate of
+    None: the first truncation of a witness ends, 1..horizon steps from its
+    source, in a state that is not accepted, is at most horizon steps from
+    acceptance, and whose object lies on a cycle of at most horizon steps
+    (_on_cycle); when no state is all three, no candidate is built.
 
-    Otherwise the candidates are lasso_classes' step tuples, one |stem| +
-    |cycle| class at a time in Lasso.sort_key order, so cycles and stems are
-    searched only as long as the class tried needs, and the cycles of the
-    certificate are kept for the classes. A candidate's verdict depends only
-    on its cycle, as rotated, and the condition state it enters it in: after
-    i passes the budget is horizon + |cycle| - i|cycle|. So each (cycle,
-    state) verdict is kept for the call. Everything reads one table of
-    product steps (_successors), so the condition advances once per (state,
-    step), and only the returned witness is built as a Lasso.
+    Otherwise the candidates are intensional.ordered_lassos' step tuples, one
+    |stem| + |cycle| class at a time in Lasso.sort_key order, so cycles and
+    stems are searched only as long as the class tried needs. A candidate's
+    verdict depends only on its cycle, as rotated, and the condition state it
+    enters it in: after i passes the budget is horizon + |cycle| - i|cycle|.
+    So each (cycle, state) verdict is kept for the call. Everything reads one
+    table of product steps (_successors), so the condition advances once per
+    (state, step), and only the returned witness is built as a Lasso.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -483,21 +483,15 @@ def nonclosed_witness(
     cond = ls.accept
     successors = _successors(out, cond)
     distance = _distances(successors, horizon)
-    cycles = None  # cycles_by_length's search, begun when a state is first not accepted
-    on_cycles: set[str] = set()  # the objects on the cycles searched so far
-    searched = 0  # their greatest length
-
-    def on_short_cycle(obj: str) -> bool:
-        nonlocal cycles, searched
-        cycles = cycles or cycles_by_length(ars, out, horizon)
-        while obj not in on_cycles and searched < horizon:
-            searched += 1
-            on_cycles.update(step.source for c in cycles(searched) for step in c)
-        return obj in on_cycles
-
+    on_cycle: dict[str, bool] = {}  # object -> whether it lies on a cycle of at most horizon steps
     starts = sorted(set(ars.objects if sources is None else sources), key=ars.object_index)
-    ends = _unaccepted(successors, [(obj, cond.start(ars, obj)) for obj in starts], horizon)
-    if not any(on_short_cycle(obj) and distance((obj, state)) <= horizon for obj, state in ends):
+    for obj, state in _unaccepted(successors, [(obj, cond.start(ars, obj)) for obj in starts], horizon):
+        if distance((obj, state)) <= horizon:
+            if obj not in on_cycle:
+                on_cycle[obj] = _on_cycle(out, obj, horizon)
+            if on_cycle[obj]:
+                break
+    else:
         return None
     entered: dict[tuple, Hashable] = {}  # (source, entry) -> the condition state after the stem
     verdicts: dict[tuple, bool] = {}  # (cycle, entry state) -> whether every pass keeps it pumping
@@ -511,7 +505,7 @@ def nonclosed_witness(
                 return False
         return True
 
-    for src, stem, loop in ordered_lassos(ars, out, sources, horizon, cycles):
+    for src, stem, loop in ordered_lassos(ars, out, sources, horizon):
         entry = loop[0].source
         if (src, entry) not in entered:
             state = cond.start(ars, src)
@@ -569,6 +563,25 @@ def _unaccepted(
                     if not final:
                         yield target, after
         frontier = grown
+
+
+def _on_cycle(out: StepFunction, obj: str, bound: int) -> bool:
+    """Whether obj lies on a cycle of out's steps of at most bound steps. A shortest
+    closed walk through obj is a simple cycle, so one breadth-first search from
+    obj, bound steps deep, decides it."""
+    seen = {obj}
+    frontier = [obj]
+    for _ in range(bound):
+        grown = []
+        for o in frontier:
+            for step in out(o):
+                if step.target == obj:
+                    return True
+                if step.target not in seen:
+                    seen.add(step.target)
+                    grown.append(step.target)
+        frontier = grown
+    return False
 
 
 def _distances(successors: Callable[[str, Hashable], dict], horizon: int) -> Callable[[tuple], int]:

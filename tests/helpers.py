@@ -15,7 +15,7 @@ every accepted derivation. The lasso candidates are also checked against
 the Derivation-built search they replace (derivation_lassos), both over
 brute_induced's sub-system, the lazy, certificate-first witness search
 against the sorted-candidate search it replaces (sorted_candidates,
-candidate_witness), and its least distance to acceptance against one search
+candidate_witness, over the depth-first cycle search cycle_steps), and its least distance to acceptance against one search
 per budget (reaches_final). The document
 parser's steps reader is checked against the token loop it stands in for
 (parse_by_tokens).
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from itertools import chain
 from typing import Iterable, Iterator
 
 from strat import (
@@ -77,7 +78,7 @@ from strat import (
     strategy_from_predicate,
 )
 from strat import rational, speclang
-from strat.ars import cycle_steps, shortest_steps
+from strat.ars import StepFunction, shortest_steps
 from strat.intensional import induced
 from strat.traffic import TrafficState, good_starts
 
@@ -563,6 +564,55 @@ def derivation_lassos(
                 out.append(Lasso(home, loops[k, entry]))
     out.sort(key=Lasso.sort_key)
     return out
+
+
+def cycle_steps(ars: Ars, out: StepFunction, max_len: int | None = None) -> Iterator[tuple[str, tuple]]:
+    """All vertex-simple cycles of out's steps on ars, as (root, steps), root first,
+    depth first: the cycle search the witness search used before it asked for
+    cycles one length at a time (ars.cycles_by_length).
+
+    Each cycle appears once, rooted at its minimum-index object. Parallel
+    steps count as distinct cycles (two self-loops give two cycles). With
+    max_len, only the cycles of that length or less. A path from the root
+    to v is extended only while the least number of steps from v back to
+    the root, through objects above the root, fits in the steps left (one
+    backward search per root, after Johnson's circuit search), so every
+    extended path closes into a cycle within the bound. The search keeps an
+    explicit stack, so a cycle may be longer than the recursion limit.
+    """
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    bound = len(ars.objects) if max_len is None else max_len
+    into: dict[str, list[str]] = {}
+    for step in chain.from_iterable(map(out, ars.objects)):
+        into.setdefault(step.target, []).append(step.source)
+    for root in ars.objects:
+        floor = ars.object_index(root)
+        back = {root: 0}  # object -> least steps to root through objects above it
+        frontier = [root]
+        for dist in range(1, bound):
+            grown = []
+            for obj in frontier:
+                for source in into.get(obj, ()):
+                    if source not in back and ars.object_index(source) > floor:
+                        back[source] = dist
+                        grown.append(source)
+            frontier = grown
+        steps: list[Step] = []  # the path from root
+        on_path = {root}
+        stack = [iter(out(root))]  # the out-steps still to try at each object of the path
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if steps:
+                    on_path.remove(steps.pop().target)
+            elif step.target == root:
+                yield root, (*steps, step)
+            elif back.get(step.target, bound) < bound - len(steps) and step.target not in on_path:
+                on_path.add(step.target)
+                steps.append(step)
+                stack.append(iter(out(step.target)))
 
 
 def sorted_candidates(

@@ -26,6 +26,7 @@ from strat import (
     NotPrefixClosed,
     CyclicOrder,
     EvalResult,
+    ExplicitTraceSet,
     LogicalStrategy,
     RestrictLabels,
     Strategy,
@@ -33,6 +34,7 @@ from strat import (
     UnionCommitted,
     UnionPointwise,
     Universal,
+    accepted,
     enumerate_derivations,
     finite_support,
     generate,
@@ -387,3 +389,28 @@ class TestGrowth:
         support = finite_support(Universal(), alc, 4)
         assert support.finite_part and calls == []
         assert support.finite_part == frozenset(helpers.raw_derivations(alc, 4))
+
+    def test_memories_and_traces_look_no_step_up_per_step(self, alc, monkeypatch):
+        # a memoried eval-only strategy's memory and an explicit trace set's
+        # state grow by the Step taken, like the members
+        traces = frozenset({alc.derivation("a", "phi1", "phi3", "phi2"), alc.derivation("b", "phi4")})
+        memoried = MemoriedRestrict(frozenset({"phi1", "phi2", "phi3"}))
+        expected = helpers.stepwise_support(memoried, alc, 4)
+        calls = []
+        lookup = Ars.step
+        monkeypatch.setattr(Ars, "step", lambda self, *args: calls.append(args) or lookup(self, *args))
+        assert finite_support(memoried, alc, 4).finite_part == expected
+        assert accepted(LogicalStrategy(Universal(), ExplicitTraceSet(traces)), alc, 4).finite_part == traces
+        assert calls == []
+
+
+class MemoriedRestrict(Strategy):
+    """Permits the out-steps with allowed labels; keeps the derivation as its memory."""
+
+    memoryless = False
+
+    def __init__(self, allowed: frozenset[str]) -> None:
+        self.allowed = allowed
+
+    def eval(self, d):
+        return EvalResult(True, tuple(s for s in d.ars.out_steps(d.target) if s.label in self.allowed))

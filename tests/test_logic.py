@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import helpers
@@ -48,7 +50,7 @@ from strat import (
     speclang,
     strategy_from_predicate,
 )
-from strat import logic
+from strat import intensional, logic
 from strat.traffic import STARVATION_START, build_traffic_ars, fairness_nonclosed_witness, traffic_document
 
 
@@ -325,12 +327,36 @@ class TestNonclosedWitness:
         assert nonclosed_witness(ls, ars, 2, sources=("o1",)) == expected
         assert helpers.brute_nonclosed_witness(ls, ars, 2, sources=("o1",)) == expected
 
+    def test_certificate_asks_for_a_cycle_only_near_acceptance(self, monkeypatch):
+        # the ring of 5 is longer than the horizon, so the answer is none; only
+        # the ring objects within 4 steps of the sink are searched for a cycle,
+        # each once, and no trap object, which never reaches the sink
+        asked = []
+        on_cycle = logic._on_cycle
+        monkeypatch.setattr(logic, "_on_cycle", lambda out, obj, bound: asked.append(obj) or on_cycle(out, obj, bound))
+        ls = LogicalStrategy(Universal(), AtObject("sink"))
+        assert nonclosed_witness(ls, helpers.loop_with_exit(5), 4) is None
+        assert sorted(asked) == ["c0", "c2", "c3", "c4"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_on_a_short_cycle_agrees_with_the_cycles(self, seed):
+        rng = random.Random(seed)
+        objects = tuple(f"o{i}" for i in range(6))
+        ars = Ars(
+            objects,
+            ("x", "y"),
+            [(o, l, rng.choice(objects)) for o in objects for l in ("x", "y") if rng.random() < 0.4],
+        )
+        for bound in range(1, 7):
+            on = {obj for cycle in helpers.brute_cycles(ars, bound) for obj in cycle.targets}
+            assert {obj for obj in objects if logic._on_cycle(ars.out_steps, obj, bound)} == on
+
     def test_candidates_only_up_to_the_witness_class(self, monkeypatch):
         # on the traffic system of queue bound 3 at horizon 8, `all` answers
         # none before any cycle is searched or lasso drawn, and `fair_runs`
         # draws no lasso longer than its witness's 2 steps
         drawn, searched = [], []
-        ordered, by_length = logic.ordered_lassos, logic.cycles_by_length
+        ordered, by_length = logic.ordered_lassos, intensional.cycles_by_length
 
         def drawing(*args):
             for lasso in ordered(*args):
@@ -342,7 +368,7 @@ class TestNonclosedWitness:
             return by_length(*args)
 
         monkeypatch.setattr(logic, "ordered_lassos", drawing)
-        monkeypatch.setattr(logic, "cycles_by_length", searching)
+        monkeypatch.setattr(intensional, "cycles_by_length", searching)
         doc = speclang.parse(traffic_document(3))
         everything = as_logical(speclang.build_strategy(doc, "all", doc.ars))
         assert nonclosed_witness(everything, doc.ars, 8) is None
