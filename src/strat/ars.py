@@ -16,19 +16,19 @@ label indices) so identical inputs give byte-identical renderings. Derivations a
 a strategy, the universal one included, by intensional.generate; this module
 keeps the graph searches, which read a StepFunction: a system's out_steps or
 the sub-system a strategy induces on it (intensional.induced), never a copy.
-shortest_steps gives paths as step tuples, and cycles_by_length the simple
-cycles one length at a time;
-shortest_paths, shortest_path_to and simple_cycles build Derivations of an Ars.
+The breadth-first ones, shortest_steps (paths as step tuples) among them,
+are loops over one layer expansion by first arrival (expand); cycles_by_length
+gives the simple cycles one length at a time; shortest_paths,
+shortest_path_to and simple_cycles build Derivations of an Ars.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import (
     FunctionalityViolation,
@@ -53,6 +53,7 @@ class Step(NamedTuple):
 
 StepFunction = Callable[[str], "tuple[Step, ...]"]  # an object's out-steps, in label order
 _SOURCE, _LABEL, _TARGET = itemgetter(0), itemgetter(1), itemgetter(2)
+N, E = TypeVar("N"), TypeVar("E")  # a node of a search and an edge at it
 
 
 def _raise_first_fault(steps: list, obj_index: dict, lab_index: dict) -> None:
@@ -426,38 +427,44 @@ class Lasso(Value):
 # -- graph searches -----------------------------------------------------------
 
 
+def expand(
+    layer: Iterable[N], seen: set, edges: Callable[[N], Iterable[E]], head: Callable[[E], N]
+) -> dict[N, tuple[N, E]]:
+    """The next breadth-first layer after layer, by first arrival: each node that
+    an edge at a node of layer (edges) leads to (head) and that seen does not
+    hold, mapped to (the node before it, the edge), in discovery order. The
+    nodes are added to seen."""
+    grown: dict = {}
+    for node in layer:
+        for edge in edges(node):
+            nxt = head(edge)
+            if nxt not in seen:
+                seen.add(nxt)
+                grown[nxt] = node, edge
+    return grown
+
+
 def reachable_objects(ars: Ars, sources: Iterable[str]) -> list[str]:
     """Objects reachable from the sources (inclusive), in BFS order."""
-    queue = deque()
-    seen: set[str] = set()
-    for s in sources:
-        ars.object_index(s)
-        if s not in seen:
-            seen.add(s)
-            queue.append(s)
-    order = list(queue)
-    while queue:
-        cur = queue.popleft()
-        for step in ars.out_steps(cur):
-            if step.target not in seen:
-                seen.add(step.target)
-                order.append(step.target)
-                queue.append(step.target)
+    layer = dict.fromkeys(sources)  # out_steps raises UnknownSymbol for an unknown one
+    seen = set(layer)
+    order = list(layer)
+    while layer:
+        layer = expand(layer, seen, ars.out_steps, _TARGET)
+        order.extend(layer)
     return order
 
 
 def reaching_objects(objects: Iterable[str], out: StepFunction, targets: Iterable[str]) -> set[str]:
-    """Objects from which out's steps reach a target (the targets included): one backward search."""
-    into: dict[str, list[str]] = {}
+    """Objects from which out's steps reach a target (the targets included): one
+    backward breadth-first search."""
+    into: dict[str, list[Step]] = {}
     for step in chain.from_iterable(map(out, objects)):
-        into.setdefault(step.target, []).append(step.source)
+        into.setdefault(step.target, []).append(step)
     seen = set(targets)
-    stack = list(seen)
-    while stack:
-        for source in into.get(stack.pop(), ()):
-            if source not in seen:
-                seen.add(source)
-                stack.append(source)
+    layer = tuple(seen)
+    while layer:
+        layer = expand(layer, seen, lambda obj: into.get(obj, ()), _SOURCE)
     return seen
 
 
@@ -468,22 +475,17 @@ def shortest_steps(
     (object, steps), in BFS discovery order; the empty path to source comes first.
 
     Ties are broken by step order; with max_len, only paths of that length or
-    less are searched.
+    less are searched, one length at a time.
     """
-    first = (source, ())
-    yield first
-    queue = deque([first])
+    stems = {source: ()}
     seen = {source}
-    while queue:
-        obj, steps = queue.popleft()
-        if max_len is not None and len(steps) >= max_len:
-            continue
-        for step in out(obj):
-            if step.target not in seen:
-                seen.add(step.target)
-                grown = (step.target, (*steps, step))
-                yield grown
-                queue.append(grown)
+    yield source, ()
+    for _ in count() if max_len is None else range(max_len):
+        grown = expand(stems, seen, out, _TARGET)
+        stems = {obj: stems[before] + (step,) for obj, (before, step) in grown.items()}
+        if not stems:
+            return
+        yield from stems.items()
 
 
 def shortest_paths(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:

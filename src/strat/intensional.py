@@ -19,11 +19,11 @@ in Derivation.sort_key order, each carrying a value folded from its steps
 enumerate_derivations (every derivation) read it. induced, the sub-system of
 a memoryless strategy, is its moves at each object, the step function that
 the searches of ars read, so no second Ars is built; lassos_of_memoryless
-witnesses its infinite derivations. Its candidates (lasso_candidates) are
-tuples of steps under an integer sort key; ordered_lassos gives them in that
-order one at a time, searching cycles and stems only as far as the length
-class reached, so a search that tries them (logic.nonclosed_witness) builds
-no Derivation or Lasso for one it rejects, nor any candidate past its witness.
+witnesses its infinite derivations. ordered_lassos gives those lassos as
+tuples of steps, in Lasso.sort_key order one at a time, searching cycles and
+stems only as far as the length class reached, so a search that tries them
+(logic.nonclosed_witness) builds no Derivation or Lasso for one it rejects,
+nor any candidate past its witness.
 
 memoryless_from and memoried_from invert generation: they rebuild a strategy
 (as an explicit table) from a derivation set, provided the set has the
@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import abc
 import itertools
+import operator
 from functools import cache, cached_property
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycles_by_length
+from .ars import Ars, Derivation, Lasso, Step, StepFunction, cycles_by_length, expand
 from .errors import (
     CyclicOrder,
     MemoryRequired,
@@ -580,18 +581,20 @@ def ordered_lassos(
     sources: Iterable[str] | None,
     max_len: int | None,
 ) -> Iterator[tuple[str, tuple[Step, ...], tuple[Step, ...]]]:
-    """lasso_candidates' lassos as (source, stem steps, cycle steps), one at a time
-    in Lasso.sort_key order, so one length class after another.
+    """The lassos of out's steps on ars, one per (source, simple cycle) pair, as
+    (source, stem steps, cycle steps), one at a time in Lasso.sort_key order,
+    so one length class |stem| + |cycle| after another; with max_len, only the
+    classes up to it.
 
-    out's cycles of length n (ars.cycles_by_length) are searched when class n
-    is reached. Class n runs through stem lengths d = 0
-    .. n - 1, sources in index order, and each source's breadth-first search,
-    one depth further per class, at depth d in discovery order, which is the
-    order of the stems' labels; there each cycle of length n - d through the
-    object that the source has not met yet, in the order of its labels from
-    the object, makes a lasso. A cycle meets a source at the first object of
-    it that the search discovers, as lasso_candidates says, whatever class is
-    reached last.
+    The stem is a shortest path from the source: a breadth-first search per
+    source, in step order, enters the cycle, and rotates it to start, at the
+    object of it that the search discovers first. out's cycles of length n
+    (ars.cycles_by_length) are searched when class n is reached. Class n runs
+    through stem lengths d = 0 .. n - 1, sources in index order, and each
+    source's search, one layer (ars.expand) further per class, at depth d in
+    discovery order, which is the order of the stems' labels; there each
+    cycle of length n - d through the object that the source has not met yet,
+    in the order of its labels from the object, makes a lasso.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -599,75 +602,48 @@ def ordered_lassos(
     cycles = cycles_by_length(ars, out, max(1, size) if max_len is None else max_len)
     through: dict[str, dict[int, list]] = {obj: {} for obj in ars.objects}  # object -> length -> [(id, cycle from it)]
     ids = itertools.count()
-    searches = []  # per source: the source, the objects it met, its layers of (object, stem), the cycles it met
+    searches = []  # per source: the source, the objects it met, its layers of object -> stem, the cycles it met
     for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
-        searches.append((src, {src}, [[(src, ())]], set()))
+        searches.append((src, {src}, [{src: ()}], set()))
+    target = operator.attrgetter("target")
     for total in range(1, 2 * size if max_len is None else max_len + 1):
         if total <= size:
             rotations: dict[str, list] = {}
             for steps in cycles(total):
                 k = next(ids)
+                order = [ars.label_index(s.label) for s in steps]
                 for i, step in enumerate(steps):
                     loop = steps[i:] + steps[:i]
-                    order = tuple(ars.label_index(s.label) for s in loop)
-                    rotations.setdefault(step.source, []).append((order, k, loop))
+                    rotations.setdefault(step.source, []).append(((*order[i:], *order[:i]), k, loop))
             for obj, loops in rotations.items():
                 loops.sort()
                 through[obj][total] = [(k, loop) for _, k, loop in loops]
         for depth in range(max(0, total - size), total):
             for src, seen, layers, met in searches:
                 if depth == len(layers) and layers[-1]:
-                    grown = []
-                    for obj, stem in layers[-1]:
-                        for step in out(obj):
-                            if step.target not in seen:
-                                seen.add(step.target)
-                                grown.append((step.target, (*stem, step)))
-                    layers.append(grown)
-                for entry, stem in layers[depth] if depth < len(layers) else ():
+                    stems = layers[-1]
+                    grown = expand(stems, seen, out, target)
+                    layers.append({obj: stems[before] + (step,) for obj, (before, step) in grown.items()})
+                for entry, stem in layers[depth].items() if depth < len(layers) else ():
                     for k, loop in through[entry].get(total - depth, ()):
                         if k not in met:
                             met.add(k)
                             yield src, stem, loop
 
 
-def lasso_candidates(
-    ars: Ars, out: StepFunction, sources: Iterable[str] | None = None, max_len: int | None = None
-) -> list[tuple[tuple, str, tuple[Step, ...], tuple[Step, ...]]]:
-    """The lassos of out's steps on ars as (sort key, source, stem steps, cycle steps), sorted.
-
-    One lasso per (source object, simple cycle) pair, with a shortest stem from
-    the source to the cycle: a breadth-first search per source, in step order,
-    enters the cycle, and rotates it to start, at the object of it that the
-    search discovers first. The sort key orders as Lasso.sort_key: (|stem| +
-    |cycle|, (|stem|, source index, stem label indices), (|cycle|, entry index,
-    cycle label indices)). With max_len, only the lassos with |stem| + |cycle|
-    <= max_len, and cycles and stems are searched up to that length. They are
-    ordered_lassos' lassos, which come in this order; nothing is built but tuples.
-    """
-    index, label = ars.object_index, ars.label_index
-    return [
-        (
-            (len(stem) + len(loop), (len(stem), index(src), tuple(label(s.label) for s in stem)),
-             (len(loop), index(loop[0].source), tuple(label(s.label) for s in loop))),
-            src, stem, loop,
-        )
-        for src, stem, loop in ordered_lassos(ars, out, sources, max_len)
-    ]
-
-
 def lassos_of_memoryless(
     xi: Strategy, ars: Ars, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[Lasso]:
     """Witnesses for the infinite derivations a memoryless strategy generates:
-    the lassos of its induced sub-system (lasso_candidates), built over ars.
-    Raises MemoryRequired for memoried strategies, which induce no sub-system."""
+    the lassos of its induced sub-system (ordered_lassos), built over ars, in
+    Lasso.sort_key order. Raises MemoryRequired for memoried strategies, which
+    induce no sub-system."""
     return [
         Lasso(
             Derivation(ars, src, tuple(s.label for s in stem)),
             Derivation(ars, loop[0].source, tuple(s.label for s in loop)),
         )
-        for _, src, stem, loop in lasso_candidates(ars, induced(xi, ars), sources, max_len)
+        for src, stem, loop in ordered_lassos(ars, induced(xi, ars), sources, max_len)
     ]
 
 

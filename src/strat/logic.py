@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import abc
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator
 
 from . import rational
-from .ars import Ars, Derivation, Lasso, Step, StepFunction
+from .ars import Ars, Derivation, Lasso, Step, StepFunction, expand
 from .errors import MemoryRequired
 from .extensional import AbstractStrategy, ClosureVerdict
 from .intensional import (  # noqa: F401 (the predicates are importable from here too)
@@ -500,7 +501,7 @@ def nonclosed_witness(
         entry = loop[0].source
         for i in range(1, max(1, horizon // len(loop)) + 1):
             for step in loop:
-                _, state, accepted_here = successors(step.source, state)[step.label]
+                (_, state), accepted_here = successors((step.source, state))[step.label]
             if accepted_here or distance((entry, state)) > horizon - (i - 1) * len(loop):
                 return False
         return True
@@ -510,7 +511,7 @@ def nonclosed_witness(
         if (src, entry) not in entered:
             state = cond.start(ars, src)
             for step in stem:
-                state = successors(step.source, state)[step.label][1]
+                state = successors((step.source, state))[step.label][0][1]
             entered[src, entry] = state
         key = (loop, entered[src, entry])
         if key not in verdicts:
@@ -523,45 +524,47 @@ def nonclosed_witness(
     return None
 
 
-def _successors(out: StepFunction, cond: AcceptCondition) -> Callable[[str, Hashable], dict]:
+def _successors(out: StepFunction, cond: AcceptCondition) -> Callable[[tuple], dict]:
     """The product of out's steps and cond's states, read one state at a time:
     at (object, condition state), each label of a step that out gives at the
-    object mapped to (its target, the state after it, whether cond accepts that
+    object mapped to ((its target, the state after it), whether cond accepts that
     state). A state's successors are computed on its first read and kept, so
     the condition is advanced once per (state, step) for the caller's lifetime."""
     table: dict[tuple, dict] = {}
     advance, final = cond.advance, cond.final
 
-    def successors(obj: str, state: Hashable) -> dict[str, tuple]:
-        key = (obj, state)
-        moves = table.get(key)
+    def successors(node: tuple) -> dict[str, tuple]:
+        moves = table.get(node)
         if moves is None:
-            moves = table[key] = {}
+            obj, state = node
+            moves = table[node] = {}
             for step in out(obj):
                 after = advance(state, step)
-                moves[step.label] = (step.target, after, final(after))
+                moves[step.label] = (step.target, after), final(after)
         return moves
 
     return successors
 
 
 def _unaccepted(
-    successors: Callable[[str, Hashable], dict], starts: list[tuple], horizon: int
+    successors: Callable[[tuple], dict], starts: list[tuple], horizon: int
 ) -> Iterator[tuple]:
     """The product states 1..horizon steps from starts that the condition does not
     accept, each once, as a breadth-first search over successors meets them. A
-    start counts only when a step leads back to it."""
+    start counts only when a step leads back to it. Not a layer at a time
+    (ars.expand): the caller stops at the first state that qualifies, often
+    before the condition has advanced from every start."""
     seen: set[tuple] = set()
     frontier = starts
     for _ in range(horizon):
         grown = []
         for node in frontier:
-            for target, after, final in successors(*node).values():
-                if (target, after) not in seen:
-                    seen.add((target, after))
-                    grown.append((target, after))
+            for nxt, final in successors(node).values():
+                if nxt not in seen:
+                    seen.add(nxt)
+                    grown.append(nxt)
                     if not final:
-                        yield target, after
+                        yield nxt
         frontier = grown
 
 
@@ -569,22 +572,16 @@ def _on_cycle(out: StepFunction, obj: str, bound: int) -> bool:
     """Whether obj lies on a cycle of out's steps of at most bound steps. A shortest
     closed walk through obj is a simple cycle, so one breadth-first search from
     obj, bound steps deep, decides it."""
-    seen = {obj}
-    frontier = [obj]
+    seen: set[str] = set()  # obj is left out, so a step back to it puts it in a layer
+    layer, target = [obj], attrgetter("target")
     for _ in range(bound):
-        grown = []
-        for o in frontier:
-            for step in out(o):
-                if step.target == obj:
-                    return True
-                if step.target not in seen:
-                    seen.add(step.target)
-                    grown.append(step.target)
-        frontier = grown
+        layer = expand(layer, seen, out, target)
+        if obj in layer:
+            return True
     return False
 
 
-def _distances(successors: Callable[[str, Hashable], dict], horizon: int) -> Callable[[tuple], int]:
+def _distances(successors: Callable[[tuple], dict], horizon: int) -> Callable[[tuple], int]:
     """The least number of steps, 1..horizon, from a product state to one that the
     condition accepts, or horizon + 1 when none is that near, kept per state.
 
@@ -605,12 +602,11 @@ def _distances(successors: Callable[[str, Hashable], dict], horizon: int) -> Cal
             if depth >= best:
                 break
             grown = []
-            for obj, state in frontier:
-                for target, after, final in successors(obj, state).values():
+            for here in frontier:
+                for nxt, final in successors(here).values():
                     if final:
                         known[node] = depth
                         return depth
-                    nxt = (target, after)
                     if nxt not in seen:
                         seen.add(nxt)
                         if nxt in known:

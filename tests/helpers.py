@@ -16,7 +16,10 @@ the Derivation-built search they replace (derivation_lassos), both over
 brute_induced's sub-system, the lazy, certificate-first witness search
 against the sorted-candidate search it replaces (sorted_candidates,
 candidate_witness, over the depth-first cycle search cycle_steps), and its least distance to acceptance against one search
-per budget (reaches_final). The document
+per budget (reaches_final). The first-arrival searches of ars are checked
+against the loops they kept before they shared ars.expand
+(reachable_by_queue, reaching_by_stack, shortest_steps_by_queue), and the
+lasso and safety oracles search with those loops. The document
 parser's steps reader is checked against the token loop it stands in for
 (parse_by_tokens).
 """
@@ -24,6 +27,7 @@ parser's steps reader is checked against the token loop it stands in for
 from __future__ import annotations
 
 import random
+from collections import deque
 from contextlib import contextmanager
 from itertools import chain
 from typing import Iterable, Iterator
@@ -72,13 +76,11 @@ from strat import (
     UnknownSymbol,
     accepted,
     rotate_cycle,
-    shortest_path_to,
-    shortest_paths,
     simple_cycles,
     strategy_from_predicate,
 )
 from strat import rational, speclang
-from strat.ars import StepFunction, shortest_steps
+from strat.ars import StepFunction
 from strat.intensional import induced
 from strat.traffic import TrafficState, good_starts
 
@@ -497,6 +499,81 @@ def brute_cycles(ars: Ars, max_len: int | None = None) -> list[Derivation]:
     ]
 
 
+# -- oracle: the first-arrival searches, each with its own loop ---------------------
+
+
+def reachable_by_queue(ars: Ars, sources: Iterable[str]) -> list[str]:
+    """ars.reachable_objects as it was before the searches shared ars.expand: one
+    queue, every source checked before the search starts."""
+    queue = deque()
+    seen: set[str] = set()
+    for s in sources:
+        ars.object_index(s)
+        if s not in seen:
+            seen.add(s)
+            queue.append(s)
+    order = list(queue)
+    while queue:
+        cur = queue.popleft()
+        for step in ars.out_steps(cur):
+            if step.target not in seen:
+                seen.add(step.target)
+                order.append(step.target)
+                queue.append(step.target)
+    return order
+
+
+def reaching_by_stack(objects: Iterable[str], out: StepFunction, targets: Iterable[str]) -> set[str]:
+    """ars.reaching_objects as it was before it searched breadth first: one
+    depth-first search backward from the targets."""
+    into: dict[str, list[str]] = {}
+    for step in chain.from_iterable(map(out, objects)):
+        into.setdefault(step.target, []).append(step.source)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for source in into.get(stack.pop(), ()):
+            if source not in seen:
+                seen.add(source)
+                stack.append(source)
+    return seen
+
+
+def shortest_steps_by_queue(
+    out: StepFunction, source: str, max_len: int | None = None
+) -> Iterator[tuple[str, tuple[Step, ...]]]:
+    """ars.shortest_steps as it was before the searches shared ars.expand: one
+    queue of (object, steps), each yielded when it is first met."""
+    first = (source, ())
+    yield first
+    queue = deque([first])
+    seen = {source}
+    while queue:
+        obj, steps = queue.popleft()
+        if max_len is not None and len(steps) >= max_len:
+            continue
+        for step in out(obj):
+            if step.target not in seen:
+                seen.add(step.target)
+                grown = (step.target, (*steps, step))
+                yield grown
+                queue.append(grown)
+
+
+def shortest_paths_by_queue(ars: Ars, source: str, max_len: int | None = None) -> Iterator[Derivation]:
+    """ars.shortest_paths over shortest_steps_by_queue."""
+    for _, steps in shortest_steps_by_queue(ars.out_steps, source, max_len):
+        yield Derivation(ars, source, tuple(s.label for s in steps))
+
+
+def shortest_path_by_queue(ars: Ars, source: str, targets: set[str]) -> Derivation | None:
+    """ars.shortest_path_to over shortest_steps_by_queue."""
+    for obj, steps in shortest_steps_by_queue(ars.out_steps, source):
+        if obj in targets:
+            return Derivation(ars, source, tuple(s.label for s in steps))
+    return None
+
+
 # -- oracle: the witness search over materialised accepted sets ----------------------
 
 
@@ -521,7 +598,7 @@ def brute_lassos(xi: Strategy, ars: Ars, sources: Iterable[str] | None = None) -
     out = []
     for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
         for cycle in simple_cycles(sub):
-            stem = shortest_path_to(sub, src, set(cycle.targets))
+            stem = shortest_path_by_queue(sub, src, set(cycle.targets))
             if stem is not None:
                 loop = rotate_cycle(cycle, stem.target)
                 out.append(
@@ -547,7 +624,7 @@ def derivation_lassos(
     out: list[Lasso] = []
     for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
         met: set[int] = set()
-        for stem in shortest_paths(sub, src, None if max_len is None else max_len - 1):
+        for stem in shortest_paths_by_queue(sub, src, None if max_len is None else max_len - 1):
             entry = stem.target
             fresh = [k for k in through.get(entry, ()) if k not in met]
             if not fresh:
@@ -618,10 +695,13 @@ def cycle_steps(ars: Ars, out: StepFunction, max_len: int | None = None) -> Iter
 def sorted_candidates(
     ars: Ars, out, sources: Iterable[str] | None = None, max_len: int | None = None
 ) -> list[tuple[tuple, str, tuple[Step, ...], tuple[Step, ...]]]:
-    """lasso_candidates as it was before it drew them one length class at a time:
-    every cycle up to max_len searched at once, one breadth-first search per
-    source to depth max_len - 1, and every (sort key, source, stem, cycle)
-    tuple built, then sorted."""
+    """intensional.ordered_lassos' lassos as they were found before they were drawn
+    one length class at a time: every cycle up to max_len searched at once, one
+    breadth-first search per source to depth max_len - 1
+    (shortest_steps_by_queue), and every (sort key, source, stem, cycle) tuple
+    built, then sorted. The key orders as Lasso.sort_key: (|stem| + |cycle|,
+    (|stem|, source index, stem label indices), (|cycle|, entry index, cycle
+    label indices))."""
     # object -> length -> cycle -> (its key, the cycle started at the object)
     through: dict[str, dict[int, dict[int, tuple]]] = {obj: {} for obj in ars.objects}
     for k, (_, steps) in enumerate(cycle_steps(ars, out, max_len)):
@@ -633,7 +713,7 @@ def sorted_candidates(
     for src in sorted(set(ars.objects if sources is None else sources), key=ars.object_index):
         src_index = ars.object_index(src)
         met: set[int] = set()
-        for entry, stem in shortest_steps(out, src, None if max_len is None else max_len - 1):
+        for entry, stem in shortest_steps_by_queue(out, src, None if max_len is None else max_len - 1):
             stem_key = (len(stem), src_index, tuple(ars.label_index(s.label) for s in stem))
             room = len(ars.objects) if max_len is None else max_len - len(stem)
             for length, loops in through[entry].items():
@@ -752,7 +832,7 @@ def loop_safety_violation(ars: Ars, strategy: Strategy) -> Derivation | None:
     sub = ars.restrict(brute_induced(strategy, ars))
     bad = {s for s in ars.objects if TrafficState.from_symbol(s).both_green}
     for start in good_starts(ars):
-        path = shortest_path_to(sub, start, bad)
+        path = shortest_path_by_queue(sub, start, bad)
         if path is not None and not path.is_empty:
             return Derivation(ars, path.source, path.labels)
     return None

@@ -81,6 +81,14 @@ then checks that:
   derivations, at every bound from 1 to 6 and without one;
 - the least distance to acceptance answers every budget up to the horizon as
   one search per budget does.
+
+A ninth family draws a system (6 objects or fewer), sources, targets and a
+label set, and checks that reachable_objects, reaching_objects and
+shortest_steps (with and without a length bound), on the system and on the
+sub-system of the label set, answer as the loops they kept before they shared
+ars.expand (helpers.reachable_by_queue, reaching_by_stack and
+shortest_steps_by_queue), and that an unknown source still raises
+UnknownSymbol.
 """
 
 from __future__ import annotations
@@ -128,6 +136,7 @@ from strat import (
     UnionCommitted,
     UnionPointwise,
     Universal,
+    UnknownSymbol,
     accepted,
     accepted_targets,
     cli,
@@ -148,9 +157,11 @@ from strat import (
     memoryless_from,
     nonclosed_witness,
     rational,
+    reachable_objects,
     reaches_cycle,
     simple_cycles,
 )
+from strat.ars import reaching_objects, shortest_steps
 
 # the leaves that generate on most systems come three times as often, so
 # that most trees generate something to compare
@@ -323,7 +334,9 @@ class TestWitnessSearch:
         ars, ls, horizon, sources = case
         assert nonclosed_witness(ls, ars, horizon, sources) == helpers.candidate_witness(ls, ars, horizon, sources)
         out = intensional.induced(ls.base, ars)
-        assert intensional.lasso_candidates(ars, out, sources, horizon) == helpers.sorted_candidates(ars, out, sources, horizon)
+        assert list(intensional.ordered_lassos(ars, out, sources, horizon)) == [
+            (src, stem, loop) for _, src, stem, loop in helpers.sorted_candidates(ars, out, sources, horizon)
+        ]
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(witness_cases())
@@ -373,7 +386,9 @@ class TestLassoCandidates:
             ls, ars, horizon, sources
         ) == helpers.candidate_witness(ls, ars, horizon, sources)
         out = intensional.induced(ls.base, ars)
-        assert intensional.lasso_candidates(ars, out, sources, max_len) == helpers.sorted_candidates(ars, out, sources, max_len)
+        assert list(intensional.ordered_lassos(ars, out, sources, max_len)) == [
+            (src, stem, loop) for _, src, stem, loop in helpers.sorted_candidates(ars, out, sources, max_len)
+        ]
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(systems(max_objects=6))
@@ -664,3 +679,26 @@ class TestInducedSubsystem:
         assert [d.steps for d in generate(xi, ars, 3)] == [only]
         assert induced_steps(xi, ars) == only == helpers.brute_induced(xi, ars)
         assert lassos_of_memoryless(xi, ars) == []
+
+
+class TestFirstArrivalSearches:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(systems(max_objects=6), st.data())
+    def test_searches_agree_with_their_own_loops(self, ars, data):
+        # the searches on ars.expand against the loops they kept before, on the
+        # whole system and on the sub-system of a drawn label set
+        sources = data.draw(st.lists(st.sampled_from(ars.objects), min_size=1, max_size=4))
+        assert reachable_objects(ars, sources) == helpers.reachable_by_queue(ars, sources)
+        labels = data.draw(st.frozensets(st.sampled_from(ars.labels)))
+        for out in (ars.out_steps, lambda obj: tuple(s for s in ars.out_steps(obj) if s.label in labels)):
+            targets = data.draw(st.frozensets(st.sampled_from(ars.objects)))
+            assert reaching_objects(ars.objects, out, targets) == helpers.reaching_by_stack(ars.objects, out, targets)
+            for src in ars.objects:
+                for max_len in (None, 0, 1, 2, 3):
+                    assert list(shortest_steps(out, src, max_len)) == list(
+                        helpers.shortest_steps_by_queue(out, src, max_len)
+                    )
+        with pytest.raises(UnknownSymbol):
+            reachable_objects(ars, [*sources, "zz"])
+        with pytest.raises(UnknownSymbol):
+            list(shortest_steps(ars.out_steps, "zz"))
